@@ -24,7 +24,6 @@ from .convexseq import (
     ConvexSequence,
     construct_dirichlet_like,
     construct_small_alpha,
-    intersect_count,
     validate,
 )
 from .expsum import (
@@ -45,12 +44,9 @@ class RunConfig:
     N: list[int] | None = None
     alpha: list[float] | None = None
     grid_budget: int = DEFAULT_BUDGET
-    tol: float | None = None
     seed: int = 0
     out: str | None = None
-    format: str = "json"
     threads: int | None = None
-    fast_path: str = "auto"
 
     def to_json_dict(self) -> dict:
         return {
@@ -58,12 +54,9 @@ class RunConfig:
             "N": self.N,
             "alpha": self.alpha,
             "grid_budget": self.grid_budget,
-            "tol": self.tol,
             "seed": self.seed,
             "out": self.out,
-            "format": self.format,
             "threads": self.threads,
-            "fast_path": self.fast_path,
         }
 
 
@@ -111,7 +104,6 @@ def _load_spec(path: str) -> ExpSumSpec:
 def cmd_construct(args) -> int:
     cfg = RunConfig(
         command="construct", N=[args.N], alpha=[args.alpha], out=args.out,
-        format=args.format,
     )
     seq = _build_sequence(args.N, args.alpha)
     report = validate(seq)
@@ -130,7 +122,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = RunConfig(command="validate", tol=args.tol, out=args.out)
+    cfg = RunConfig(command="validate", out=args.out)
     seq = ConvexSequence.from_csv(args.path, hits_path=args.hits)
     report = validate(seq, theta=args.theta)
     _emit(cfg, report.to_json_dict(), args.out)
@@ -187,20 +179,14 @@ def cmd_farey(args) -> int:
 def cmd_expsum(args) -> int:
     cfg = RunConfig(
         command="expsum", grid_budget=args.grid_budget, out=args.out,
-        threads=args.threads, fast_path=args.fast_path,
+        threads=args.threads,
     )
     spec = _load_spec(args.spec)
     grid = canonical_grid(spec.N, args.grid_budget)
-    norm = sup_norm_Lp(
-        spec, grid, args.direction, args.p,
-        fast_path=args.fast_path, threads=args.threads,
-    )
+    norm = sup_norm_Lp(spec, grid, args.direction, args.p, threads=args.threads)
     result = {"norm": norm.to_json_dict()}
     if args.levels:
-        rep = dyadic_level_report(
-            spec, grid, args.direction,
-            fast_path=args.fast_path, threads=args.threads,
-        )
+        rep = dyadic_level_report(spec, grid, args.direction, threads=args.threads)
         result["levels"] = rep.to_json_dict()
     _emit(cfg, result, args.out)
     return 0
@@ -210,13 +196,10 @@ def cmd_experiment(args) -> int:
     cfg = RunConfig(
         command=f"experiment {args.which}", N=[args.N],
         grid_budget=args.grid_budget, seed=args.seed, out=args.out,
-        threads=args.threads, fast_path=args.fast_path,
+        threads=args.threads,
     )
     fn = EXPERIMENTS[args.which]
-    rep = fn(
-        args.N, grid_budget=args.grid_budget, seed=args.seed,
-        fast_path=args.fast_path, threads=args.threads,
-    )
+    rep = fn(args.N, grid_budget=args.grid_budget, seed=args.seed, threads=args.threads)
     _emit(cfg, rep.to_json_dict(), args.out)
     return 0 if rep.exact_identity_pass else 2
 
@@ -249,14 +232,12 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--out", help="output base path (default: seq)")
-    p.add_argument("--format", choices=["json", "csv"], default="csv")
     p.set_defaults(fn=cmd_construct)
 
     p = sub.add_parser("validate", help="check convexity windows of a CSV sequence")
     p.add_argument("path")
     p.add_argument("--hits", help="hits JSON to attach")
     p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_validate)
 
@@ -282,7 +263,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", action="store_true")
     p.add_argument("--grid-budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--fast-path", choices=["auto", "on", "off"], default="auto")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_expsum)
 
@@ -292,7 +272,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid-budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--fast-path", choices=["auto", "on", "off"], default="auto")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_experiment)
 

@@ -22,18 +22,15 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 
 from .interp import Knot, build_c1, upgrade_c2
 from .rational import (
     Q,
-    ReducedRational,
     enumerate_fractions,
     expand_to_range,
     mediant,
-    power_exact,
     power_floor,
     power_value,
 )

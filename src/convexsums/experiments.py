@@ -153,7 +153,6 @@ def experiment_A(
     N: int,
     grid_budget: int = DEFAULT_BUDGET,
     seed: int = 0,
-    fast_path: str = "auto",
     threads: int | None = None,
 ) -> ExperimentReport:
     """alpha=1 hits sheared by -n/N^2; identity f(j, jN) = count for ALL j."""
@@ -170,7 +169,7 @@ def experiment_A(
         spec, [(float(j), float(j) * N) for j in range(1, N + 1)], float(count)
     )
     grid = canonical_grid(N, grid_budget)
-    norm = sup_norm_Lp(spec, grid, "t", 4.0, fast_path=fast_path, threads=threads)
+    norm = sup_norm_Lp(spec, grid, "t", 4.0, threads=threads)
     exponent = 7.0 / 12.0
     ratio = norm.value / (N**exponent * spec.norm_b2())
     return ExperimentReport(
@@ -193,7 +192,6 @@ def experiment_B(
     N: int,
     grid_budget: int = DEFAULT_BUDGET,
     seed: int = 0,
-    fast_path: str = "auto",
     threads: int | None = None,
 ) -> ExperimentReport:
     """alpha=1/2 hits; identity f(0, j sqrt(N)) = count at 64 seeded j."""
@@ -210,7 +208,7 @@ def experiment_B(
     root = math.sqrt(N)
     err, ok = _check_identity(spec, [(0.0, j * root) for j in js], float(count))
     grid = canonical_grid(N, grid_budget)
-    norm = sup_norm_Lp(spec, grid, "x", 4.0, fast_path=fast_path, threads=threads)
+    norm = sup_norm_Lp(spec, grid, "x", 4.0, threads=threads)
     exponent = 5.0 / 8.0
     ratio = norm.value / (N**exponent * spec.norm_b2())
     return ExperimentReport(
@@ -233,14 +231,13 @@ def experiment_C(
     N: int,
     grid_budget: int = DEFAULT_BUDGET,
     seed: int = 0,
-    fast_path: str = "auto",
     threads: int | None = None,
 ) -> ExperimentReport:
     """Tilted frequencies (n/N - a_n/N, a_n); identity f(jN, j) = count.
 
-    The tilt makes the x-frequencies non-canonical, so the norm runs on the
-    naive path over the (few) nonzero coefficients; f is N^2-periodic in x
-    because N^2 xi_n = nN - m_n is an integer on the support.
+    The tilt makes the x-frequencies non-canonical, so the norm's rows come
+    from the separable product over the (few) nonzero coefficients; f is
+    N^2-periodic in x because N^2 xi_n = nN - m_n is an integer on the support.
     """
     if N < 64:
         raise ValueError("need N >= 64")
@@ -263,7 +260,7 @@ def experiment_C(
     grid = GridSpec(
         x_lo=0.0, x_hi=float(N * N), Mx=side, t_lo=0.0, t_hi=float(N * N), Mt=side
     )
-    norm = sup_norm_Lp(spec, grid, "x", 4.0, fast_path=fast_path, threads=threads)
+    norm = sup_norm_Lp(spec, grid, "x", 4.0, threads=threads)
     exponent = 5.0 / 6.0
     ratio = norm.value / (N**exponent * spec.norm_b2())
     return ExperimentReport(

@@ -8,11 +8,13 @@ mantissa the fractional part keeps ~1e-12 absolute accuracy in the worst
 case, and phases that are exact integers (the experiments' identity points,
 where all inputs are dyadic rationals) reduce to exactly zero.
 
-The fast path: when xi_n = n/N and the x-grid is the uniform right-open grid
-on [0, N), the row f(., t) is Mx times an inverse DFT of the coefficient
-vector c_n = b_n e(t eta_n) folded into length Mx (folding n mod Mx is exact
-because e(k n / Mx) only depends on n mod Mx).  Everything else runs the
-naive path restricted to the nonzero coefficients.
+Grid rows come from one of two paths, chosen from the spec and the grid
+alone.  When xi_n = n/N and the x-grid is the uniform right-open grid on
+[0, N), the row f(., t) is Mx times an inverse DFT of the coefficient vector
+c_n = b_n e(t eta_n) folded into length Mx (folding n mod Mx is exact
+because e(k n / Mx) only depends on n mod Mx).  Otherwise each term splits
+as e(x xi_n) e(t eta_n), and a block of rows is one matrix product of the
+two factors restricted to the nonzero coefficients.
 
 All reductions (max, ordered sums) use a fixed partition of the t-rows into
 blocks combined in block order, so results are independent of thread count.
@@ -23,18 +25,13 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
 DEFAULT_BUDGET = 2**24  # max total grid nodes Mx * Mt
 _BLOCK_ROWS = 256
-
-
-class FastPathError(ValueError):
-    """Fast path was forced on a grid/spec it does not apply to."""
 
 
 def _frac(a: np.ndarray) -> np.ndarray:
@@ -59,6 +56,8 @@ class ExpSumSpec:
         if not np.any(b != 0):
             raise ValueError("coefficients are all zero")
         for name, arr in (("xi", xi), ("eta", eta), ("b", b)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} has non-finite entries")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -132,9 +131,6 @@ def canonical_grid(N: int, budget: int = DEFAULT_BUDGET) -> GridSpec:
 def _threads(threads: int | None) -> int:
     if threads is not None:
         return max(1, threads)
-    env = os.environ.get("CONVEXSUMS_THREADS")
-    if env:
-        return max(1, int(env))
     return min(8, os.cpu_count() or 1)
 
 
@@ -148,23 +144,12 @@ def eval_point(spec: ExpSumSpec, x: float, t: float) -> complex:
     return complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 
-def _fast_path_ok(spec: ExpSumSpec, grid: GridSpec) -> bool:
+def _fft_applies(spec: ExpSumSpec, grid: GridSpec) -> bool:
     return (
         spec.has_canonical_xi()
         and grid.x_lo == 0.0
         and grid.x_hi == float(spec.N)
     )
-
-
-def _resolve_fast(spec: ExpSumSpec, grid: GridSpec, fast_path: str) -> bool:
-    if fast_path not in ("auto", "on", "off"):
-        raise ValueError(f"fast_path must be auto/on/off, got {fast_path!r}")
-    ok = _fast_path_ok(spec, grid)
-    if fast_path == "on" and not ok:
-        raise FastPathError(
-            "fast path needs xi_n = n/N and the x-grid on [0, N)"
-        )
-    return ok if fast_path == "auto" else fast_path == "on"
 
 
 def _rows_fast(spec: ExpSumSpec, grid: GridSpec, t_index: np.ndarray) -> np.ndarray:
@@ -181,20 +166,18 @@ def _rows_fast(spec: ExpSumSpec, grid: GridSpec, t_index: np.ndarray) -> np.ndar
 
 
 def _rows_naive(spec: ExpSumSpec, grid: GridSpec, t_index: np.ndarray) -> np.ndarray:
+    """Rows as the product E_t @ E_x of the separable factors of each term.
+
+    E_t[r, k] = b_k e(t_r eta_k) and E_x[k, c] = e(xi_k x_c), over the support.
+    """
     idx = spec.support()
     xi = spec.xi[idx].astype(np.longdouble)
     eta = spec.eta[idx].astype(np.longdouble)
-    b = spec.b[idx]
-    x = (grid.x_lo + np.arange(grid.Mx) * np.longdouble(grid.dx)).astype(np.longdouble)
-    out = np.zeros((len(t_index), grid.Mx), dtype=complex)
-    t_nodes = grid.t_lo + t_index.astype(np.longdouble) * np.longdouble(grid.dt)
-    for r, t in enumerate(t_nodes):
-        acc = np.zeros(grid.Mx, dtype=complex)
-        for j in range(len(b)):
-            phase = _frac(xi[j] * x + t * eta[j]).astype(float)
-            acc += b[j] * np.exp(2j * math.pi * phase)
-        out[r] = acc
-    return out
+    x = grid.x_lo + np.arange(grid.Mx) * np.longdouble(grid.dx)
+    t = grid.t_lo + t_index.astype(np.longdouble) * np.longdouble(grid.dt)
+    e_x = np.exp(2j * math.pi * _frac(xi[:, None] * x[None, :]).astype(float))
+    e_t = np.exp(2j * math.pi * _frac(t[:, None] * eta[None, :]).astype(float))
+    return (spec.b[idx] * e_t) @ e_x
 
 
 def _block_starts(Mt: int) -> list[int]:
@@ -204,7 +187,6 @@ def _block_starts(Mt: int) -> list[int]:
 def _map_blocks(
     spec: ExpSumSpec,
     grid: GridSpec,
-    fast: bool,
     threads: int | None,
     fn: Callable[[np.ndarray], object],
 ) -> list[object]:
@@ -214,7 +196,7 @@ def _map_blocks(
     partition is fixed by _BLOCK_ROWS, never by the thread count, so any
     order-sensitive combination downstream stays deterministic.
     """
-    rows = _rows_fast if fast else _rows_naive
+    rows = _rows_fast if _fft_applies(spec, grid) else _rows_naive
     starts = _block_starts(grid.Mt)
 
     def run(s: int):
@@ -231,7 +213,6 @@ def _map_blocks(
 def eval_grid(
     spec: ExpSumSpec,
     grid: GridSpec,
-    fast_path: str = "auto",
     threads: int | None = None,
 ) -> np.ndarray:
     """Full (Mt x Mx) matrix of f on the grid.
@@ -239,8 +220,7 @@ def eval_grid(
     Intended for modest grids; the norm and level-set routines stream their
     rows instead of materializing this.
     """
-    fast = _resolve_fast(spec, grid, fast_path)
-    blocks = _map_blocks(spec, grid, fast, threads, lambda m: m)
+    blocks = _map_blocks(spec, grid, threads, lambda m: m)
     return np.concatenate(blocks, axis=0)
 
 
@@ -269,7 +249,6 @@ def sup_norm_Lp(
     grid: GridSpec,
     sup_direction: str,
     p: float,
-    fast_path: str = "auto",
     threads: int | None = None,
 ) -> NormResult:
     """L^p Riemann norm over the outer variable of the inner-direction sup.
@@ -281,14 +260,13 @@ def sup_norm_Lp(
         raise ValueError("p must be >= 1")
     if sup_direction not in ("t", "x"):
         raise ValueError("sup_direction must be 't' or 'x'")
-    fast = _resolve_fast(spec, grid, fast_path)
 
     if sup_direction == "t":
         def per_block(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             a = np.abs(m)
             return a.max(axis=0), a.argmax(axis=0)
 
-        partials = _map_blocks(spec, grid, fast, threads, per_block)
+        partials = _map_blocks(spec, grid, threads, per_block)
         sup_x = np.zeros(grid.Mx)
         arg_row = np.zeros(grid.Mx, dtype=np.int64)
         for bi, (mx, am) in enumerate(partials):
@@ -304,7 +282,7 @@ def sup_norm_Lp(
             a = np.abs(m)
             return a.max(axis=1), a.argmax(axis=1)
 
-        partials = _map_blocks(spec, grid, fast, threads, per_block)
+        partials = _map_blocks(spec, grid, threads, per_block)
         sup_t = np.concatenate([mx for mx, _ in partials])
         arg_col = np.concatenate([am for _, am in partials])
         value = math.fsum(v**p for v in sup_t) * grid.dt
@@ -326,7 +304,6 @@ def _level_masks(
     spec: ExpSumSpec,
     grid: GridSpec,
     direction: str,
-    fast_path: str,
     threads: int | None,
 ) -> tuple[np.ndarray, int, float]:
     """Per-outer-node bitmask of observed dyadic exponents, one streaming pass.
@@ -336,7 +313,6 @@ def _level_masks(
     """
     k_top = math.ceil(math.log2(spec.norm_b1()))  # |f| <= ||b||_1 everywhere
     k_min = k_top - 62
-    fast = _resolve_fast(spec, grid, fast_path)
 
     def per_block(m: np.ndarray):
         a = np.abs(m)
@@ -345,15 +321,10 @@ def _level_masks(
         _, e = np.frexp(np.where(pos, a, 1.0))
         k = np.clip(e - 1, k_min, k_top) - k_min
         bits = np.where(pos, np.uint64(1) << k.astype(np.uint64), np.uint64(0))
-        if direction == "t":
-            out = np.zeros(grid.Mx, dtype=np.uint64)
-            for r in range(bits.shape[0]):
-                out |= bits[r]
-        else:
-            out = np.bitwise_or.reduce(bits, axis=1)
+        out = np.bitwise_or.reduce(bits, axis=0 if direction == "t" else 1)
         return out, float(a.max())
 
-    partials = _map_blocks(spec, grid, fast, threads, per_block)
+    partials = _map_blocks(spec, grid, threads, per_block)
     max_abs = max(p[1] for p in partials)
     if direction == "t":
         masks = np.zeros(grid.Mx, dtype=np.uint64)
@@ -369,27 +340,25 @@ def level_set_projection(
     grid: GridSpec,
     alpha: float,
     direction: str,
-    fast_path: str = "auto",
     threads: int | None = None,
 ) -> float:
     """Measure of outer-grid cells where some inner node has |f| in [a/2, a).
 
     direction names the collapsed (inner) variable: "t" projects along t onto
-    the x-axis, "x" the other way.  Non-dyadic alpha is handled by a direct
-    banded pass rather than the bitmask ladder.
+    the x-axis, "x" the other way.  Any alpha > 0 takes one banded pass over
+    the grid; dyadic_level_report gets all power-of-two bands in one pass.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if direction not in ("t", "x"):
         raise ValueError("direction must be 't' or 'x'")
-    fast = _resolve_fast(spec, grid, fast_path)
 
     def per_block(m: np.ndarray) -> np.ndarray:
         a = np.abs(m)
         inband = (a >= alpha / 2) & (a < alpha)
         return inband.any(axis=0) if direction == "t" else inband.any(axis=1)
 
-    partials = _map_blocks(spec, grid, fast, threads, per_block)
+    partials = _map_blocks(spec, grid, threads, per_block)
     if direction == "t":
         hit = np.zeros(grid.Mx, dtype=bool)
         for h in partials:
@@ -441,7 +410,6 @@ def dyadic_level_report(
     grid: GridSpec,
     direction: str,
     levels: int = 40,
-    fast_path: str = "auto",
     threads: int | None = None,
 ) -> LevelSetReport:
     """Level-set projections for all dyadic bands, one pass over the grid.
@@ -451,7 +419,7 @@ def dyadic_level_report(
     """
     if direction not in ("t", "x"):
         raise ValueError("direction must be 't' or 'x'")
-    masks, k_min, max_abs = _level_masks(spec, grid, direction, fast_path, threads)
+    masks, k_min, max_abs = _level_masks(spec, grid, direction, threads)
     cell = grid.dx if direction == "t" else grid.dt
     exponent = 7.0 / 3.0 if direction == "t" else 8.0 / 3.0
     denom = spec.N**exponent * spec.norm_b2() ** 4

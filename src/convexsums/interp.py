@@ -31,11 +31,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-TWO_PI = 2.0 * math.pi
 
 # split ratios outside this window mean nearly degenerate data
 C_RATIO_MIN = 1e-6

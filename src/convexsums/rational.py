@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Iterable, Union
+from typing import Union
 
 
 class InfeasibleExpansionError(ValueError):

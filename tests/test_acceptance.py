@@ -292,7 +292,7 @@ def test_criterion_7_evaluator_checks():
     b = rng.normal(size=N)
     spec = ExpSumSpec(N=N, xi=np.arange(1, N + 1) / N, eta=eta, b=b)
     grid = canonical_grid(N)
-    fast = eval_grid(spec, grid, fast_path="on")
+    fast = eval_grid(spec, grid)  # canonical xi on [0, N): the FFT rows
     scale = spec.norm_b1()
 
     rows = rng.integers(0, grid.Mt, size=1000)
@@ -326,7 +326,7 @@ def test_criterion_7_evaluator_checks():
         and det
         and elapsed <= T_EVAL
     )
-    _verdict(7, ok, f"fast vs naive {worst:.1e}, periodicity {per:.1e}, "
+    _verdict(7, ok, f"FFT rows vs eval_point {worst:.1e}, periodicity {per:.1e}, "
                     f"Parseval {parseval:.1e}, thread-determinism {det}, "
                     f"{elapsed:.1f}s")
     assert worst <= 1e-9

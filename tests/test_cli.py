@@ -112,6 +112,24 @@ class TestOtherCommands:
         assert r["norm"]["value"] > 0
         assert len(r["levels"]["alphas"]) >= 1
 
+    def test_expsum_non_finite_spec_exit1(self, tmp_path, capsys):
+        spec = {"N": 2, "xi": [0.5, 1.0], "eta": [0.0, float("nan")], "b": [1.0, 1.0]}
+        p = tmp_path / "nan.json"
+        p.write_text(json.dumps(spec))  # json writes the NaN literal
+        code, out, err = run_cli(["expsum", str(p)], capsys)
+        assert code == 1
+        assert err.startswith("error:") and "eta" in err
+        assert out == ""
+
+    def test_envelope_config_keys(self, capsys):
+        code, out, _ = run_cli(
+            ["farey", "--lo", "0", "--hi", "1", "--qmax", "2", "--count-only"], capsys
+        )
+        assert code == 0
+        assert set(json.loads(out)["config"]) == {
+            "command", "N", "alpha", "grid_budget", "seed", "out", "threads",
+        }
+
     def test_expsum_malformed_names_field(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"N": 8, "xi": [0.5], "b": [1.0]}))

@@ -4,14 +4,17 @@ import math
 import numpy as np
 import pytest
 
+from convexsums.convexseq import construct_dirichlet_like, shear
 from convexsums.experiments import (
     RegressionResult,
+    _hit_coefficients,
     experiment_A,
     experiment_B,
     experiment_C,
     intersection_scan,
     regress,
 )
+from convexsums.expsum import ExpSumSpec, canonical_grid, level_set_projection
 
 SMALL_BUDGET = 2**18  # keeps unit tests fast; acceptance uses the default
 
@@ -116,6 +119,38 @@ class TestExperimentC:
     def test_rejects_tiny_N(self):
         with pytest.raises(ValueError):
             experiment_C(32)
+
+
+def level_ratio(spec, grid, K):
+    """Criterion 8's R: the ladder statistic over its trivial bound (K/N^(2/3))^2.
+
+    max_j a_j^4 |pi_t U_{a_j}| / (N^(7/3) ||b||_2^4) on a_j = ||b||_1 2^-j.
+    """
+    N = spec.N
+    denom = N ** (7.0 / 3.0) * spec.norm_b2() ** 4
+    alphas = [spec.norm_b1() * 2.0**-j for j in range(4)]
+    S = max(a**4 * level_set_projection(spec, grid, a, "t") / denom for a in alphas)
+    return S / (K / N ** (2.0 / 3.0)) ** 2
+
+
+class TestLevelSetWitness:
+    """The shear is what makes the experiment-A witness attain criterion 8's
+    bound: on a 64-row t-grid the sheared spec reaches R = 1, the unsheared
+    one (shear 0) stays far below it."""
+
+    @pytest.mark.parametrize("N", [64, 128, 256])
+    def test_shear_attains_bound_on_coarse_t_grid(self, N):
+        c = construct_dirichlet_like(N, 1.0)
+        b = _hit_coefficients(c)
+        grid = canonical_grid(N, budget=256 * N)
+        assert grid.Mt == 64
+        R = {}
+        for lam in (-1.0 / N**2, 0.0):
+            spec = ExpSumSpec(N=N, xi=np.arange(1, N + 1) / N,
+                              eta=shear(c, lam).values, b=b)
+            R[lam] = level_ratio(spec, grid, len(c.hits))
+        assert R[-1.0 / N**2] >= 0.99
+        assert R[0.0] <= 0.7
 
 
 class TestScan:

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from convexsums import expsum
 from convexsums.expsum import (
     DEFAULT_BUDGET,
     ExpSumSpec,
-    FastPathError,
     GridSpec,
     LevelSetReport,
     canonical_grid,
@@ -34,6 +34,15 @@ def random_spec(N=64, seed=0, canonical=True, support=None):
 
 def constant_spec(c=1.0):
     return ExpSumSpec(N=1, xi=np.zeros(1), eta=np.zeros(1), b=np.array([c]))
+
+
+def forbid_rows(monkeypatch, name):
+    """Make the row function `name` raise, pinning which path a call takes."""
+
+    def refuse(*args):
+        raise AssertionError(f"{name} must not run on this spec and grid")
+
+    monkeypatch.setattr(expsum, name, refuse)
 
 
 class TestEvalPoint:
@@ -85,17 +94,23 @@ class TestEvalGrid:
         assert m.shape == (1, 4)
         assert np.allclose(m[0], [4, 0, 0, 0], atol=1e-12)
 
-    def test_fast_matches_naive_matrix(self):
+    def test_fast_matches_naive_matrix(self, monkeypatch):
+        # x on [0, 64) takes the FFT rows, x on [0, 128) the separable product;
+        # with dx = 0.5 on both, the first 128 columns share their nodes
         spec = random_spec(N=64, seed=7)
-        grid = GridSpec(0.0, 64.0, 128, 0.0, 4096.0, 32)
-        fast = eval_grid(spec, grid, fast_path="on")
-        naive = eval_grid(spec, grid, fast_path="off")
-        assert np.max(np.abs(fast - naive)) <= 1e-9 * spec.norm_b1()
+        with monkeypatch.context() as m:
+            forbid_rows(m, "_rows_naive")
+            fast = eval_grid(spec, GridSpec(0.0, 64.0, 128, 0.0, 4096.0, 32))
+        with monkeypatch.context() as m:
+            forbid_rows(m, "_rows_fast")
+            naive = eval_grid(spec, GridSpec(0.0, 128.0, 256, 0.0, 4096.0, 32))
+        assert np.max(np.abs(fast - naive[:, :128])) <= 1e-9 * spec.norm_b1()
 
-    def test_fast_matches_eval_point_seeded_nodes(self):
+    def test_fast_matches_eval_point_seeded_nodes(self, monkeypatch):
         spec = random_spec(N=256, seed=11)
         grid = GridSpec(0.0, 256.0, 1024, 0.0, float(256**2), 64)
-        m = eval_grid(spec, grid, fast_path="on")
+        forbid_rows(monkeypatch, "_rows_naive")
+        m = eval_grid(spec, grid)
         rng = np.random.default_rng(12)
         for _ in range(100):
             k = int(rng.integers(0, grid.Mx))
@@ -103,12 +118,14 @@ class TestEvalGrid:
             direct = eval_point(spec, grid.x_lo + k * grid.dx, grid.t_lo + l * grid.dt)
             assert abs(m[l, k] - direct) <= 1e-9 * spec.norm_b1()
 
-    def test_fast_forced_on_incompatible_grid(self):
+    def test_incompatible_grid_falls_back(self, monkeypatch):
         spec = random_spec(N=64, seed=1)
         grid = GridSpec(0.0, 32.0, 64, 0.0, 10.0, 4)  # x range is not [0, N)
-        with pytest.raises(FastPathError):
-            eval_grid(spec, grid, fast_path="on")
-        eval_grid(spec, grid, fast_path="auto")  # falls back silently
+        forbid_rows(monkeypatch, "_rows_fast")
+        m = eval_grid(spec, grid)
+        for l, t in enumerate(grid.t_nodes()):
+            for k, x in enumerate(grid.x_nodes()):
+                assert abs(m[l, k] - eval_point(spec, x, t)) <= 1e-9 * spec.norm_b1()
 
     def test_grid_parseval(self):
         spec = random_spec(N=64, seed=13)
@@ -225,6 +242,17 @@ class TestLevelSets:
     def test_zero_coefficients_rejected(self):
         with pytest.raises(ValueError):
             ExpSumSpec(N=2, xi=np.zeros(2), eta=np.zeros(2), b=np.zeros(2))
+
+
+class TestExpSumSpec:
+    @pytest.mark.parametrize("name", ["xi", "eta", "b"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, name, bad):
+        fields = {"xi": np.arange(1, 5) / 4, "eta": np.zeros(4), "b": np.ones(4)}
+        fields[name] = fields[name].copy()
+        fields[name][1] = bad
+        with pytest.raises(ValueError, match=name):
+            ExpSumSpec(N=4, **fields)
 
 
 class TestGridSpec:

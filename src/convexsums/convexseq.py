@@ -112,7 +112,10 @@ class ConvexSequence:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             for row in reader:
-                values.append(float(row["a_n"]))
+                v = float(row["a_n"])
+                if not math.isfinite(v):
+                    raise ValueError(f"{path}: a_n in row {len(values) + 1} is {v}")
+                values.append(v)
                 if exact is not None and row.get("exact_num"):
                     exact.append(Q(int(row["exact_num"]), int(row["exact_den"])))
                 else:
@@ -340,7 +343,7 @@ def construct_dirichlet_like(N: int, alpha: float) -> ConvexSequence:
     X = Y = 0  # cumulative integer sums of k_j and M_j
     trimmed = 0
     for r1, r2 in zip(fracs, fracs[1:]):
-        delta = scale2 * (r2.as_fraction() - r1.as_fraction())
+        delta = scale2 * Q(1, r1.den * r2.den)  # Farey neighbours: r2 - r1
         e1 = expand_to_range(r1, delta, 2 * delta)
         e2 = expand_to_range(r2, delta, 2 * delta)
         med = mediant(e1, e2)

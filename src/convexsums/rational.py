@@ -1,13 +1,15 @@
-"""Exact rational helpers: Farey-style enumeration, mediants, denominator expansion.
+"""Exact rational helpers: Farey enumeration, mediants, denominator expansion.
 
-Everything in this module is exact integer arithmetic.  Interval endpoints may
-be given as int, fractions.Fraction, ReducedRational, Fraction (ours), or
-float; floats are converted to their exact binary value, so results stay
-deterministic.
+Everything in this module is exact integer arithmetic, apart from the
+50-digit decimal that power_floor uses only where its error cannot move the
+answer.  Interval endpoints may be given as int, fractions.Fraction,
+ReducedRational, Fraction (ours), or a finite float; floats are converted to
+their exact binary value, so results stay deterministic.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
@@ -24,9 +26,9 @@ Endpoint = Union[int, float, Q, "ReducedRational", "Fraction"]
 def _as_exact(v: Endpoint) -> Q:
     if isinstance(v, (ReducedRational, Fraction)):
         return Q(v.num, v.den)
-    if isinstance(v, float):
-        return Q(v)  # exact binary value of the float
-    return Q(v)
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ValueError(f"endpoint must be finite, got {v}")
+    return Q(v)  # a float becomes its exact binary value
 
 
 @dataclass(frozen=True)
@@ -102,22 +104,37 @@ class Fraction:
 def enumerate_fractions(lo: Endpoint, hi: Endpoint, qmax: int) -> list[ReducedRational]:
     """All distinct rationals in [lo, hi] with reduced denominator <= qmax.
 
-    Returned strictly increasing.  Endpoints are included.  One pass per
-    denominator; reduced representatives are unique, so no dedup is needed.
+    Returned strictly increasing.  Endpoints are included.  Walks the Farey
+    sequence of order qmax (Graham-Knuth-Patashnik, Concrete Mathematics
+    4.5): neighbours a/b < c/d satisfy bc - ad = 1, and the term after c/d is
+    (kc - a)/(kd - b) with k = floor((qmax + b)/d).  Every comparison is an
+    integer cross-multiplication, so no sort and no gcd per candidate.
     """
     if qmax < 1:
         raise ValueError(f"qmax must be >= 1, got {qmax}")
     lo_q, hi_q = _as_exact(lo), _as_exact(hi)
     if lo_q >= hi_q:
         raise ValueError(f"empty interval: lo={lo_q} >= hi={hi_q}")
-    out: list[ReducedRational] = []
-    for q in range(1, qmax + 1):
-        p_lo = math.ceil(lo_q * q)
-        p_hi = math.floor(hi_q * q)
-        for p in range(p_lo, p_hi + 1):
-            if math.gcd(p, q) == 1:
-                out.append(ReducedRational(p, q))
-    out.sort(key=lambda r: r.as_fraction())
+    ln, ld = lo_q.numerator, lo_q.denominator
+    hn, hd = hi_q.numerator, hi_q.denominator
+    # first term >= lo: the least ceil(lo*q)/q; ties keep the smaller q,
+    # which is the reduced form
+    a, b = -(-ln // ld), 1
+    for q in range(2, qmax + 1):
+        p = -(-ln * q // ld)
+        if p * b < a * q:
+            a, b = p, q
+    if a * hd > hn * b:
+        return []
+    # its right neighbour: bc - ad = 1 with the largest d <= qmax
+    d0 = -pow(a, -1, b) % b
+    d = d0 + (qmax - d0) // b * b
+    c = (1 + a * d) // b
+    out = [ReducedRational(a, b)]
+    while c * hd <= hn * d:
+        out.append(ReducedRational(c, d))
+        k = (qmax + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
     return out
 
 
@@ -156,46 +173,86 @@ def expand_to_range(r: ReducedRational, lo: Endpoint, hi: Endpoint) -> Fraction:
 
 
 def iroot(n: int, k: int) -> int:
-    """Floor k-th root of a nonnegative integer, exact."""
+    """Floor k-th root of a nonnegative integer, in integer arithmetic only."""
     if n < 0 or k < 1:
         raise ValueError("iroot needs n >= 0, k >= 1")
-    if n == 0:
-        return 0
-    x = int(round(n ** (1.0 / k)))
-    x = max(x, 1)
-    while x ** k > n:
-        x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
-    return x
+    if n < 2 or k == 1:
+        return n
+    # 2^(e-1) <= root < 2^e; bisect until the bracket is within a factor
+    # 1 + 1/k, since Newton from above only converges fast from there
+    e = -(-n.bit_length() // k)
+    lo, hi = 1 << (e - 1), 1 << e
+    while hi - lo > 1 and (hi - lo) * k > lo:
+        mid = (lo + hi) // 2
+        if mid**k <= n:
+            lo = mid
+        else:
+            hi = mid
+    # integer Newton from above decreases strictly and never undershoots
+    # the floor root, so it stops exactly there
+    x = hi
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _prime_exponents(n: int) -> dict[int, int]:
+    """{prime: exponent} of a positive integer, by trial division."""
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 def power_exact(base: int, expo: Q) -> Q | None:
     """base**expo as an exact rational, or None when it is irrational.
 
-    base must be a positive integer.  Exact iff base**|num| is a perfect
-    den-th power.
+    base must be a positive integer.  With base = prod p_i^e_i and
+    expo = p/q in lowest terms, base**expo is rational iff q divides p*e_i
+    for every i; the value is then prod p_i^(p*e_i/q), found without forming
+    base**p.
     """
     if base < 1:
         raise ValueError("base must be a positive integer")
     p, q = expo.numerator, expo.denominator
-    n = base ** abs(p)
-    r = iroot(n, q)
-    if r ** q != n:
+    exps = _prime_exponents(base)
+    if any(p * e % q for e in exps.values()):
         return None
+    r = math.prod(prime ** (abs(p) * e // q) for prime, e in exps.items())
     return Q(r) if p >= 0 else Q(1, r)
 
 
 def power_floor(base: int, expo: Q) -> int:
-    """floor(base**expo) computed without float artifacts near integers."""
+    """floor(base**expo) computed without float artifacts near integers.
+
+    An irrational base**expo is found to 50 significant digits, which fixes
+    its floor unless it lies within a relative 1e-30 of an integer.  Only
+    then is the floor q-th root of base**p taken; with p near 10**6, as
+    limit_denominator(10**6) of a float exponent gives, that integer has
+    millions of digits.
+    """
     exact = power_exact(base, expo)
     if exact is not None:
         return exact.numerator // exact.denominator
     p, q = expo.numerator, expo.denominator
-    if p >= 0:
-        return iroot(base ** p, q)
-    # 0 < base**expo < 1 and irrational
-    return 0
+    if p < 0:
+        return 0  # 0 < base**expo < 1 and irrational
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        y = (decimal.Decimal(p) / q * decimal.Decimal(base).ln()).exp()
+        m = int(y)
+        margin = y.scaleb(-30)
+        if margin < y - m < 1 - margin:
+            return m
+    return iroot(base**p, q)
 
 
 def power_value(base: int, expo: Q) -> tuple[Q, bool]:

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import convexsums
 from convexsums.cli import main
 
 
@@ -54,6 +57,25 @@ class TestConstructValidate:
         assert code == 1
         assert "error:" in err
 
+    def test_validate_non_finite_csv_exit1(self, tmp_path, capsys):
+        p = tmp_path / "nan.csv"
+        p.write_text("n,a_n,exact_num,exact_den\n1,0.1,,\n2,0.3,,\n3,nan,,\n4,1.0,,\n")
+        code, out, err = run_cli(["validate", str(p)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "row 3" in err
+        assert len(err.splitlines()) == 1
+
+    def test_construct_large_exponent_alpha(self, tmp_path, capsys):
+        # alpha = 777/1000 makes N**p too large for a float: this once
+        # raised OverflowError out of main
+        base = str(tmp_path / "s")
+        code, out, _ = run_cli(
+            ["construct", "--N", "1000", "--alpha", "0.777", "--out", base], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["result"]["validation"]["pass"] is True
+
 
 class TestOtherCommands:
     def test_farey_count(self, capsys):
@@ -71,6 +93,16 @@ class TestOtherCommands:
         doc = json.loads(out)["result"]
         assert code == 0
         assert len(doc["fractions"]) == doc["count"]
+
+    @pytest.mark.parametrize("lo,hi", [("0", "inf"), ("nan", "1")])
+    def test_farey_non_finite_endpoint_exit1(self, lo, hi, capsys):
+        code, out, err = run_cli(
+            ["farey", "--lo", lo, "--hi", hi, "--qmax", "5"], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "finite" in err
+        assert len(err.splitlines()) == 1
 
     def test_interp_suite(self, capsys):
         code, out, _ = run_cli(["interp", "--N", "128", "--alpha", "1"], capsys)
@@ -164,9 +196,13 @@ class TestExperimentDeterminism:
         assert json.loads(out3) == json.loads(run_cli(argv, capsys)[1])
 
     def test_entry_point_subprocess(self):
+        # the child does not inherit pytest's sys.path: hand it the directory
+        # the package under test was imported from
+        src = str(Path(convexsums.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         r = subprocess.run(
             [sys.executable, "-m", "convexsums.cli", "--version"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
         )
         assert r.returncode == 0
         assert r.stdout.strip() == "0.1.0"

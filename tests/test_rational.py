@@ -4,7 +4,7 @@ import fractions
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convexsums.rational import (
@@ -71,23 +71,35 @@ class TestEnumerate:
             enumerate_fractions(Q(2, 3), Q(1, 3), 5)
 
     @given(
-        a=st.integers(0, 40),
-        b=st.integers(1, 40),
-        qmax=st.integers(1, 15),
+        lo=st.one_of(
+            st.fractions(min_value=-5, max_value=5, max_denominator=20),
+            st.floats(min_value=-5, max_value=5),
+        ),
+        width=st.one_of(
+            st.fractions(min_value=Q(1, 40), max_value=3, max_denominator=40),
+            st.floats(min_value=1e-4, max_value=3),
+        ),
+        qmax=st.integers(1, 20),
     )
-    @settings(max_examples=60)
-    def test_oracle_property(self, a, b, qmax):
-        lo = Q(a, 7)
-        hi = lo + Q(b, 11)
+    @example(lo=Q(1, 3) + Q(1, 100), width=Q(1, 100), qmax=3)  # no fraction
+    @example(lo=Q(-7, 3), width=Q(5, 2), qmax=4)  # negative, crosses -2 .. 0
+    @example(lo=-0.7, width=1.9, qmax=6)  # float endpoints crossing 0 and 1
+    @example(lo=Q(2, 5), width=Q(1, 5), qmax=5)  # both ends on Farey points
+    @settings(max_examples=150)
+    def test_oracle_property(self, lo, width, qmax):
+        hi = lo + width
         got = enumerate_fractions(lo, hi, qmax)
-        assert [r.as_fraction() for r in got] == oracle_enumerate(lo, hi, qmax)
-        # output invariants: sorted strictly, reduced, bounded denominator
         vals = [r.as_fraction() for r in got]
-        assert vals == sorted(set(vals))
+        assert vals == oracle_enumerate(lo, hi, qmax)
+        assert count_fractions(lo, hi, qmax) == len(got)
+        # output invariants: reduced, bounded denominator, in the window,
+        # and consecutive terms are Farey neighbours (hence strictly sorted)
         for r in got:
             assert math.gcd(r.num, r.den) == 1
             assert 1 <= r.den <= qmax
             assert lo <= r.as_fraction() <= hi
+        for r1, r2 in zip(got, got[1:]):
+            assert r1.den * r2.num - r1.num * r2.den == 1
 
 
 class TestMediant:
@@ -165,9 +177,15 @@ class TestExpand:
 class TestPower:
     def test_iroot_exact(self):
         for n in range(0, 200):
-            for k in (2, 3, 4):
+            for k in (1, 2, 3, 4):
                 r = iroot(n, k)
                 assert r**k <= n < (r + 1) ** k
+
+    @given(n=st.integers(0, 2**2000), k=st.integers(1, 300))
+    @settings(max_examples=200)
+    def test_iroot_large(self, n, k):
+        r = iroot(n, k)
+        assert r**k <= n < (r + 1) ** k
 
     def test_cube_root_64(self):
         # float round-trip gives 63.999999...; exact arithmetic must not
@@ -187,6 +205,32 @@ class TestPower:
         assert power_exact(64, Q(-1, 2)) == Q(1, 8)
         assert power_exact(2, Q(1, 2)) is None
         assert power_exact(10, Q(0, 1)) == 1
+
+    def test_power_exact_vs_root_oracle(self):
+        for base in range(1, 130):
+            for q in range(1, 7):
+                for p in range(-7, 8):
+                    n = base ** abs(p)
+                    r = iroot(n, q)
+                    want = None if r**q != n else (Q(r) if p >= 0 else Q(1, r))
+                    assert power_exact(base, Q(p, q)) == want, (base, p, q)
+
+    def test_large_exponents(self):
+        # 1000**1223 is far past the float range, so neither the exactness
+        # test nor the floor may convert it to float
+        p, q = 1223, 3000
+        m = power_floor(1000, Q(p, q))
+        assert m == 16 and m**q <= 1000**p < (m + 1) ** q
+        assert power_exact(1000, Q(p, q)) is None
+        assert power_exact(1000, Q(2000, 3)) == 10**2000
+        assert power_exact(1000, Q(-2000, 3)) == Q(1, 10**2000)
+        # 2**100.5 ~ 1.8e30 is too large to settle by 50 digits: exact root
+        assert power_floor(2, Q(201, 2)) == math.isqrt(2**201)
+        # exponent with a 7-digit denominator, as limit_denominator(10**6)
+        # of a float alpha gives; 10**5 ** (1234567/3000001) = 114.186
+        assert power_floor(10**5, Q(1234567, 3000001)) == 114
+        v, exact = power_value(10**5, Q(1234567, 3000001))
+        assert not exact and v == Q(1e5 ** (1234567 / 3000001))
 
     def test_power_value(self):
         v, exact = power_value(64, Q(1, 3))

@@ -6,7 +6,7 @@ produces identical bytes no matter the thread count or machine.  Bulk
 sequence data goes to CSV; everything else is JSON.
 
 Exit codes: 0 success, 2 validation failure (a report that says "no"),
-1 runtime error.
+1 runtime or usage error.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .expsum import (
     DEFAULT_BUDGET,
     ExpSumSpec,
     canonical_grid,
-    dyadic_level_report,
     sup_norm_Lp,
 )
 from .experiments import EXPERIMENTS, intersection_scan, regress
@@ -183,11 +182,13 @@ def cmd_expsum(args) -> int:
     )
     spec = _load_spec(args.spec)
     grid = canonical_grid(spec.N, args.grid_budget)
-    norm = sup_norm_Lp(spec, grid, args.direction, args.p, threads=args.threads)
-    result = {"norm": norm.to_json_dict()}
     if args.levels:
-        rep = dyadic_level_report(spec, grid, args.direction, threads=args.threads)
-        result["levels"] = rep.to_json_dict()
+        norm, rep = sup_norm_Lp(spec, grid, args.direction, args.p,
+                                threads=args.threads, with_levels=True)
+        result = {"norm": norm.to_json_dict(), "levels": rep.to_json_dict()}
+    else:
+        norm = sup_norm_Lp(spec, grid, args.direction, args.p, threads=args.threads)
+        result = {"norm": norm.to_json_dict()}
     _emit(cfg, result, args.out)
     return 0
 
@@ -220,8 +221,18 @@ def cmd_regress(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 with one `error:` line, like any other bad input.
+
+    argparse's own exit code 2 is this program's "validation failed".
+    """
+
+    def error(self, message: str):
+        self.exit(1, f"error: {message}\n")
+
+
 def _parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="convexsums",
         description="Convex sequence constructions and exponential sum experiments",
     )

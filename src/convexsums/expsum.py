@@ -6,7 +6,10 @@ frequencies are O(1), so raw phases reach ~2^26 and double precision would
 keep only ~27 bits of the fractional part.  With the 64-bit longdouble
 mantissa the fractional part keeps ~1e-12 absolute accuracy in the worst
 case, and phases that are exact integers (the experiments' identity points,
-where all inputs are dyadic rationals) reduce to exactly zero.
+where all inputs are dyadic rationals) reduce to exactly zero.  The
+reduction subtracts the nearest integer (rint) and adds 1 to negative
+remainders, which gives a - floor(a) to the last bit at a fraction of the
+cost of a longdouble floor.
 
 Grid rows come from one of two paths, chosen from the spec and the grid
 alone.  When xi_n = n/N and the x-grid is the uniform right-open grid on
@@ -16,8 +19,12 @@ because e(k n / Mx) only depends on n mod Mx).  Otherwise each term splits
 as e(x xi_n) e(t eta_n), and a block of rows is one matrix product of the
 two factors restricted to the nonzero coefficients.
 
-All reductions (max, ordered sums) use a fixed partition of the t-rows into
-blocks combined in block order, so results are independent of thread count.
+One sweep over the grid serves both the sup-then-L^p norm and the dyadic
+level sets: each block of rows is reduced once, from one |f| matrix, to its
+per-outer-node max, argmax and bitmask of observed dyadic exponents.  All
+reductions (max, bitwise-or, ordered sums) use a fixed partition of the
+t-rows into blocks combined in block order, so results are independent of
+thread count.
 """
 
 from __future__ import annotations
@@ -32,10 +39,19 @@ import numpy as np
 
 DEFAULT_BUDGET = 2**24  # max total grid nodes Mx * Mt
 _BLOCK_ROWS = 256
+_LEVELS = 40  # dyadic bands below the top one in a level report
 
 
 def _frac(a: np.ndarray) -> np.ndarray:
-    return a - np.floor(a)
+    """a mod 1, equal to a - floor(a) to the last bit.
+
+    f = a - rint(a) is exact (|f| <= 1/2 and f is a multiple of a's ulp), and
+    where f < 0, f + 1 is the exact a - floor(a) rounded once, as the
+    subtraction rounds it.  Longdouble rint is far cheaper than floor.
+    """
+    f = a - np.rint(a)
+    np.add(f, 1, out=f, where=f < 0)
+    return f
 
 
 @dataclass(frozen=True)
@@ -120,8 +136,14 @@ class GridSpec:
 def canonical_grid(N: int, budget: int = DEFAULT_BUDGET) -> GridSpec:
     """x on [0, N) with 4N points; t on [0, N^2) with 4N^2 points, capped.
 
-    The cap divides the node budget by Mx; under-resolving t only lowers the
-    sup, so capped grids stay conservative for the lower-bound experiments.
+    The cap divides the node budget by Mx.  With t the inner variable (sup
+    over t), under-resolving t only lowers each sup, so the norm stays a
+    lower bound.  With t the outer variable (sup over x, as in experiment B)
+    the capped t-nodes make a Riemann sum that can alias against the sum's
+    period and read high: B at N = 1024 takes its t-nodes at multiples of
+    sqrt(N), where |f| attains the hit count, and reports 256.0 against
+    246.83 over one full period.  Experiment C's own grid caps its outer
+    variable in the same way.
     """
     Mx = 4 * N
     Mt = min(4 * N * N, max(1, budget // Mx))
@@ -244,95 +266,97 @@ class NormResult:
         }
 
 
+def _sweep(
+    spec: ExpSumSpec,
+    grid: GridSpec,
+    direction: str,
+    threads: int | None,
+    with_levels: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, int]:
+    """One streaming pass: per outer node, the sup of |f| over the inner variable.
+
+    direction names the inner variable.  Returns (sup, arg, masks, k_min):
+    arg[node] is the inner index attaining sup[node]; with with_levels, bit j
+    of masks[node] is set when some inner node there has floor(log2 |f|) =
+    k_min + j (masks is None otherwise).  Each block's |f| is formed once and
+    reduced to all of these.
+    """
+    axis = 0 if direction == "t" else 1
+    k_top = math.ceil(math.log2(spec.norm_b1()))  # |f| <= ||b||_1 everywhere
+    k_min = k_top - 62
+
+    def per_block(m: np.ndarray):
+        a = np.abs(m)
+        am = a.argmax(axis=axis)
+        mx = np.take_along_axis(a, np.expand_dims(am, axis), axis).squeeze(axis)
+        if not with_levels:
+            return mx, am, None
+        # floor(log2 a) = e - 1 for a = mant * 2^e, mant in [0.5, 1)
+        k = np.frexp(a)[1].astype(np.int64)
+        k -= 1 + k_min
+        np.clip(k, 0, k_top - k_min, out=k)
+        bits = k.view(np.uint64)
+        np.left_shift(np.uint64(1), bits, out=bits)
+        bits[a == 0] = 0
+        return mx, am, np.bitwise_or.reduce(bits, axis=axis)
+
+    partials = _map_blocks(spec, grid, threads, per_block)
+    masks = None
+    if direction == "t":
+        sup = np.zeros(grid.Mx)
+        arg = np.zeros(grid.Mx, dtype=np.int64)
+        for bi, (mx, am, _) in enumerate(partials):
+            better = mx > sup
+            arg = np.where(better, am + bi * _BLOCK_ROWS, arg)
+            sup = np.maximum(sup, mx)
+        if with_levels:
+            masks = np.bitwise_or.reduce([om for _, _, om in partials])
+    else:
+        sup = np.concatenate([mx for mx, _, _ in partials])
+        arg = np.concatenate([am for _, am, _ in partials])
+        if with_levels:
+            masks = np.concatenate([om for _, _, om in partials])
+    return sup, arg, masks, k_min
+
+
 def sup_norm_Lp(
     spec: ExpSumSpec,
     grid: GridSpec,
     sup_direction: str,
     p: float,
     threads: int | None = None,
-) -> NormResult:
+    with_levels: bool = False,
+) -> NormResult | tuple[NormResult, LevelSetReport]:
     """L^p Riemann norm over the outer variable of the inner-direction sup.
 
     sup_direction "t": outer variable x, value = (sum_x (max_t |f|)^p dx)^{1/p}.
     sup_direction "x": outer variable t, likewise with dt.
+    with_levels: return (norm, dyadic_level_report(spec, grid, sup_direction))
+    from the same single pass over the grid.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     if sup_direction not in ("t", "x"):
         raise ValueError("sup_direction must be 't' or 'x'")
 
-    if sup_direction == "t":
-        def per_block(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            a = np.abs(m)
-            return a.max(axis=0), a.argmax(axis=0)
-
-        partials = _map_blocks(spec, grid, threads, per_block)
-        sup_x = np.zeros(grid.Mx)
-        arg_row = np.zeros(grid.Mx, dtype=np.int64)
-        for bi, (mx, am) in enumerate(partials):
-            better = mx > sup_x
-            arg_row = np.where(better, am + bi * _BLOCK_ROWS, arg_row)
-            sup_x = np.maximum(sup_x, mx)
-        value = math.fsum(v**p for v in sup_x) * grid.dx
-        k_star = int(np.argmax(sup_x))
-        l_star = int(arg_row[k_star])
-        max_abs = float(sup_x[k_star])
-    else:
-        def per_block(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            a = np.abs(m)
-            return a.max(axis=1), a.argmax(axis=1)
-
-        partials = _map_blocks(spec, grid, threads, per_block)
-        sup_t = np.concatenate([mx for mx, _ in partials])
-        arg_col = np.concatenate([am for _, am in partials])
-        value = math.fsum(v**p for v in sup_t) * grid.dt
-        l_star = int(np.argmax(sup_t))
-        k_star = int(arg_col[l_star])
-        max_abs = float(sup_t[l_star])
-    return NormResult(
+    sup, arg, masks, k_min = _sweep(spec, grid, sup_direction, threads, with_levels)
+    cell = grid.dx if sup_direction == "t" else grid.dt
+    value = math.fsum(v**p for v in sup) * cell
+    outer = int(np.argmax(sup))
+    inner = int(arg[outer])
+    k_star, l_star = (outer, inner) if sup_direction == "t" else (inner, outer)
+    norm = NormResult(
         value=float(value ** (1.0 / p)),
         p=p,
         sup_direction=sup_direction,
         argmax_x=grid.x_lo + k_star * grid.dx,
         argmax_t=grid.t_lo + l_star * grid.dt,
-        max_abs=max_abs,
+        max_abs=float(sup[outer]),
         grid=grid,
     )
-
-
-def _level_masks(
-    spec: ExpSumSpec,
-    grid: GridSpec,
-    direction: str,
-    threads: int | None,
-) -> tuple[np.ndarray, int, float]:
-    """Per-outer-node bitmask of observed dyadic exponents, one streaming pass.
-
-    Bit j of mask[node] is set when some inner node there has
-    floor(log2 |f|) = k_min + j.  Returns (masks, k_min, max_abs).
-    """
-    k_top = math.ceil(math.log2(spec.norm_b1()))  # |f| <= ||b||_1 everywhere
-    k_min = k_top - 62
-
-    def per_block(m: np.ndarray):
-        a = np.abs(m)
-        pos = a > 0
-        # floor(log2 a) via frexp: a = mant * 2^e, mant in [0.5, 1)
-        _, e = np.frexp(np.where(pos, a, 1.0))
-        k = np.clip(e - 1, k_min, k_top) - k_min
-        bits = np.where(pos, np.uint64(1) << k.astype(np.uint64), np.uint64(0))
-        out = np.bitwise_or.reduce(bits, axis=0 if direction == "t" else 1)
-        return out, float(a.max())
-
-    partials = _map_blocks(spec, grid, threads, per_block)
-    max_abs = max(p[1] for p in partials)
-    if direction == "t":
-        masks = np.zeros(grid.Mx, dtype=np.uint64)
-        for om, _ in partials:
-            masks |= om
-    else:
-        masks = np.concatenate([om for om, _ in partials])
-    return masks, k_min, max_abs
+    if not with_levels:
+        return norm
+    return norm, _level_report(spec, grid, sup_direction, masks, k_min, norm.max_abs)
 
 
 def level_set_projection(
@@ -346,7 +370,9 @@ def level_set_projection(
 
     direction names the collapsed (inner) variable: "t" projects along t onto
     the x-axis, "x" the other way.  Any alpha > 0 takes one banded pass over
-    the grid; dyadic_level_report gets all power-of-two bands in one pass.
+    the grid; sup_norm_Lp(..., with_levels=True) gets all power-of-two bands
+    in the same pass as the norm, and dyadic_level_report in one pass of its
+    own.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -405,21 +431,16 @@ class LevelSetReport:
         }
 
 
-def dyadic_level_report(
+def _level_report(
     spec: ExpSumSpec,
     grid: GridSpec,
     direction: str,
-    levels: int = 40,
-    threads: int | None = None,
+    masks: np.ndarray,
+    k_min: int,
+    max_abs: float,
+    levels: int = _LEVELS,
 ) -> LevelSetReport:
-    """Level-set projections for all dyadic bands, one pass over the grid.
-
-    Bands are the half-open powers of two of LevelSetReport; see its caveat
-    on a maximum that is itself a power of two.
-    """
-    if direction not in ("t", "x"):
-        raise ValueError("direction must be 't' or 'x'")
-    masks, k_min, max_abs = _level_masks(spec, grid, direction, threads)
+    """The dyadic ladder read off the exponent bitmasks of _sweep."""
     cell = grid.dx if direction == "t" else grid.dt
     exponent = 7.0 / 3.0 if direction == "t" else 8.0 / 3.0
     denom = spec.N**exponent * spec.norm_b2() ** 4
@@ -441,3 +462,22 @@ def dyadic_level_report(
         max_abs=max_abs,
         grid=grid,
     )
+
+
+def dyadic_level_report(
+    spec: ExpSumSpec,
+    grid: GridSpec,
+    direction: str,
+    levels: int = _LEVELS,
+    threads: int | None = None,
+) -> LevelSetReport:
+    """Level-set projections for all dyadic bands, one pass over the grid.
+
+    The same sweep as sup_norm_Lp(..., with_levels=True), without the norm.
+    Bands are the half-open powers of two of LevelSetReport; see its caveat
+    on a maximum that is itself a power of two.
+    """
+    if direction not in ("t", "x"):
+        raise ValueError("direction must be 't' or 'x'")
+    sup, _, masks, k_min = _sweep(spec, grid, direction, threads, with_levels=True)
+    return _level_report(spec, grid, direction, masks, k_min, float(sup.max()), levels)

@@ -1,13 +1,24 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import convexsums
+from convexsums import expsum
 from convexsums.cli import main
+from convexsums.expsum import (
+    ExpSumSpec,
+    canonical_grid,
+    dyadic_level_report,
+    eval_grid,
+    level_set_projection,
+    sup_norm_Lp,
+)
 
 
 def run_cli(args, capsys):
@@ -168,6 +179,100 @@ class TestOtherCommands:
         code, _, err = run_cli(["expsum", str(p)], capsys)
         assert code == 1
         assert "eta" in err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["construct", "--N", "x", "--alpha", "1"],
+        ["farey", "--lo", "-inf", "--hi", "0", "--qmax", "3"],
+    ])
+    def test_usage_error_exit1(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert exc.value.code == 1
+        assert out.out == ""
+        assert out.err.startswith("error:")
+        assert len(out.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit0(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
+
+
+# N = 32 specs on a grid of Mx = 128 by Mt = 700 t-rows: three row blocks,
+# the last one partial
+SWEEP_N = 32
+SWEEP_BUDGET = 128 * 700
+
+
+def _sweep_spec(tmp_path, canonical):
+    rng = np.random.default_rng(5 if canonical else 6)
+    N = SWEEP_N
+    xi = np.arange(1, N + 1) / N if canonical else np.sort(rng.uniform(0, 1, N))
+    doc = {"N": N, "xi": xi.tolist(), "eta": (np.sort(rng.uniform(0, 1, N)) * N).tolist(),
+           "b": rng.normal(size=N).tolist()}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    return path, ExpSumSpec(N=N, xi=xi, eta=np.array(doc["eta"]), b=np.array(doc["b"]))
+
+
+def _levels_argv(path, direction, *extra):
+    return ["expsum", str(path), "--direction", direction, "--levels",
+            "--grid-budget", str(SWEEP_BUDGET), *extra]
+
+
+@pytest.mark.parametrize("direction", ["t", "x"])
+@pytest.mark.parametrize("canonical", [True, False], ids=["fft", "separable"])
+class TestExpsumSingleSweep:
+    def test_levels_result_matches_library(self, tmp_path, capsys, canonical, direction):
+        path, spec = _sweep_spec(tmp_path, canonical)
+        code, out, _ = run_cli(_levels_argv(path, direction), capsys)
+        assert code == 0
+        grid = canonical_grid(SWEEP_N, SWEEP_BUDGET)
+        assert grid.Mt == 700
+        norm = sup_norm_Lp(spec, grid, direction, 4.0)
+        rep = dyadic_level_report(spec, grid, direction)
+        want = {"norm": norm.to_json_dict(), "levels": rep.to_json_dict()}
+        assert json.loads(out)["result"] == json.loads(json.dumps(want))
+        # the fused reductions against the whole grid and banded passes
+        a = np.abs(eval_grid(spec, grid))
+        assert norm.max_abs == rep.max_abs == a.max()
+        l_star = round((norm.argmax_t - grid.t_lo) / grid.dt)
+        k_star = round((norm.argmax_x - grid.x_lo) / grid.dx)
+        assert a[l_star, k_star] == a.max()
+        for alpha, measure in zip(rep.alphas[:6], rep.measures[:6]):
+            assert measure == level_set_projection(spec, grid, alpha, direction)
+
+    def test_levels_generates_each_block_once(
+        self, tmp_path, capsys, monkeypatch, canonical, direction
+    ):
+        path, _ = _sweep_spec(tmp_path, canonical)
+        name = "_rows_fast" if canonical else "_rows_naive"
+        rows, blocks = getattr(expsum, name), []
+
+        def counting(spec, grid, t_index):
+            blocks.append(len(t_index))
+            return rows(spec, grid, t_index)
+
+        monkeypatch.setattr(expsum, name, counting)
+        code, _, _ = run_cli(_levels_argv(path, direction, "--threads", "1"), capsys)
+        assert code == 0
+        assert len(blocks) == math.ceil(700 / 256)
+        assert sum(blocks) == 700
+
+    def test_levels_thread_count_invariant(self, tmp_path, capsys, canonical, direction):
+        path, _ = _sweep_spec(tmp_path, canonical)
+        results = []
+        for threads in ("1", "3"):
+            code, out, _ = run_cli(_levels_argv(path, direction, "--threads", threads),
+                                   capsys)
+            assert code == 0
+            results.append(json.dumps(json.loads(out)["result"], sort_keys=True))
+        assert results[0] == results[1]
 
 
 class TestExperimentDeterminism:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexsums import expsum
 from convexsums.expsum import (
@@ -81,6 +83,43 @@ class TestEvalPoint:
         v = eval_point(spec, 7.0, 7 * N)  # x*xi + t*eta = 7*3n/N*... integer? no:
         # phase = 7n/N + 7N*(3n/N - n/N^2) = 7n/N + 21n - 7n/N = 21n, an integer
         assert v == pytest.approx(3.0, abs=1e-12)
+
+
+# bytes of a longdouble that hold its value: the 80-bit x87 format pads to 16
+_LD_PAYLOAD = 10 if np.finfo(np.longdouble).nmant == 63 else np.dtype(np.longdouble).itemsize
+_LD_EDGES = [
+    np.longdouble(v)
+    for v in (0.0, -0.0, -1e-30, 1e-30, 0.5, -0.5, 2.5, -2.5, 2.0**63, -(2.0**63))
+] + [np.longdouble(2.0**64) + np.longdouble(2)]
+
+
+def _ld_payload(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint8).reshape(len(a), -1)[:, :_LD_PAYLOAD]
+
+
+def _ld_value(exp10: float, low: float, neg: bool) -> np.longdouble:
+    """+-10^exp10 with bits below double precision filled in from low."""
+    hi = np.longdouble(10.0**exp10)
+    a = hi + hi * np.longdouble(low) * np.longdouble(2.0**-60)
+    return -a if neg else a
+
+
+class TestFrac:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(-30, 18), st.floats(0, 1), st.booleans()),
+            min_size=1, max_size=64,
+        ),
+        st.lists(st.integers(-(2**62), 2**62), max_size=16),
+    )
+    def test_matches_floor_bitwise(self, terms, halves):
+        vals = [_ld_value(*t) for t in terms]
+        vals += [np.longdouble(k) + np.longdouble(0.5) for k in halves]
+        a = np.array(vals + _LD_EDGES, dtype=np.longdouble)
+        got = expsum._frac(a.copy())
+        assert got.dtype == np.longdouble
+        assert np.array_equal(_ld_payload(got), _ld_payload(a - np.floor(a)))
 
 
 class TestEvalGrid:

@@ -287,8 +287,14 @@ def _sweep(
 
     def per_block(m: np.ndarray):
         a = np.abs(m)
-        am = a.argmax(axis=axis)
-        mx = np.take_along_axis(a, np.expand_dims(am, axis), axis).squeeze(axis)
+        if axis == 0:
+            # argmax along axis 0 copies its input to make that axis
+            # contiguous; the bool matrix a == max is an eighth of the copy
+            mx = a.max(axis=0)
+            am = (a == mx).argmax(axis=0)
+        else:
+            am = a.argmax(axis=1)
+            mx = np.take_along_axis(a, am[:, None], axis=1)[:, 0]
         if not with_levels:
             return mx, am, None
         # floor(log2 a) = e - 1 for a = mant * 2^e, mant in [0.5, 1)

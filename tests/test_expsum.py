@@ -221,6 +221,16 @@ class TestSupNorm:
         v = eval_point(spec, res.argmax_x, res.argmax_t)
         assert abs(v) == pytest.approx(res.max_abs, rel=1e-9)
 
+    @pytest.mark.parametrize("direction", ["t", "x"])
+    def test_argmax_ties_take_first_node(self, direction):
+        # |1 + e(x/2)| = 2 exactly at x = 2, 4, 6, 8 on every t-row, across
+        # three row blocks: the first outer node wins, then the first inner
+        spec = ExpSumSpec(N=2, xi=np.array([0.0, 0.5]), eta=np.zeros(2), b=np.ones(2))
+        grid = GridSpec(0.5, 8.5, 16, 0.0, 600.0, 600)
+        res = sup_norm_Lp(spec, grid, direction, 4.0)
+        assert res.max_abs == 2.0
+        assert (res.argmax_x, res.argmax_t) == (2.0, 0.0)
+
     def test_p_below_one_rejected(self):
         spec = constant_spec()
         grid = GridSpec(0.0, 1.0, 2, 0.0, 1.0, 2)

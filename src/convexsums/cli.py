@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -48,15 +48,7 @@ class RunConfig:
     threads: int | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "N": self.N,
-            "alpha": self.alpha,
-            "grid_budget": self.grid_budget,
-            "seed": self.seed,
-            "out": self.out,
-            "threads": self.threads,
-        }
+        return asdict(self)
 
 
 def _emit(config: RunConfig, result, out: str | None) -> None:
@@ -169,7 +161,7 @@ def cmd_farey(args) -> int:
         fracs = enumerate_fractions(args.lo, args.hi, args.qmax)
         result = {
             "count": len(fracs),
-            "fractions": [[f.num, f.den] for f in fracs],
+            "fractions": [[f.numerator, f.denominator] for f in fracs],
         }
     _emit(cfg, result, args.out)
     return 0
@@ -216,7 +208,12 @@ def cmd_regress(args) -> int:
     cfg = RunConfig(command="regress", out=args.out)
     with open(args.points) as fh:
         raw = json.load(fh)
-    pts = [(float(p[0]), float(p[1])) for p in raw]
+    pts = []
+    try:
+        for n, v in raw:
+            pts.append((float(n), float(v)))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{args.points}: entry {len(pts) + 1}: {exc}") from None
     _emit(cfg, regress(pts).to_json_dict(), args.out)
     return 0
 

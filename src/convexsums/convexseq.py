@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -94,16 +94,9 @@ class ConvexSequence:
                     w.writerow([i + 1, repr(float(self.values[i])), "", ""])
 
     def hits_to_json(self, path: str) -> None:
+        hits = [asdict(h) for h in self.hits or []]
         with open(path, "w") as fh:
-            json.dump(
-                [
-                    {"n": h.n, "alpha": h.alpha, "num": h.num, "den": h.den}
-                    for h in (self.hits or [])
-                ],
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
+            json.dump(hits, fh, indent=2, sort_keys=True)
 
     @classmethod
     def from_csv(cls, path: str, hits_path: str | None = None) -> "ConvexSequence":
@@ -111,19 +104,33 @@ class ConvexSequence:
         exact: list[Q] | None = []
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
+            if "a_n" not in (reader.fieldnames or ()):
+                raise ValueError(f"{path}: no a_n column")
             for row in reader:
-                v = float(row["a_n"])
+                where = f"{path}: row {len(values) + 1}"
+                try:
+                    v = float(row["a_n"])
+                    if exact is not None and row.get("exact_num"):
+                        exact.append(Q(int(row["exact_num"]), int(row.get("exact_den"))))
+                    else:
+                        exact = None
+                except ZeroDivisionError:
+                    raise ValueError(f"{where}: exact_den is 0") from None
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{where}: {exc}") from None
                 if not math.isfinite(v):
-                    raise ValueError(f"{path}: a_n in row {len(values) + 1} is {v}")
+                    raise ValueError(f"{where}: a_n is {v}")
                 values.append(v)
-                if exact is not None and row.get("exact_num"):
-                    exact.append(Q(int(row["exact_num"]), int(row["exact_den"])))
-                else:
-                    exact = None
         hits = None
         if hits_path is not None:
             with open(hits_path) as fh:
-                hits = [LatticeHit(**h) for h in json.load(fh)]
+                raw = json.load(fh)
+            hits = []
+            try:
+                for h in raw:
+                    hits.append(LatticeHit(**h))
+            except TypeError as exc:
+                raise ValueError(f"{hits_path}: hit {len(hits) + 1}: {exc}") from None
         return cls(N=len(values), values=np.asarray(values), exact_values=exact, hits=hits)
 
 
@@ -177,6 +184,8 @@ def validate(seq: ConvexSequence, theta: float | None = None) -> ConvexityReport
     if seq.N < 3:
         raise ValueError("need N >= 3 for second differences")
     th = seq.theta if theta is None else theta
+    if not 0 < th < math.inf:
+        raise ValueError(f"theta must be finite and > 0, got {th}")
     if seq.exact_values is not None:
         d1 = [b - a for a, b in zip(seq.exact_values, seq.exact_values[1:])]
         d2 = [b - a for a, b in zip(d1, d1[1:])]
@@ -343,7 +352,7 @@ def construct_dirichlet_like(N: int, alpha: float) -> ConvexSequence:
     X = Y = 0  # cumulative integer sums of k_j and M_j
     trimmed = 0
     for r1, r2 in zip(fracs, fracs[1:]):
-        delta = scale2 * Q(1, r1.den * r2.den)  # Farey neighbours: r2 - r1
+        delta = scale2 * Q(1, r1.denominator * r2.denominator)  # neighbours: r2 - r1
         e1 = expand_to_range(r1, delta, 2 * delta)
         e2 = expand_to_range(r2, delta, 2 * delta)
         med = mediant(e1, e2)

@@ -17,14 +17,13 @@ The identity points are exact in floating point for power-of-two N: every
 phase is a dyadic rational times an integer, the products fit well inside
 the longdouble mantissa, and the fractional parts reduce to exactly zero.
 
-Reports serialize without timing fields, so a fixed config and seed gives
+Reports hold no timing fields, so a fixed config and seed gives
 byte-identical JSON regardless of machine speed or thread count.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +41,7 @@ from .expsum import (
     GridSpec,
     NormResult,
     canonical_grid,
+    check_budget,
     eval_point,
     sup_norm_Lp,
 )
@@ -60,7 +60,6 @@ class ExperimentReport:
     predicted_exponent: float
     ratio: float
     seed: int
-    runtime_s: float  # informational; excluded from JSON on purpose
 
     def to_json_dict(self) -> dict:
         return {
@@ -112,13 +111,13 @@ class RegressionResult:
 def regress(points: list[tuple[float, float]]) -> RegressionResult:
     """Least squares slope of log(value) against log(N).
 
-    points are (N, value) pairs in natural units; both must be positive and
-    at least 3 points are required.
+    points are (N, value) pairs in natural units; both must be finite and
+    positive, and at least 3 points are required.
     """
     if len(points) < 3:
         raise ValueError(f"need >= 3 points, got {len(points)}")
-    if any(n <= 0 or v <= 0 for n, v in points):
-        raise ValueError("points must be positive for a log-log fit")
+    if not all(0 < n < math.inf and 0 < v < math.inf for n, v in points):
+        raise ValueError("points must be finite and positive for a log-log fit")
     logs = [(math.log(n), math.log(v)) for n, v in points]
     xs = np.array([p[0] for p in logs])
     ys = np.array([p[1] for p in logs])
@@ -139,14 +138,48 @@ def _hit_coefficients(seq: ConvexSequence) -> np.ndarray:
     return b
 
 
-def _check_identity(
-    spec: ExpSumSpec, points: list[tuple[float, float]], expected: float
-) -> tuple[float, bool]:
+def _witness(
+    id: str,
+    seq: ConvexSequence,
+    spec: ExpSumSpec,
+    checked_j: list[int],
+    points: list[tuple[float, float]],
+    grid: GridSpec,
+    sup_direction: str,
+    exponent: float,
+    seed: int,
+    threads: int | None,
+) -> ExperimentReport:
+    """The part every experiment shares, once its spec, points and grid exist.
+
+    Checks |f| = hit count of seq at each aligned point (relative error <=
+    1e-6), takes the L^4 norm of the sup over sup_direction, and divides it
+    by the predicted N^exponent ||b||_2.
+    """
+    count = len(seq.hits)
     worst = 0.0
     for x, t in points:
-        v = eval_point(spec, x, t)
-        worst = max(worst, abs(v - expected) / expected)
-    return worst, worst <= 1e-6
+        worst = max(worst, abs(eval_point(spec, x, t) - count) / count)
+    norm = sup_norm_Lp(spec, grid, sup_direction, 4.0, threads=threads)
+    return ExperimentReport(
+        id=id,
+        N=spec.N,
+        alpha=seq.meta["alpha"],
+        hit_count=count,
+        checked_j=checked_j,
+        identity_max_rel_err=worst,
+        exact_identity_pass=worst <= 1e-6,
+        norm=norm,
+        predicted_exponent=exponent,
+        ratio=norm.value / (spec.N**exponent * spec.norm_b2()),
+        seed=seed,
+    )
+
+
+def _hit_sequence(N: int, alpha: float) -> ConvexSequence:
+    if N < 64:
+        raise ValueError("need N >= 64")
+    return construct_dirichlet_like(N, alpha)
 
 
 def experiment_A(
@@ -156,36 +189,15 @@ def experiment_A(
     threads: int | None = None,
 ) -> ExperimentReport:
     """alpha=1 hits sheared by -n/N^2; identity f(j, jN) = count for ALL j."""
-    if N < 64:
-        raise ValueError("need N >= 64")
-    t0 = time.perf_counter()
-    c = construct_dirichlet_like(N, 1.0)
-    count = len(c.hits)
+    c = _hit_sequence(N, 1.0)
+    grid = canonical_grid(N, grid_budget)
     a = shear(c, -1.0 / N**2)
     spec = ExpSumSpec(
         N=N, xi=np.arange(1, N + 1) / N, eta=a.values, b=_hit_coefficients(c)
     )
-    err, ok = _check_identity(
-        spec, [(float(j), float(j) * N) for j in range(1, N + 1)], float(count)
-    )
-    grid = canonical_grid(N, grid_budget)
-    norm = sup_norm_Lp(spec, grid, "t", 4.0, threads=threads)
-    exponent = 7.0 / 12.0
-    ratio = norm.value / (N**exponent * spec.norm_b2())
-    return ExperimentReport(
-        id="A",
-        N=N,
-        alpha=1.0,
-        hit_count=count,
-        checked_j=list(range(1, N + 1)),
-        identity_max_rel_err=err,
-        exact_identity_pass=ok,
-        norm=norm,
-        predicted_exponent=exponent,
-        ratio=ratio,
-        seed=seed,
-        runtime_s=time.perf_counter() - t0,
-    )
+    js = list(range(1, N + 1))
+    points = [(float(j), float(j) * N) for j in js]
+    return _witness("A", c, spec, js, points, grid, "t", 7 / 12, seed, threads)
 
 
 def experiment_B(
@@ -195,36 +207,16 @@ def experiment_B(
     threads: int | None = None,
 ) -> ExperimentReport:
     """alpha=1/2 hits; identity f(0, j sqrt(N)) = count at 64 seeded j."""
-    if N < 64:
-        raise ValueError("need N >= 64")
-    t0 = time.perf_counter()
-    seq = construct_dirichlet_like(N, 0.5)
-    count = len(seq.hits)
+    seq = _hit_sequence(N, 0.5)
+    grid = canonical_grid(N, grid_budget)
     spec = ExpSumSpec(
         N=N, xi=np.arange(1, N + 1) / N, eta=seq.values, b=_hit_coefficients(seq)
     )
     rng = np.random.default_rng(seed)
     js = sorted(int(j) for j in rng.integers(1, int(N**1.5) + 1, size=64))
     root = math.sqrt(N)
-    err, ok = _check_identity(spec, [(0.0, j * root) for j in js], float(count))
-    grid = canonical_grid(N, grid_budget)
-    norm = sup_norm_Lp(spec, grid, "x", 4.0, threads=threads)
-    exponent = 5.0 / 8.0
-    ratio = norm.value / (N**exponent * spec.norm_b2())
-    return ExperimentReport(
-        id="B",
-        N=N,
-        alpha=0.5,
-        hit_count=count,
-        checked_j=js,
-        identity_max_rel_err=err,
-        exact_identity_pass=ok,
-        norm=norm,
-        predicted_exponent=exponent,
-        ratio=ratio,
-        seed=seed,
-        runtime_s=time.perf_counter() - t0,
-    )
+    points = [(0.0, j * root) for j in js]
+    return _witness("B", seq, spec, js, points, grid, "x", 5 / 8, seed, threads)
 
 
 def experiment_C(
@@ -239,11 +231,11 @@ def experiment_C(
     from the separable product over the (few) nonzero coefficients; f is
     N^2-periodic in x because N^2 xi_n = nN - m_n is an integer on the support.
     """
-    if N < 64:
-        raise ValueError("need N >= 64")
-    t0 = time.perf_counter()
-    seq = construct_dirichlet_like(N, 1.0)
-    count = len(seq.hits)
+    seq = _hit_sequence(N, 1.0)
+    side = math.isqrt(check_budget(grid_budget))
+    grid = GridSpec(
+        x_lo=0.0, x_hi=float(N * N), Mx=side, t_lo=0.0, t_hi=float(N * N), Mt=side
+    )
     n = np.arange(1, N + 1)
     spec = ExpSumSpec(
         N=N,
@@ -253,30 +245,8 @@ def experiment_C(
     )
     rng = np.random.default_rng(seed)
     js = sorted(int(j) for j in rng.integers(1, N * N + 1, size=64))
-    err, ok = _check_identity(
-        spec, [(float(j) * N, float(j)) for j in js], float(count)
-    )
-    side = int(math.isqrt(grid_budget))
-    grid = GridSpec(
-        x_lo=0.0, x_hi=float(N * N), Mx=side, t_lo=0.0, t_hi=float(N * N), Mt=side
-    )
-    norm = sup_norm_Lp(spec, grid, "x", 4.0, threads=threads)
-    exponent = 5.0 / 6.0
-    ratio = norm.value / (N**exponent * spec.norm_b2())
-    return ExperimentReport(
-        id="C",
-        N=N,
-        alpha=1.0,
-        hit_count=count,
-        checked_j=js,
-        identity_max_rel_err=err,
-        exact_identity_pass=ok,
-        norm=norm,
-        predicted_exponent=exponent,
-        ratio=ratio,
-        seed=seed,
-        runtime_s=time.perf_counter() - t0,
-    )
+    points = [(float(j) * N, float(j)) for j in js]
+    return _witness("C", seq, spec, js, points, grid, "x", 5 / 6, seed, threads)
 
 
 EXPERIMENTS = {"A": experiment_A, "B": experiment_B, "C": experiment_C}

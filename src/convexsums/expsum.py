@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -123,14 +123,14 @@ class GridSpec:
         return self.t_lo + np.arange(self.Mt) * self.dt
 
     def to_json_dict(self) -> dict:
-        return {
-            "x_lo": self.x_lo,
-            "x_hi": self.x_hi,
-            "Mx": self.Mx,
-            "t_lo": self.t_lo,
-            "t_hi": self.t_hi,
-            "Mt": self.Mt,
-        }
+        return asdict(self)
+
+
+def check_budget(budget: int) -> int:
+    """budget, once it is known to allow at least one grid node."""
+    if budget < 1:
+        raise ValueError(f"grid budget must be >= 1, got {budget}")
+    return budget
 
 
 def canonical_grid(N: int, budget: int = DEFAULT_BUDGET) -> GridSpec:
@@ -146,7 +146,7 @@ def canonical_grid(N: int, budget: int = DEFAULT_BUDGET) -> GridSpec:
     variable in the same way.
     """
     Mx = 4 * N
-    Mt = min(4 * N * N, max(1, budget // Mx))
+    Mt = min(4 * N * N, max(1, check_budget(budget) // Mx))
     return GridSpec(x_lo=0.0, x_hi=float(N), Mx=Mx, t_lo=0.0, t_hi=float(N * N), Mt=Mt)
 
 
@@ -340,8 +340,8 @@ def sup_norm_Lp(
     with_levels: return (norm, dyadic_level_report(spec, grid, sup_direction))
     from the same single pass over the grid.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be finite and >= 1, got {p}")
     if sup_direction not in ("t", "x"):
         raise ValueError("sup_direction must be 't' or 'x'")
 

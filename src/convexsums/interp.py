@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -230,18 +230,8 @@ class ConvexInterpolant:
             "mode": self.mode,
             "D": self.D,
             "pad_end": self.pad_end,
-            "knots": [{"x": k.x, "y": k.y, "p": k.p} for k in self.knots],
-            "pieces": [
-                {
-                    "kind": p.kind,
-                    "x_lo": p.x_lo,
-                    "x_hi": p.x_hi,
-                    "p_lo": p.p_lo,
-                    "p_hi": p.p_hi,
-                    "angle": p.angle,
-                }
-                for p in self.pieces
-            ],
+            "knots": [asdict(k) for k in self.knots],
+            "pieces": [asdict(p) for p in self.pieces],
         }
 
     def dump_json(self, path: str) -> None:

@@ -2,9 +2,9 @@
 
 Everything in this module is exact integer arithmetic, apart from the
 50-digit decimal that power_floor uses only where its error cannot move the
-answer.  Interval endpoints may be given as int, fractions.Fraction,
-ReducedRational, Fraction (ours), or a finite float; floats are converted to
-their exact binary value, so results stay deterministic.
+answer.  Interval endpoints may be given as int, fractions.Fraction or a
+finite float; floats are converted to their exact binary value, so results
+stay deterministic.
 """
 
 from __future__ import annotations
@@ -13,64 +13,19 @@ import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Union
 
 
 class InfeasibleExpansionError(ValueError):
     """No multiple of the required denominator lies in the target range."""
 
 
-Endpoint = Union[int, float, Q, "ReducedRational", "Fraction"]
+Endpoint = int | float | Q
 
 
 def _as_exact(v: Endpoint) -> Q:
-    if isinstance(v, (ReducedRational, Fraction)):
-        return Q(v.num, v.den)
     if isinstance(v, float) and not math.isfinite(v):
         raise ValueError(f"endpoint must be finite, got {v}")
     return Q(v)  # a float becomes its exact binary value
-
-
-@dataclass(frozen=True)
-class ReducedRational:
-    """A rational in lowest terms with positive denominator."""
-
-    num: int
-    den: int
-
-    def __post_init__(self) -> None:
-        if self.den < 1:
-            raise ValueError(f"denominator must be >= 1, got {self.den}")
-        if math.gcd(self.num, self.den) != 1:
-            raise ValueError(f"{self.num}/{self.den} is not reduced")
-
-    @classmethod
-    def from_parts(cls, num: int, den: int) -> "ReducedRational":
-        """Reduce num/den (den may be negative) to canonical form."""
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        if den < 0:
-            num, den = -num, -den
-        g = math.gcd(num, den)
-        return cls(num // g, den // g)
-
-    def as_fraction(self) -> Q:
-        return Q(self.num, self.den)
-
-    def __float__(self) -> float:
-        return self.num / self.den
-
-    def _cmp_key(self, other: "ReducedRational") -> int:
-        return self.num * other.den - other.num * self.den
-
-    def __lt__(self, other: "ReducedRational") -> bool:
-        return self._cmp_key(other) < 0
-
-    def __le__(self, other: "ReducedRational") -> bool:
-        return self._cmp_key(other) <= 0
-
-    def __str__(self) -> str:
-        return f"{self.num}/{self.den}"
 
 
 @dataclass(frozen=True)
@@ -88,27 +43,18 @@ class Fraction:
         if self.den < 1:
             raise ValueError(f"denominator must be >= 1, got {self.den}")
 
-    def reduce(self) -> ReducedRational:
-        return ReducedRational.from_parts(self.num, self.den)
-
-    def as_fraction(self) -> Q:
-        return Q(self.num, self.den)
-
-    def __float__(self) -> float:
-        return self.num / self.den
-
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
 
 
-def enumerate_fractions(lo: Endpoint, hi: Endpoint, qmax: int) -> list[ReducedRational]:
+def enumerate_fractions(lo: Endpoint, hi: Endpoint, qmax: int) -> list[Q]:
     """All distinct rationals in [lo, hi] with reduced denominator <= qmax.
 
-    Returned strictly increasing.  Endpoints are included.  Walks the Farey
-    sequence of order qmax (Graham-Knuth-Patashnik, Concrete Mathematics
-    4.5): neighbours a/b < c/d satisfy bc - ad = 1, and the term after c/d is
-    (kc - a)/(kd - b) with k = floor((qmax + b)/d).  Every comparison is an
-    integer cross-multiplication, so no sort and no gcd per candidate.
+    Returned strictly increasing, as fractions.Fraction; endpoints included.
+    Walks the Farey sequence of order qmax (Graham-Knuth-Patashnik, Concrete
+    Mathematics 4.5): neighbours a/b < c/d satisfy bc - ad = 1, and the term
+    after c/d is (kc - a)/(kd - b) with k = floor((qmax + b)/d).  Every
+    comparison is an integer cross-multiplication, so there is no sort.
     """
     if qmax < 1:
         raise ValueError(f"qmax must be >= 1, got {qmax}")
@@ -130,9 +76,9 @@ def enumerate_fractions(lo: Endpoint, hi: Endpoint, qmax: int) -> list[ReducedRa
     d0 = -pow(a, -1, b) % b
     d = d0 + (qmax - d0) // b * b
     c = (1 + a * d) // b
-    out = [ReducedRational(a, b)]
+    out = [Q(a, b)]
     while c * hd <= hn * d:
-        out.append(ReducedRational(c, d))
+        out.append(Q(c, d))
         k = (qmax + b) // d
         a, b, c, d = c, d, k * c - a, k * d - b
     return out
@@ -152,24 +98,22 @@ def mediant(f1: Fraction, f2: Fraction) -> Fraction:
     return Fraction(f1.num + f2.num, f1.den + f2.den)
 
 
-def expand_to_range(r: ReducedRational, lo: Endpoint, hi: Endpoint) -> Fraction:
-    """Rewrite r with the smallest denominator multiple of r.den that is >= lo.
+def expand_to_range(r: Q, lo: Endpoint, hi: Endpoint) -> Fraction:
+    """Rewrite r with the smallest multiple of its reduced denominator >= lo.
 
     The result is value-equal to r with denominator in [lo, hi].  Feasible
-    whenever r.den <= lo and hi >= 2*lo: consecutive multiples of r.den are
-    r.den apart, so one lands in the window.
+    whenever r.denominator <= lo and hi >= 2*lo: consecutive multiples of the
+    denominator are that far apart, so one lands in the window.
     """
     lo_q, hi_q = _as_exact(lo), _as_exact(hi)
     if lo_q <= 0:
         raise ValueError(f"lo must be positive, got {lo_q}")
-    m = math.ceil(lo_q / r.den)
-    if m < 1:
-        m = 1
-    if m * r.den > hi_q:
+    m = max(1, math.ceil(lo_q / r.denominator))
+    if m * r.denominator > hi_q:
         raise InfeasibleExpansionError(
-            f"no multiple of {r.den} in [{float(lo_q):.6g}, {float(hi_q):.6g}]"
+            f"no multiple of {r.denominator} in [{float(lo_q):.6g}, {float(hi_q):.6g}]"
         )
-    return Fraction(r.num * m, r.den * m)
+    return Fraction(r.numerator * m, r.denominator * m)
 
 
 def iroot(n: int, k: int) -> int:

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import convexsums
-from convexsums import expsum
+from convexsums import cli, experiments, expsum
 from convexsums.cli import main
 from convexsums.expsum import (
     ExpSumSpec,
@@ -201,6 +202,127 @@ class TestUsageErrors:
             main([flag])
         assert exc.value.code == 0
         assert capsys.readouterr().out
+
+
+def _error_exit(argv, capsys):
+    """Run argv, require exit 1 with one `error:` line and no stdout."""
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    return err
+
+
+def _quadratic_csv(tmp_path, header="n,a_n,exact_num,exact_den"):
+    """a_n = n/64 + n^2/8192 as floats only, so validate takes the float path."""
+    rows = [header] + [f"{n},{n / 64 + n * n / 8192!r},," for n in range(1, 65)]
+    p = tmp_path / "seq.csv"
+    p.write_text("\n".join(rows) + "\n")
+    return p
+
+
+def _write_json(tmp_path, doc, name="in.json"):
+    p = tmp_path / name
+    p.write_text(json.dumps(doc))  # json writes NaN and Infinity literals
+    return str(p)
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("theta", ["0", "-1", "nan"])
+    def test_validate_theta_exit1(self, theta, tmp_path, capsys):
+        path = str(_quadratic_csv(tmp_path))
+        assert run_cli(["validate", path], capsys)[0] == 0
+        err = _error_exit(["validate", path, f"--theta={theta}"], capsys)
+        assert "theta" in err
+
+    @pytest.mark.parametrize("p", ["nan", "inf"])
+    def test_expsum_non_finite_p_exit1(self, p, tmp_path, capsys):
+        spec = {"N": 4, "xi": [0.25, 0.5, 0.75, 1.0], "eta": [0.0, 0.5, 1.5, 3.0],
+                "b": [1.0] * 4}
+        path = _write_json(tmp_path, spec)
+        err = _error_exit(["expsum", path, "--p", p, "--grid-budget", "1024"], capsys)
+        assert "p must be finite" in err
+
+    @pytest.mark.parametrize("point", [[256, math.nan], [256, math.inf], [math.inf, 16.0],
+                                       [math.nan, 16.0]],
+                             ids=["nan-value", "inf-value", "inf-N", "nan-N"])
+    def test_regress_non_finite_exit1(self, point, tmp_path, capsys):
+        path = _write_json(tmp_path, [[64, 8.0], point, [1024, 32.0]])
+        err = _error_exit(["regress", path], capsys)
+        assert "finite" in err
+
+    @pytest.mark.parametrize("cmd", ["validate", "interp"])
+    def test_csv_without_a_n_column_exit1(self, cmd, tmp_path, capsys):
+        path = str(_quadratic_csv(tmp_path, header="n,value,exact_num,exact_den"))
+        err = _error_exit([cmd, path], capsys)
+        assert path in err and "a_n" in err
+
+    def test_csv_zero_exact_den_exit1(self, tmp_path, capsys):
+        p = tmp_path / "zero.csv"
+        p.write_text("n,a_n,exact_num,exact_den\n1,0.5,1,2\n2,1.0,1,0\n3,2.0,2,1\n")
+        err = _error_exit(["validate", str(p)], capsys)
+        assert str(p) in err and "row 2" in err and "exact_den" in err
+
+    @pytest.mark.parametrize("hits", [[[24, 1.0, 10, 1]], {"n": 24}, 5],
+                             ids=["list-of-lists", "object", "number"])
+    def test_hits_not_list_of_objects_exit1(self, hits, tmp_path, capsys):
+        csv_path = str(_quadratic_csv(tmp_path))
+        path = _write_json(tmp_path, hits, "hits.json")
+        err = _error_exit(["validate", csv_path, "--hits", path], capsys)
+        assert path in err
+
+    @pytest.mark.parametrize("entry", [[64], [64, None], [64, 8.0, 1.0]],
+                             ids=["single", "null", "triple"])
+    def test_regress_entry_not_a_pair_exit1(self, entry, tmp_path, capsys):
+        path = _write_json(tmp_path, [[16, 4.0], entry, [1024, 32.0]])
+        err = _error_exit(["regress", path], capsys)
+        assert path in err and "entry 2" in err
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    @pytest.mark.parametrize("cmd", [["experiment", "A", "--N", "64"],
+                                     ["experiment", "B", "--N", "64"],
+                                     ["experiment", "C", "--N", "64"], ["expsum"]],
+                             ids=["A", "B", "C", "expsum"])
+    def test_grid_budget_below_one_exit1(self, cmd, budget, tmp_path, capsys):
+        if cmd == ["expsum"]:
+            spec = {"N": 2, "xi": [0.5, 1.0], "eta": [0.0, 0.5], "b": [1.0, 1.0]}
+            cmd = ["expsum", _write_json(tmp_path, spec)]
+        err = _error_exit([*cmd, f"--grid-budget={budget}"], capsys)
+        assert err == f"error: grid budget must be >= 1, got {budget}\n"
+
+
+class TestTracingContract:
+    """perfbench/tracing.py rebinds these functions by name to time them."""
+
+    def test_tracer_spans_and_uninstall(self, capsys, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, tracing)  # for its dataclasses
+        spec.loader.exec_module(tracing)
+        mods = {m: importlib.import_module(f"convexsums.{m}") for m in tracing.MODULES}
+        before = {(m, k): v for m, mod in mods.items() for k, v in vars(mod).items()
+                  if callable(v)}
+        table = dict(experiments.EXPERIMENTS)
+        eval_many = mods["interp"].ConvexInterpolant.eval_many
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            code = cli.main(["experiment", "A", "--N", "64", "--grid-budget", "65536"])
+        finally:
+            tracer.uninstall()
+        capsys.readouterr()
+        assert code == 0
+        names = [s.name for s in tracer.spans]
+        assert "experiments.experiment_A" in names
+        assert "expsum.sup_norm_Lp" in names
+        sweep = tracer.spans[names.index("expsum.sup_norm_Lp")]
+        assert tracer.spans[sweep.parent].name == "experiments.experiment_A"
+        after = {(m, k): v for m, mod in mods.items() for k, v in vars(mod).items()
+                 if callable(v)}
+        assert all(after[key] is fn for key, fn in before.items())
+        assert experiments.EXPERIMENTS == table
+        assert mods["interp"].ConvexInterpolant.eval_many is eval_many
 
 
 # N = 32 specs on a grid of Mx = 128 by Mt = 700 t-rows: three row blocks,

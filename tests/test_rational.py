@@ -11,7 +11,6 @@ from convexsums.rational import (
     Fraction,
     InfeasibleExpansionError,
     Q,
-    ReducedRational,
     count_fractions,
     enumerate_fractions,
     expand_to_range,
@@ -39,7 +38,8 @@ def oracle_enumerate(lo, hi, qmax):
 class TestEnumerate:
     def test_unit_interval_qmax3(self):
         got = enumerate_fractions(Q(1, 3), Q(2, 3), 3)
-        assert [(r.num, r.den) for r in got] == [(1, 3), (1, 2), (2, 3)]
+        assert [(r.numerator, r.denominator) for r in got] == [(1, 3), (1, 2), (2, 3)]
+        assert all(type(r) is fractions.Fraction for r in got)
 
     def test_count_1_2_qmax3(self):
         assert count_fractions(1, 2, 3) == 5  # 1, 4/3, 3/2, 5/3, 2
@@ -61,7 +61,7 @@ class TestEnumerate:
         ]:
             got = enumerate_fractions(lo, hi, qmax)
             want = oracle_enumerate(lo, hi, qmax)
-            assert [r.as_fraction() for r in got] == want
+            assert got == want
             assert count_fractions(lo, hi, qmax) == len(want)
 
     def test_empty_interval_rejected(self):
@@ -89,34 +89,33 @@ class TestEnumerate:
     def test_oracle_property(self, lo, width, qmax):
         hi = lo + width
         got = enumerate_fractions(lo, hi, qmax)
-        vals = [r.as_fraction() for r in got]
-        assert vals == oracle_enumerate(lo, hi, qmax)
+        assert got == oracle_enumerate(lo, hi, qmax)
         assert count_fractions(lo, hi, qmax) == len(got)
         # output invariants: reduced, bounded denominator, in the window,
         # and consecutive terms are Farey neighbours (hence strictly sorted)
         for r in got:
-            assert math.gcd(r.num, r.den) == 1
-            assert 1 <= r.den <= qmax
-            assert lo <= r.as_fraction() <= hi
+            assert math.gcd(r.numerator, r.denominator) == 1
+            assert 1 <= r.denominator <= qmax
+            assert lo <= r <= hi
         for r1, r2 in zip(got, got[1:]):
-            assert r1.den * r2.num - r1.num * r2.den == 1
+            assert r1.denominator * r2.numerator - r1.numerator * r2.denominator == 1
 
 
 class TestMediant:
     def test_half_twothirds(self):
-        m = mediant(ReducedRational(1, 2), ReducedRational(2, 3))
+        m = mediant(Fraction(1, 2), Fraction(2, 3))
         assert (m.num, m.den) == (3, 5)
 
     def test_unreduced_inputs_not_reduced_output(self):
         m = mediant(Fraction(4, 12), Fraction(6, 12))
         assert (m.num, m.den) == (10, 24)
-        assert m.reduce() == ReducedRational(5, 12)
+        assert Q(m.num, m.den) == Q(5, 12)
 
     def test_order_enforced(self):
         with pytest.raises(ValueError):
-            mediant(ReducedRational(2, 3), ReducedRational(1, 2))
+            mediant(Fraction(2, 3), Fraction(1, 2))
         with pytest.raises(ValueError):
-            mediant(ReducedRational(1, 2), ReducedRational(1, 2))
+            mediant(Fraction(1, 2), Fraction(1, 2))
 
     @given(
         n1=st.integers(0, 50),
@@ -137,20 +136,20 @@ class TestMediant:
 
 class TestExpand:
     def test_simple(self):
-        f = expand_to_range(ReducedRational(1, 2), 4, 8)
+        f = expand_to_range(Q(1, 2), 4, 8)
         assert (f.num, f.den) == (2, 4)
 
     def test_float_bounds(self):
-        f = expand_to_range(ReducedRational(1, 3), 10.67, 21.33)
+        f = expand_to_range(Q(1, 3), 10.67, 21.33)
         assert (f.num, f.den) == (4, 12)
 
     def test_exact_bounds(self):
-        f = expand_to_range(ReducedRational(1, 3), Q(32, 3), Q(64, 3))
+        f = expand_to_range(Q(1, 3), Q(32, 3), Q(64, 3))
         assert (f.num, f.den) == (4, 12)
 
     def test_infeasible(self):
         with pytest.raises(InfeasibleExpansionError):
-            expand_to_range(ReducedRational(2, 3), 2, 2.5)
+            expand_to_range(Q(2, 3), 2, 2.5)
 
     @given(
         num=st.integers(0, 30),
@@ -159,19 +158,20 @@ class TestExpand:
     )
     @settings(max_examples=100)
     def test_value_preserved_den_in_range(self, num, den, lo_num):
-        r = ReducedRational.from_parts(num, den)
+        r = Q(num, den)
         lo = Q(lo_num, 7)
         hi = 2 * lo
         try:
             f = expand_to_range(r, lo, hi)
         except InfeasibleExpansionError:
             # oracle: no multiple of den lies in [lo, hi]
-            ks = range(math.ceil(lo / r.den), math.floor(hi / r.den) + 1)
+            q = r.denominator
+            ks = range(math.ceil(lo / q), math.floor(hi / q) + 1)
             assert not [k for k in ks if k >= 1]
             return
-        assert fractions.Fraction(f.num, f.den) == r.as_fraction()
+        assert fractions.Fraction(f.num, f.den) == r
         assert lo <= f.den <= hi
-        assert f.den % r.den == 0
+        assert f.den % r.denominator == 0
 
 
 class TestPower:
@@ -238,18 +238,3 @@ class TestPower:
         v, exact = power_value(2, Q(1, 2))
         assert not exact and abs(float(v) - math.sqrt(2)) < 1e-15
 
-
-class TestReducedRational:
-    def test_from_parts_reduces(self):
-        assert ReducedRational.from_parts(10, 24) == ReducedRational(5, 12)
-        assert ReducedRational.from_parts(-3, -6) == ReducedRational(1, 2)
-
-    def test_invalid_direct_construction(self):
-        with pytest.raises(ValueError):
-            ReducedRational(2, 4)
-        with pytest.raises(ValueError):
-            ReducedRational(1, 0)
-
-    def test_ordering(self):
-        assert ReducedRational(1, 3) < ReducedRational(1, 2) < ReducedRational(2, 3)
-        assert ReducedRational(1, 2) <= ReducedRational(1, 2)

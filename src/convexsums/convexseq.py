@@ -53,6 +53,38 @@ class LatticeHit:
         return Q(self.num, self.den)
 
 
+def _checked_hit(
+    h: LatticeHit, values: list[float], exact: list[Q] | None
+) -> LatticeHit:
+    """h, once it certifies the value it names in a sequence read from CSV.
+
+    n must index the sequence, num and den be integers with den >= 1 and
+    alpha lie in [0, 2].  a_n must equal num/den * N^{-alpha}: exactly when
+    the CSV has exact values and the lattice step is rational, otherwise as
+    the float the constructions write, num * float(step) / den (for den = 1
+    the check of acceptance criterion 2).
+    """
+    N = len(values)
+    if not all(type(v) is int for v in (h.n, h.num, h.den)):
+        raise ValueError("n, num and den must be integers")
+    if not 1 <= h.n <= N:
+        raise ValueError(f"n = {h.n} is outside [1, {N}]")
+    if h.den < 1:
+        raise ValueError(f"den = {h.den} is below 1")
+    if type(h.alpha) not in (int, float) or not 0 <= h.alpha <= 2:
+        raise ValueError(f"alpha = {h.alpha!r} is not a number in [0, 2]")
+    step, step_exact = _lattice_step(N, h.alpha)
+    if exact is not None and step_exact:
+        ok = exact[h.n - 1] == Q(h.num, h.den) * step
+    else:
+        ok = values[h.n - 1] == h.num * float(step) / h.den
+    if not ok:
+        raise ValueError(
+            f"a_{h.n} = {values[h.n - 1]!r} is not {h.num}/{h.den} * {N}^-{h.alpha}"
+        )
+    return h
+
+
 @dataclass
 class ConvexSequence:
     """Immutable value sequence a_1..a_N with optional exact data.
@@ -128,8 +160,8 @@ class ConvexSequence:
             hits = []
             try:
                 for h in raw:
-                    hits.append(LatticeHit(**h))
-            except TypeError as exc:
+                    hits.append(_checked_hit(LatticeHit(**h), values, exact))
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{hits_path}: hit {len(hits) + 1}: {exc}") from None
         return cls(N=len(values), values=np.asarray(values), exact_values=exact, hits=hits)
 

@@ -17,6 +17,24 @@ The identity points are exact in floating point for power-of-two N: every
 phase is a dyadic rational times an integer, the products fit well inside
 the longdouble mantissa, and the fractional parts reduce to exactly zero.
 
+The same alignment is a translation symmetry of f, and each experiment
+names it as a lattice vector (x0, t0) with f(x + x0, t + t0) = f(x, t),
+since x0 xi_n + t0 eta_n is an integer on the hits:
+
+  A: (1, N), with xi_n + N eta_n = N a_n;
+  B: (0, sqrt(N)) when N is a perfect square (none otherwise), with
+     sqrt(N) eta_n = sqrt(N) a_n;
+  C: (N, 1), with N xi_n + eta_n = n.
+
+On the experiment's own grid the sup over the inner variable then repeats
+exactly along the outer one, so the norm sweeps one period of outer nodes
+and scales the L^4 sum by the number of periods (_sup_norm_L4).  The
+period is certified in exact rationals on the evaluated floats
+(_outer_period); when a check fails, as for B at N = 128 or 512, the whole
+grid is swept.  The reported grid, norm and ratio are those of the whole
+grid to the last bits; argmax is the first maximum within the swept
+period, and norm.swept_nodes counts the nodes evaluated.
+
 Reports hold no timing fields, so a fixed config and seed gives
 byte-identical JSON regardless of machine speed or thread count.
 """
@@ -24,7 +42,8 @@ byte-identical JSON regardless of machine speed or thread count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from fractions import Fraction as Q
 
 import numpy as np
 
@@ -57,6 +76,7 @@ class ExperimentReport:
     identity_max_rel_err: float
     exact_identity_pass: bool
     norm: NormResult
+    swept_nodes: int
     predicted_exponent: float
     ratio: float
     seed: int
@@ -78,6 +98,7 @@ class ExperimentReport:
                 "value": self.norm.value,
                 "argmax": {"x": self.norm.argmax_x, "t": self.norm.argmax_t},
                 "grid": self.norm.grid.to_json_dict(),
+                "swept_nodes": self.swept_nodes,
             },
             "predicted_exponent": self.predicted_exponent,
             "ratio": self.ratio,
@@ -138,6 +159,73 @@ def _hit_coefficients(seq: ConvexSequence) -> np.ndarray:
     return b
 
 
+def _outer_period(
+    spec: ExpSumSpec, grid: GridSpec, direction: str, shift: tuple[int, int]
+) -> int | None:
+    """Outer grid steps after which the sup over the inner variable repeats.
+
+    direction names the inner variable, as in sup_norm_Lp.  shift = (x, t)
+    must be a lattice vector of f (x xi_n + t eta_n integral on the support,
+    so f(x + shift) = f), and the inner grid must close on itself (its
+    length times each inner frequency integral, so a whole-step inner shift
+    permutes the inner nodes).  Then k shifts that move P whole outer steps
+    and a whole number of inner steps map the inner nodes at outer node j
+    onto those at j + P.  Every check is exact, on the floats that are
+    evaluated.  Returns the least such P if it divides the outer node count,
+    else None.
+    """
+    idx = spec.support()
+    xi = [Q(v) for v in spec.xi[idx].tolist()]
+    eta = [Q(v) for v in spec.eta[idx].tolist()]
+    sx, st = Q(shift[0]), Q(shift[1])
+    if any((sx * a + st * b).denominator != 1 for a, b in zip(xi, eta)):
+        return None
+    # (frequencies, nodes, step, shift) along x and along t
+    x = (xi, grid.Mx, Q(grid.dx), sx)
+    t = (eta, grid.Mt, Q(grid.dt), st)
+    inner, outer = (t, x) if direction == "t" else (x, t)
+    nu, m_in, d_in, s_in = inner
+    _, m_out, d_out, s_out = outer
+    if any((m_in * d_in * v).denominator != 1 for v in nu):
+        return None
+    steps_out, steps_in = s_out / d_out, s_in / d_in
+    P = abs(math.lcm(steps_out.denominator, steps_in.denominator) * steps_out)
+    if P == 0 or m_out % P:
+        return None
+    return int(P)
+
+
+def _sup_norm_L4(
+    spec: ExpSumSpec,
+    grid: GridSpec,
+    direction: str,
+    shift: tuple[int, int] | None,
+    threads: int | None,
+) -> tuple[NormResult, int]:
+    """(L^4 norm of the inner-direction sup on grid, number of nodes swept).
+
+    With an outer period P from _outer_period, the sweep covers the first P
+    outer nodes at the grid's own step, and the norm is scaled by (outer
+    nodes / P)^{1/4}: the sup array repeats exactly, so only the summation
+    order of the Riemann sum changes.  The full grid is swept when there is
+    no period or the sub-grid's step is not the grid's to the bit.  The
+    result reports grid; argmax is the first maximum within the period.
+    """
+    P = None if shift is None else _outer_period(spec, grid, direction, shift)
+    sub = grid
+    if P is not None:
+        if direction == "t":
+            sub = replace(grid, x_hi=grid.x_lo + P * grid.dx, Mx=P)
+        else:
+            sub = replace(grid, t_hi=grid.t_lo + P * grid.dt, Mt=P)
+        if (sub.dx, sub.dt) != (grid.dx, grid.dt):
+            sub = grid
+    norm = sup_norm_Lp(spec, sub, direction, 4.0, threads=threads)
+    swept = sub.Mx * sub.Mt
+    periods = grid.Mx * grid.Mt // swept
+    return replace(norm, value=norm.value * periods**0.25, grid=grid), swept
+
+
 def _witness(
     id: str,
     seq: ConvexSequence,
@@ -146,6 +234,7 @@ def _witness(
     points: list[tuple[float, float]],
     grid: GridSpec,
     sup_direction: str,
+    shift: tuple[int, int] | None,
     exponent: float,
     seed: int,
     threads: int | None,
@@ -153,14 +242,15 @@ def _witness(
     """The part every experiment shares, once its spec, points and grid exist.
 
     Checks |f| = hit count of seq at each aligned point (relative error <=
-    1e-6), takes the L^4 norm of the sup over sup_direction, and divides it
-    by the predicted N^exponent ||b||_2.
+    1e-6), takes the L^4 norm of the sup over sup_direction (over one outer
+    period when shift certifies one, see _sup_norm_L4), and divides it by
+    the predicted N^exponent ||b||_2.
     """
     count = len(seq.hits)
     worst = 0.0
     for x, t in points:
         worst = max(worst, abs(eval_point(spec, x, t) - count) / count)
-    norm = sup_norm_Lp(spec, grid, sup_direction, 4.0, threads=threads)
+    norm, swept = _sup_norm_L4(spec, grid, sup_direction, shift, threads)
     return ExperimentReport(
         id=id,
         N=spec.N,
@@ -170,6 +260,7 @@ def _witness(
         identity_max_rel_err=worst,
         exact_identity_pass=worst <= 1e-6,
         norm=norm,
+        swept_nodes=swept,
         predicted_exponent=exponent,
         ratio=norm.value / (spec.N**exponent * spec.norm_b2()),
         seed=seed,
@@ -197,7 +288,8 @@ def experiment_A(
     )
     js = list(range(1, N + 1))
     points = [(float(j), float(j) * N) for j in js]
-    return _witness("A", c, spec, js, points, grid, "t", 7 / 12, seed, threads)
+    return _witness("A", c, spec, js, points, grid, "t", (1, N), 7 / 12, seed,
+                    threads)
 
 
 def experiment_B(
@@ -216,7 +308,9 @@ def experiment_B(
     js = sorted(int(j) for j in rng.integers(1, int(N**1.5) + 1, size=64))
     root = math.sqrt(N)
     points = [(0.0, j * root) for j in js]
-    return _witness("B", seq, spec, js, points, grid, "x", 5 / 8, seed, threads)
+    shift = (0, math.isqrt(N)) if math.isqrt(N) ** 2 == N else None
+    return _witness("B", seq, spec, js, points, grid, "x", shift, 5 / 8, seed,
+                    threads)
 
 
 def experiment_C(
@@ -230,6 +324,10 @@ def experiment_C(
     The tilt makes the x-frequencies non-canonical, so the norm's rows come
     from the separable product over the (few) nonzero coefficients; f is
     N^2-periodic in x because N^2 xi_n = nN - m_n is an integer on the support.
+    On the default square grid dt = dx is a whole number, so dt shifts by
+    the lattice vector (N, 1) move one t-step and N whole x-steps: every row
+    has the same sup.  That sup is computed once, from the row t = 0, and
+    the norm is sqrt(N) * hit count up to rounding.
     """
     seq = _hit_sequence(N, 1.0)
     side = math.isqrt(check_budget(grid_budget))
@@ -246,7 +344,8 @@ def experiment_C(
     rng = np.random.default_rng(seed)
     js = sorted(int(j) for j in rng.integers(1, N * N + 1, size=64))
     points = [(float(j) * N, float(j)) for j in js]
-    return _witness("C", seq, spec, js, points, grid, "x", 5 / 6, seed, threads)
+    return _witness("C", seq, spec, js, points, grid, "x", (N, 1), 5 / 6, seed,
+                    threads)
 
 
 EXPERIMENTS = {"A": experiment_A, "B": experiment_B, "C": experiment_C}

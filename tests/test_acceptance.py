@@ -230,7 +230,8 @@ def test_criterion_4_farey_oracle():
         got = enumerate_fractions(lo, hi, qmax)
         expect = _brute_fractions(lo, hi, qmax)
         assert len(got) == expect, f"({lo}, {hi}, {qmax}): {len(got)} != {expect}"
-        assert len(set(got)) == len(got)
+        # strictly increasing: sorted and distinct, with no hashing
+        assert all(a < b for a, b in zip(got, got[1:]))
         if length * qmax >= 100:
             density_cases += 1
             dens = len(got) / (length * qmax**2)

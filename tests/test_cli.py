@@ -271,6 +271,33 @@ class TestBadInput:
         err = _error_exit(["validate", csv_path, "--hits", path], capsys)
         assert path in err
 
+    @staticmethod
+    def _constructed(tmp_path, capsys):
+        """(CSV path, hits) of construct --N 256 --alpha 1, whose hits validate."""
+        base = str(tmp_path / "s")
+        run_cli(["construct", "--N", "256", "--alpha", "1", "--out", base], capsys)
+        hits_path = base + ".hits.json"
+        assert run_cli(["validate", base + ".csv", "--hits", hits_path], capsys)[0] == 0
+        return base + ".csv", json.loads(Path(hits_path).read_text())
+
+    @pytest.mark.parametrize("change, word", [
+        ({"n": "x"}, "integers"), ({"num": 1.5}, "integers"), ({"den": 0}, "den"),
+        ({"n": 0}, "outside"), ({"n": 257}, "outside"), ({"alpha": "1"}, "alpha"),
+    ], ids=["n-string", "num-float", "den-zero", "n-zero", "n-past-N", "alpha-string"])
+    def test_validate_malformed_hit_exit1(self, change, word, tmp_path, capsys):
+        csv_path, hits = self._constructed(tmp_path, capsys)
+        hits[1].update(change)
+        path = _write_json(tmp_path, hits, "bad.hits.json")
+        err = _error_exit(["validate", csv_path, "--hits", path], capsys)
+        assert path in err and "hit 2" in err and word in err
+
+    def test_validate_mismatched_hit_exit1(self, tmp_path, capsys):
+        csv_path, hits = self._constructed(tmp_path, capsys)
+        hits[0]["num"] += 1
+        path = _write_json(tmp_path, hits, "bad.hits.json")
+        err = _error_exit(["validate", csv_path, "--hits", path], capsys)
+        assert path in err and "hit 1" in err and f"a_{hits[0]['n']} =" in err
+
     @pytest.mark.parametrize("entry", [[64], [64, None], [64, 8.0, 1.0]],
                              ids=["single", "null", "triple"])
     def test_regress_entry_not_a_pair_exit1(self, entry, tmp_path, capsys):

@@ -4,17 +4,27 @@ import math
 import numpy as np
 import pytest
 
+from convexsums import experiments
 from convexsums.convexseq import construct_dirichlet_like, shear
 from convexsums.experiments import (
     RegressionResult,
     _hit_coefficients,
+    _outer_period,
+    _sup_norm_L4,
     experiment_A,
     experiment_B,
     experiment_C,
     intersection_scan,
     regress,
 )
-from convexsums.expsum import ExpSumSpec, canonical_grid, level_set_projection
+from convexsums.expsum import (
+    ExpSumSpec,
+    GridSpec,
+    canonical_grid,
+    eval_point,
+    level_set_projection,
+    sup_norm_Lp,
+)
 
 SMALL_BUDGET = 2**18  # keeps unit tests fast; acceptance uses the default
 
@@ -119,6 +129,77 @@ class TestExperimentC:
     def test_rejects_tiny_N(self):
         with pytest.raises(ValueError):
             experiment_C(32)
+
+
+def _sheared_A_spec(N):
+    c = construct_dirichlet_like(N, 1.0)
+    return ExpSumSpec(N=N, xi=np.arange(1, N + 1) / N,
+                      eta=shear(c, -1.0 / N**2).values, b=_hit_coefficients(c))
+
+
+class TestOuterPeriod:
+    """Each experiment sweeps one certified period of its outer variable."""
+
+    @pytest.mark.parametrize("fn, N, period", [
+        (experiment_A, 64, 4), (experiment_B, 64, 2),
+        (experiment_C, 64, 1), (experiment_C, 128, 1),
+    ], ids=["A-64", "B-64", "C-64", "C-128"])
+    def test_reduced_norm_matches_full_grid(self, fn, N, period, monkeypatch):
+        swept = []
+
+        def spy(spec, grid, *args, **kwargs):
+            swept.append((spec, grid))
+            return sup_norm_Lp(spec, grid, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "sup_norm_Lp", spy)
+        rep = fn(N, grid_budget=SMALL_BUDGET, seed=1)
+        ((spec, sub),) = swept
+        grid = rep.norm.grid
+        inner = grid.Mt if rep.norm.sup_direction == "t" else grid.Mx
+        assert rep.swept_nodes == sub.Mx * sub.Mt == period * inner
+        full = sup_norm_Lp(spec, grid, rep.norm.sup_direction, 4.0)
+        assert rep.norm.value == pytest.approx(full.value, rel=1e-12, abs=0)
+        k = (rep.norm.argmax_x - grid.x_lo) / grid.dx
+        l = (rep.norm.argmax_t - grid.t_lo) / grid.dt
+        assert k == int(k) and 0 <= k < grid.Mx
+        assert l == int(l) and 0 <= l < grid.Mt
+        got = abs(eval_point(spec, rep.norm.argmax_x, rep.norm.argmax_t))
+        assert abs(got - rep.norm.max_abs) <= 1e-12 * spec.norm_b1()
+        assert rep.norm.max_abs == pytest.approx(full.max_abs, rel=1e-12, abs=0)
+
+    def test_irrational_sqrt_N_sweeps_full_grid(self):
+        rep = experiment_B(128, grid_budget=SMALL_BUDGET, seed=1)
+        assert rep.swept_nodes == rep.norm.grid.Mx * rep.norm.grid.Mt
+
+    def test_broken_lattice_vector_sweeps_full_grid(self):
+        N = 64
+        spec = _sheared_A_spec(N)
+        grid = canonical_grid(N, SMALL_BUDGET)
+        assert _outer_period(spec, grid, "t", (1, N)) == 4
+        assert _outer_period(spec, grid, "t", (1, 0)) is None  # no lattice vector
+        eta = spec.eta.copy()
+        eta[spec.support()[0]] += 2.0**-40
+        broken = ExpSumSpec(N=N, xi=spec.xi, eta=eta, b=spec.b)
+        assert _outer_period(broken, grid, "t", (1, N)) is None
+        norm, swept = _sup_norm_L4(broken, grid, "t", (1, N), threads=None)
+        assert swept == grid.Mx * grid.Mt
+        assert norm == sup_norm_Lp(broken, grid, "t", 4.0)
+
+    @pytest.mark.parametrize("t_hi, Mt, x_hi, Mx", [
+        (3.0, 3, 64.0, 256),  # t-range 3 is no period of f
+        (4096.0, 1024, 1.5, 6),  # period 4 does not divide Mx = 6
+    ], ids=["inner-not-closed", "period-not-dividing"])
+    def test_grid_without_period(self, t_hi, Mt, x_hi, Mx):
+        spec = _sheared_A_spec(64)
+        grid = GridSpec(x_lo=0.0, x_hi=x_hi, Mx=Mx, t_lo=0.0, t_hi=t_hi, Mt=Mt)
+        assert _outer_period(spec, grid, "t", (1, 64)) is None
+
+    @pytest.mark.parametrize("fn", [experiment_A, experiment_B, experiment_C],
+                             ids=["A", "B", "C"])
+    def test_thread_count_invariant(self, fn):
+        a, b = (json.dumps(fn(64, grid_budget=SMALL_BUDGET, seed=4, threads=k)
+                           .to_json_dict(), sort_keys=True) for k in (1, 2))
+        assert a == b
 
 
 def level_ratio(spec, grid, K):

@@ -22,8 +22,7 @@ from . import __version__
 from .convexseq import (
     ConstructionError,
     ConvexSequence,
-    construct_dirichlet_like,
-    construct_small_alpha,
+    construct,
     validate,
 )
 from .expsum import (
@@ -69,12 +68,6 @@ def _float_list(s: str) -> list[float]:
     return [float(tok) for tok in s.split(",") if tok]
 
 
-def _build_sequence(N: int, alpha: float) -> ConvexSequence:
-    if alpha >= 0.5:
-        return construct_dirichlet_like(N, alpha)
-    return construct_small_alpha(N, alpha)
-
-
 def _load_spec(path: str) -> ExpSumSpec:
     with open(path) as fh:
         raw = json.load(fh)
@@ -96,7 +89,7 @@ def cmd_construct(args) -> int:
     cfg = RunConfig(
         command="construct", N=[args.N], alpha=[args.alpha], out=args.out,
     )
-    seq = _build_sequence(args.N, args.alpha)
+    seq = construct(args.N, args.alpha)
     report = validate(seq)
     base = args.out or "seq"
     seq.to_csv(base + ".csv")
@@ -127,7 +120,7 @@ def cmd_interp(args) -> int:
     if args.path:
         seq = ConvexSequence.from_csv(args.path)
     else:
-        seq = _build_sequence(args.N, args.alpha)
+        seq = construct(args.N, args.alpha)
     f = upgrade_c2(build_c1(knots_from_sequence(seq)))
     xs = np.array([k.x for k in f.knots])
     ys = np.array([k.y for k in f.knots])

@@ -487,6 +487,15 @@ def construct_small_alpha(N: int, alpha: float) -> ConvexSequence:
     return _finalize(N, alpha, knots, hit_data, step_f, meta)
 
 
+def construct(N: int, alpha: float) -> ConvexSequence:
+    """The construction for alpha: mediants from 1/2 up, the lattice walk below."""
+    if not 0.0 <= alpha <= 2.0:  # also rejects NaN
+        raise ValueError(f"alpha must be a finite number in [0, 2], got {alpha}")
+    if alpha >= 0.5:
+        return construct_dirichlet_like(N, alpha)
+    return construct_small_alpha(N, alpha)
+
+
 def shear(seq: ConvexSequence, lam: float) -> ConvexSequence:
     """Add lam*n to every value; second differences are preserved exactly.
 

@@ -49,8 +49,8 @@ import numpy as np
 
 from .convexseq import (
     ConvexSequence,
+    construct,
     construct_dirichlet_like,
-    construct_small_alpha,
     intersect_count,
     shear,
 )
@@ -133,13 +133,15 @@ def regress(points: list[tuple[float, float]]) -> RegressionResult:
     """Least squares slope of log(value) against log(N).
 
     points are (N, value) pairs in natural units; both must be finite and
-    positive, and at least 3 points are required.
+    positive, and at least 3 points with at least 2 distinct N are required.
     """
     if len(points) < 3:
         raise ValueError(f"need >= 3 points, got {len(points)}")
     if not all(0 < n < math.inf and 0 < v < math.inf for n, v in points):
         raise ValueError("points must be finite and positive for a log-log fit")
     logs = [(math.log(n), math.log(v)) for n, v in points]
+    if len({x for x, _ in logs}) < 2:
+        raise ValueError("need >= 2 distinct N values for a slope")
     xs = np.array([p[0] for p in logs])
     ys = np.array([p[1] for p in logs])
     slope, intercept = np.polyfit(xs, ys, 1)
@@ -365,11 +367,7 @@ def intersection_scan(
     for alpha in alpha_list:
         pts = []
         for N in N_list:
-            if alpha >= 0.5:
-                seq = construct_dirichlet_like(N, alpha)
-            else:
-                seq = construct_small_alpha(N, alpha)
-            count, _ = intersect_count(seq, alpha)
+            count, _ = intersect_count(construct(N, alpha), alpha)
             pts.append((float(N), float(count)))
         r = regress(pts)
         target = (alpha + 1) / 3 if alpha >= 0.5 else alpha

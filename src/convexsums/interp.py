@@ -24,13 +24,20 @@ with m, h the segment midpoint and half-width and A in [pi/4, pi/2] solving
 A*cot(A) = D/slope, where D = (pi/4) * (minimum segment slope of f').  Then
 f'' = D at every segment endpoint, so the pieces join with matching second
 derivative, and f'' >= D everywhere.
+
+Pieces are held as float64 arrays, and one array kernel (_eval_pieces)
+evaluates these formulas for a single piece and for many points alike, with
+no Python loop per piece.  Rule: it takes the same IEEE operations in the
+same order as the scalar formulas, so its results equal theirs to the bit
+wherever np.sin/np.cos equal math.sin/math.cos (tests/test_interp.py checks
+both against a scalar math reference).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -41,6 +48,10 @@ C_RATIO_MAX = 1e6
 
 X_COT_X_TOL = 1e-12
 X_COT_X_MAX_ITER = 200
+# below this size scalar calls are cheaper: the vectorised bisection costs
+# about 0.5 ms whatever the size (40 halvings of a dozen numpy calls), a
+# scalar call about 10 us
+X_COT_X_ARRAY_MIN = 48
 
 
 class InterpolationError(ValueError):
@@ -52,6 +63,43 @@ class Knot:
     x: float
     y: float
     p: float  # prescribed derivative at x
+
+
+def _slope(x_lo, x_hi, p_lo, p_hi):
+    return (p_hi - p_lo) / (x_hi - x_lo)
+
+
+def _area(x_lo, x_hi, p_lo, p_hi):
+    # both kinds integrate to the trapezoid area: the sinusoid is odd
+    # about the midpoint, so its deviation from the mean integrates to 0
+    return 0.5 * (p_lo + p_hi) * (x_hi - x_lo)
+
+
+def _eval_pieces(x, x_lo, x_hi, p_lo, p_hi, angle, sinusoid):
+    """(integral of f' from x_lo to x, f'(x), f''(x)) on the given pieces.
+
+    The piece parameters are scalars or arrays that broadcast against x.
+    angle is unused (NaN on linear pieces) where sinusoid is False.  Both
+    formulas are formed and np.where keeps one, so no Python loop runs per
+    piece.
+    """
+    u = x - x_lo
+    slope = _slope(x_lo, x_hi, p_lo, p_hi)
+    m = 0.5 * (x_lo + x_hi)
+    h = 0.5 * (x_hi - x_lo)
+    sin_a = np.sin(angle)
+    amp = (p_hi - p_lo) / (2.0 * sin_a)
+    mean = 0.5 * (p_lo + p_hi)
+    phase = angle * (x - m) / h
+    cos_phase = np.cos(phase)
+    integral = np.where(
+        sinusoid,
+        mean * u - (amp / (angle / h)) * (cos_phase - np.cos(-angle)),
+        p_lo * u + 0.5 * slope * u * u,
+    )
+    deriv = np.where(sinusoid, mean + amp * np.sin(phase), p_lo + slope * u)
+    second = np.where(sinusoid, slope * (angle / sin_a) * cos_phase, slope)
+    return integral, deriv, second
 
 
 @dataclass(frozen=True)
@@ -70,108 +118,165 @@ class DerivativePiece:
     angle: float | None = None
 
     def slope(self) -> float:
-        return (self.p_hi - self.p_lo) / (self.x_hi - self.x_lo)
+        return _slope(self.x_lo, self.x_hi, self.p_lo, self.p_hi)
 
     def area(self) -> float:
-        # both kinds integrate to the trapezoid area: the sinusoid is odd
-        # about the midpoint, so its deviation from the mean integrates to 0
-        return 0.5 * (self.p_lo + self.p_hi) * (self.x_hi - self.x_lo)
+        return _area(self.x_lo, self.x_hi, self.p_lo, self.p_hi)
+
+    def _eval(self, x) -> tuple:
+        angle = math.nan if self.angle is None else self.angle
+        out = _eval_pieces(
+            np.asarray(x, dtype=float), self.x_lo, self.x_hi, self.p_lo, self.p_hi,
+            angle, self.kind != "linear",
+        )
+        return tuple(a[()] for a in out)  # a scalar x gives numpy scalars
 
     def deriv(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == "linear":
-            return self.p_lo + self.slope() * (x - self.x_lo)
-        m = 0.5 * (self.x_lo + self.x_hi)
-        h = 0.5 * (self.x_hi - self.x_lo)
-        amp = (self.p_hi - self.p_lo) / (2.0 * math.sin(self.angle))
-        return 0.5 * (self.p_lo + self.p_hi) + amp * np.sin(self.angle * (x - m) / h)
+        return self._eval(x)[1]
 
     def second(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == "linear":
-            return np.full_like(np.asarray(x, dtype=float), self.slope())
-        m = 0.5 * (self.x_lo + self.x_hi)
-        h = 0.5 * (self.x_hi - self.x_lo)
-        return self.slope() * (self.angle / math.sin(self.angle)) * np.cos(
-            self.angle * (x - m) / h
-        )
+        return self._eval(x)[2]
 
     def integral_from_lo(self, x: np.ndarray) -> np.ndarray:
         """Integral of f' from x_lo to x, closed form."""
-        u = x - self.x_lo
-        if self.kind == "linear":
-            return self.p_lo * u + 0.5 * self.slope() * u * u
-        m = 0.5 * (self.x_lo + self.x_hi)
-        h = 0.5 * (self.x_hi - self.x_lo)
-        amp = (self.p_hi - self.p_lo) / (2.0 * math.sin(self.angle))
-        mean = 0.5 * (self.p_lo + self.p_hi)
-        w = self.angle / h
-        return mean * u - (amp / w) * (
-            np.cos(self.angle * (x - m) / h) - math.cos(-self.angle)
-        )
+        return self._eval(x)[0]
 
 
-def solve_x_cot_x(y: float) -> float:
+def solve_x_cot_x(y):
     """Solve x*cot(x) = y for x in [pi/4, pi/2] by bisection.
 
     x*cot(x) decreases from pi/4 at x = pi/4 to 0 at x = pi/2, so the
-    equation has a unique root for y in [0, pi/4].
+    equation has a unique root for y in [0, pi/4].  A float gives a float.
+    An array is solved elementwise in one vectorised loop: each element
+    halves its own bracket until it is no wider than X_COT_X_TOL, so it
+    takes the same steps as its scalar call, which tests pin to the bit.
+    Arrays of fewer than X_COT_X_ARRAY_MIN values take the scalar calls,
+    which cost less than the vectorised loop's fixed cost per halving.
     """
-    if not 0.0 <= y <= math.pi / 4 + 1e-12:
-        raise ValueError(f"x*cot(x) = {y} has no root in [pi/4, pi/2]")
-    lo, hi = math.pi / 4, math.pi / 2
+    if np.ndim(y) == 0:
+        if not 0.0 <= y <= math.pi / 4 + 1e-12:
+            raise ValueError(f"x*cot(x) = {y} has no root in [pi/4, pi/2]")
+        lo, hi = math.pi / 4, math.pi / 2
+        for _ in range(X_COT_X_MAX_ITER):
+            mid = 0.5 * (lo + hi)
+            if mid * math.cos(mid) / math.sin(mid) > y:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= X_COT_X_TOL:
+                break
+        return 0.5 * (lo + hi)
+    y = np.asarray(y, dtype=float)
+    if y.size < X_COT_X_ARRAY_MIN:
+        return np.array([solve_x_cot_x(v) for v in y.ravel().tolist()]).reshape(y.shape)
+    bad = ~((0.0 <= y) & (y <= math.pi / 4 + 1e-12))
+    if bad.any():
+        raise ValueError(f"x*cot(x) = {y[bad][0]} has no root in [pi/4, pi/2]")
+    lo = np.full(y.shape, math.pi / 4)
+    hi = np.full(y.shape, math.pi / 2)
+    live = np.ones(y.shape, dtype=bool)
     for _ in range(X_COT_X_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if mid * math.cos(mid) / math.sin(mid) > y:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= X_COT_X_TOL:
+        above = mid * np.cos(mid) / np.sin(mid) > y
+        lo = np.where(live & above, mid, lo)
+        hi = np.where(live & ~above, mid, hi)
+        live &= hi - lo > X_COT_X_TOL
+        if not live.any():
             break
     return 0.5 * (lo + hi)
 
 
-@dataclass
+def _anchors(cols: np.ndarray, knot_xy: np.ndarray) -> np.ndarray:
+    """f at each piece's x_lo, for pieces given as the rows of cols.
+
+    Piece boundaries at knots carry the knot's x float verbatim, so exact
+    lookup is safe; re-anchoring there keeps f(x_i) = y_i exact (of equal
+    knot x, the last knot's y counts).  A piece that starts off the knots
+    continues from its left neighbour, f + area; the loop runs once per
+    link of the longest such chain (once for build_c1's split nodes).
+    """
+    x_lo = cols[0]
+    order = np.argsort(knot_xy[0], kind="stable")
+    kx, ky = knot_xy[:, order]
+    pos = np.searchsorted(kx, x_lo, side="right") - 1
+    known = (pos >= 0) & (kx[pos] == x_lo)
+    anchors = np.where(known, ky[pos], knot_xy[1, 0])
+    known[0] = True  # an off-knot first piece starts at the first knot's y
+    area = _area(*cols[:4])
+    while not known.all():
+        i = np.flatnonzero(known[:-1] & ~known[1:])
+        anchors[i + 1] = anchors[i] + area[i]
+        known[i + 1] = True
+    return anchors
+
+
 class ConvexInterpolant:
     """Piecewise representation of f' plus knot anchors for f itself.
 
     f values are recovered from exact per-piece antiderivatives anchored at
     the left knot of each pair, so f(x_i) = y_i to rounding error regardless
     of how many pieces precede.
+
+    The pieces live in the float64 rows x_lo, x_hi, p_lo, p_hi, angle of
+    _cols (angle NaN on linear pieces) and the flag _sinusoid; the
+    DerivativePiece list `pieces` is built from them on first use.
     """
 
-    knots: list[Knot]
-    pieces: list[DerivativePiece]
-    mode: str  # "C1" or "C2"
-    D: float  # curvature floor (C2); in C1 mode the would-be floor
-    pad_end: float | None = None  # right end of the padding piece, if any
+    def __init__(
+        self,
+        knots: list[Knot],
+        pieces: list[DerivativePiece],
+        mode: str,  # "C1" or "C2"
+        D: float,  # curvature floor (C2); in C1 mode the would-be floor
+        pad_end: float | None = None,  # right end of the padding piece, if any
+    ) -> None:
+        pieces = list(pieces)
+        cols = np.array(
+            [(p.x_lo, p.x_hi, p.p_lo, p.p_hi, math.nan if p.angle is None else p.angle)
+             for p in pieces],
+            dtype=float,
+        ).reshape(-1, 5).T
+        sinusoid = np.array([p.kind != "linear" for p in pieces], dtype=bool)
+        knot_xy = np.array([(k.x, k.y) for k in knots], dtype=float).reshape(-1, 2).T
+        self._set(knots, knot_xy, cols, sinusoid, mode, D, pad_end)
+        self._pieces = pieces
 
-    # anchors: f value at each piece's x_lo, rebuilt after any mutation
-    _anchors: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False)
-    _bounds: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False)
+    @classmethod
+    def _from_arrays(cls, knots, knot_xy, cols, sinusoid, mode, D, pad_end=None):
+        self = cls.__new__(cls)
+        self._set(knots, knot_xy, cols, sinusoid, mode, D, pad_end)
+        return self
 
-    def __post_init__(self) -> None:
-        self._rebuild_anchors()
+    def _set(self, knots, knot_xy, cols, sinusoid, mode, D, pad_end) -> None:
+        self.knots = knots
+        self.mode = mode
+        self.D = D
+        self.pad_end = pad_end
+        self._knot_xy = knot_xy
+        self._cols = cols
+        self._sinusoid = sinusoid
+        self._pieces = None
+        self._anchors = _anchors(cols, knot_xy)
+        self._bounds = np.append(cols[0], cols[1, -1])
 
-    def _rebuild_anchors(self) -> None:
-        # piece boundaries at knots carry the knot's x float verbatim, so
-        # exact lookup is safe; re-anchoring there keeps f(x_i) = y_i exact
-        y_at = {k.x: k.y for k in self.knots}
-        anchors = []
-        value = self.knots[0].y
-        for piece in self.pieces:
-            value = y_at.get(piece.x_lo, value)
-            anchors.append(value)
-            value = value + piece.area()
-        self._anchors = np.asarray(anchors)
-        self._bounds = np.asarray([p.x_lo for p in self.pieces] + [self.x_max()])
+    @property
+    def pieces(self) -> list[DerivativePiece]:
+        if self._pieces is None:
+            kinds = np.where(self._sinusoid, "sinusoid", "linear").tolist()
+            angles = np.where(self._sinusoid, self._cols[4], None).tolist()
+            self._pieces = list(
+                map(DerivativePiece, kinds, *self._cols[:4].tolist(), angles)
+            )
+        return self._pieces
 
     def x_min(self) -> float:
-        return self.pieces[0].x_lo
+        return float(self._bounds[0])
 
     def x_max(self) -> float:
-        return self.pieces[-1].x_hi
+        return float(self._bounds[-1])
 
     def min_segment_slope(self) -> float:
-        return min(p.slope() for p in self.pieces)
+        return float(_slope(*self._cols[:4]).min())
 
     def eval(self, x: float) -> tuple[float, float, float]:
         f, fp, fpp = self.eval_many(np.asarray([x]))
@@ -189,18 +294,9 @@ class ConvexInterpolant:
                 f"points outside domain [{self.x_min()}, {self.x_max()}]"
             )
         idx = np.searchsorted(self._bounds, x, side="right") - 1
-        idx = np.clip(idx, 0, len(self.pieces) - 1)
-        f = np.empty_like(x)
-        fp = np.empty_like(x)
-        fpp = np.empty_like(x)
-        for i in np.unique(idx):
-            piece = self.pieces[i]
-            mask = idx == i
-            xs = x[mask]
-            f[mask] = self._anchors[i] + piece.integral_from_lo(xs)
-            fp[mask] = piece.deriv(xs)
-            fpp[mask] = piece.second(xs)
-        return f, fp, fpp
+        idx = np.clip(idx, 0, len(self._anchors) - 1)
+        integral, fp, fpp = _eval_pieces(x, *self._cols[:, idx], self._sinusoid[idx])
+        return self._anchors[idx] + integral, fp, fpp
 
     def with_padding(self, x_end: float) -> "ConvexInterpolant":
         """Extend past the last knot with constant curvature D up to x_end."""
@@ -209,19 +305,15 @@ class ConvexInterpolant:
         if x_end <= self.x_max():
             return self
         x_lo = self.x_max()
-        p_lo = self.pieces[-1].p_hi
-        pad = DerivativePiece(
-            kind="linear",
-            x_lo=x_lo,
-            x_hi=x_end,
-            p_lo=p_lo,
-            p_hi=p_lo + self.D * (x_end - x_lo),
-        )
-        return ConvexInterpolant(
-            knots=self.knots,
-            pieces=self.pieces + [pad],
-            mode=self.mode,
-            D=self.D,
+        p_lo = self._cols[3, -1]
+        pad = [x_lo, x_end, p_lo, p_lo + self.D * (x_end - x_lo), math.nan]
+        return ConvexInterpolant._from_arrays(
+            self.knots,
+            self._knot_xy,
+            np.column_stack((self._cols, pad)),
+            np.append(self._sinusoid, False),
+            self.mode,
+            self.D,
             pad_end=x_end,
         )
 
@@ -254,43 +346,63 @@ class ConvexInterpolant:
             return cls.from_json_dict(json.load(fh))
 
 
-def _check_knots(knots: Sequence[Knot]) -> None:
+def _check_knots(knots: Sequence[Knot]) -> np.ndarray:
+    """The rows x, y, p of the knots, once they are strictly increasing."""
     if len(knots) < 2:
         raise InterpolationError(f"need >= 2 knots, got {len(knots)}")
-    for i, (a, b) in enumerate(zip(knots, knots[1:])):
-        if not (a.x < b.x and a.y < b.y and a.p < b.p):
-            raise InterpolationError(
-                f"knots {i},{i+1}: x, y, p must all be strictly increasing"
-            )
+    xyp = np.array([(k.x, k.y, k.p) for k in knots], dtype=float).T
+    rising = np.all(xyp[:, :-1] < xyp[:, 1:], axis=0)
+    if not rising.all():
+        i = int(np.argmin(rising))
+        raise InterpolationError(
+            f"knots {i},{i+1}: x, y, p must all be strictly increasing"
+        )
+    return xyp
+
+
+def _isclose(a, b, rel_tol: float, abs_tol: float) -> np.ndarray:
+    """math.isclose elementwise: symmetric in a and b, unlike np.isclose."""
+    diff = np.abs(b - a)
+    near = (diff <= np.abs(rel_tol * b)) | (diff <= np.abs(rel_tol * a)) | (diff <= abs_tol)
+    return (a == b) | (near & ~np.isinf(a) & ~np.isinf(b))
 
 
 def build_c1(knots: Sequence[Knot]) -> ConvexInterpolant:
     """Convex C1 interpolant: f' piecewise linear, two pieces per knot pair."""
     knots = list(knots)
-    _check_knots(knots)
-    pieces: list[DerivativePiece] = []
-    for i, (k1, k2) in enumerate(zip(knots, knots[1:])):
-        dx = k2.x - k1.x
-        s = (k2.y - k1.y) / dx
-        if not (k1.p < s < k2.p):
-            raise InterpolationError(
-                f"pair {i}: chord slope {s:.6g} not strictly between "
-                f"p1={k1.p:.6g} and p2={k2.p:.6g}"
-            )
-        c = (s - k1.p) / (k2.p - s)
-        if not (C_RATIO_MIN <= c <= C_RATIO_MAX):
-            raise InterpolationError(f"pair {i}: split ratio {c:.6g} out of range")
-        x0 = (k2.x + c * k1.x) / (1.0 + c)
-        p0 = k2.p + (x0 - k1.x) * (k1.p - k2.p) / dx
-        left = DerivativePiece("linear", k1.x, x0, k1.p, p0)
-        right = DerivativePiece("linear", x0, k2.x, p0, k2.p)
+    x, y, p = xyp = _check_knots(knots)
+    x1, x2, p1, p2 = x[:-1], x[1:], p[:-1], p[1:]
+    dx = x2 - x1
+    s = (y[1:] - y[:-1]) / dx
+    # a pair that fails a check may divide by zero here; it is reported below
+    with np.errstate(all="ignore"):
+        c = (s - p1) / (p2 - s)
+        x0 = (x2 + c * x1) / (1.0 + c)
+        p0 = p2 + (x0 - x1) * (p1 - p2) / dx
         # area identity: trapezoids under f' must reproduce y2 - y1
-        area = left.area() + right.area()
-        if not math.isclose(area, k2.y - k1.y, rel_tol=1e-9, abs_tol=1e-300):
-            raise InterpolationError(f"pair {i}: area identity failed")  # pragma: no cover
-        pieces.extend([left, right])
-    D = (math.pi / 4.0) * min(p.slope() for p in pieces)
-    return ConvexInterpolant(knots=knots, pieces=pieces, mode="C1", D=D)
+        area = _area(x1, x0, p1, p0) + _area(x0, x2, p0, p2)
+        area_ok = _isclose(area, y[1:] - y[:-1], rel_tol=1e-9, abs_tol=1e-300)
+    chord_ok = (p1 < s) & (s < p2)
+    ratio_ok = (C_RATIO_MIN <= c) & (c <= C_RATIO_MAX)
+    bad = np.flatnonzero(~(chord_ok & ratio_ok & area_ok))
+    if bad.size:  # the first failing pair, with its first failing check
+        i = int(bad[0])
+        if not chord_ok[i]:
+            raise InterpolationError(
+                f"pair {i}: chord slope {s[i]:.6g} not strictly between "
+                f"p1={p1[i]:.6g} and p2={p2[i]:.6g}"
+            )
+        if not ratio_ok[i]:
+            raise InterpolationError(f"pair {i}: split ratio {c[i]:.6g} out of range")
+        raise InterpolationError(f"pair {i}: area identity failed")  # pragma: no cover
+    # rows x_lo, x_hi, p_lo, p_hi, angle; pair i gives pieces 2i and 2i+1
+    nan = np.full_like(x0, math.nan)
+    cols = np.stack([x1, x0, x0, x2, p1, p0, p0, p2, nan, nan])
+    cols = cols.reshape(5, 2, -1).transpose(0, 2, 1).reshape(5, -1)
+    D = (math.pi / 4.0) * float(_slope(*cols[:4]).min())
+    return ConvexInterpolant._from_arrays(
+        knots, xyp[:2], cols, np.zeros(cols.shape[1], dtype=bool), "C1", D
+    )
 
 
 def upgrade_c2(interp: ConvexInterpolant) -> ConvexInterpolant:
@@ -302,13 +414,11 @@ def upgrade_c2(interp: ConvexInterpolant) -> ConvexInterpolant:
     if interp.mode != "C1":
         raise InterpolationError("upgrade_c2 expects a C1 interpolant")
     D = interp.D
-    pieces = []
-    for p in interp.pieces:
-        angle = solve_x_cot_x(D / p.slope())
-        pieces.append(
-            DerivativePiece("sinusoid", p.x_lo, p.x_hi, p.p_lo, p.p_hi, angle=angle)
-        )
-    return ConvexInterpolant(knots=interp.knots, pieces=pieces, mode="C2", D=D)
+    cols = interp._cols.copy()
+    cols[4] = solve_x_cot_x(D / _slope(*cols[:4]))
+    return ConvexInterpolant._from_arrays(
+        interp.knots, interp._knot_xy, cols, np.ones(cols.shape[1], dtype=bool), "C2", D
+    )
 
 
 def knots_from_sequence(seq, N: int | None = None) -> list[Knot]:
@@ -336,8 +446,6 @@ def knots_from_sequence(seq, N: int | None = None) -> list[Knot]:
     d2 = np.diff(ext, 2)
     if np.any(d2 <= 0.0):
         raise InterpolationError("sequence is not strictly convex after extension")
-    knots = []
-    for i in range(1, N + 1):
-        p = 0.5 * N * (ext[i + 1] - ext[i - 1])
-        knots.append(Knot(x=i / N, y=ext[i], p=p))
-    return knots
+    x = np.arange(1, N + 1) / N
+    p = 0.5 * N * (ext[2:] - ext[:-2])
+    return list(map(Knot, x.tolist(), ext[1:-1].tolist(), p.tolist()))

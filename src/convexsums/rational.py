@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import decimal
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
@@ -47,10 +48,10 @@ class Fraction:
         return f"{self.num}/{self.den}"
 
 
-def enumerate_fractions(lo: Endpoint, hi: Endpoint, qmax: int) -> list[Q]:
-    """All distinct rationals in [lo, hi] with reduced denominator <= qmax.
+def _farey_walk(lo: Endpoint, hi: Endpoint, qmax: int) -> Iterator[tuple[int, int]]:
+    """(num, den) of each rational in [lo, hi] with reduced denominator <= qmax.
 
-    Returned strictly increasing, as fractions.Fraction; endpoints included.
+    Yields strictly increasing terms in lowest terms; endpoints included.
     Walks the Farey sequence of order qmax (Graham-Knuth-Patashnik, Concrete
     Mathematics 4.5): neighbours a/b < c/d satisfy bc - ad = 1, and the term
     after c/d is (kc - a)/(kd - b) with k = floor((qmax + b)/d).  Every
@@ -71,21 +72,29 @@ def enumerate_fractions(lo: Endpoint, hi: Endpoint, qmax: int) -> list[Q]:
         if p * b < a * q:
             a, b = p, q
     if a * hd > hn * b:
-        return []
+        return
     # its right neighbour: bc - ad = 1 with the largest d <= qmax
     d0 = -pow(a, -1, b) % b
     d = d0 + (qmax - d0) // b * b
     c = (1 + a * d) // b
-    out = [Q(a, b)]
+    yield a, b
     while c * hd <= hn * d:
-        out.append(Q(c, d))
+        yield c, d
         k = (qmax + b) // d
         a, b, c, d = c, d, k * c - a, k * d - b
-    return out
+
+
+def enumerate_fractions(lo: Endpoint, hi: Endpoint, qmax: int) -> list[Q]:
+    """All distinct rationals in [lo, hi] with reduced denominator <= qmax.
+
+    Returned strictly increasing, as fractions.Fraction; endpoints included.
+    """
+    return [Q(n, d) for n, d in _farey_walk(lo, hi, qmax)]
 
 
 def count_fractions(lo: Endpoint, hi: Endpoint, qmax: int) -> int:
-    return len(enumerate_fractions(lo, hi, qmax))
+    """len(enumerate_fractions(lo, hi, qmax)), without building the fractions."""
+    return sum(1 for _ in _farey_walk(lo, hi, qmax))
 
 
 def mediant(f1: Fraction, f2: Fraction) -> Fraction:

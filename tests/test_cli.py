@@ -251,6 +251,24 @@ class TestBadInput:
         err = _error_exit(["regress", path], capsys)
         assert "finite" in err
 
+    def test_regress_one_distinct_N_exit1(self, tmp_path, capsys):
+        path = _write_json(tmp_path, [[64, 8], [64, 8], [64, 9]])
+        err = _error_exit(["regress", path], capsys)
+        assert "distinct N" in err
+
+    def test_scan_one_distinct_N_exit1(self, capsys):
+        err = _error_exit(["scan", "--N", "64,64,64", "--alpha", "1"], capsys)
+        assert "distinct N" in err
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    @pytest.mark.parametrize("cmd", [["interp", "--N", "64"], ["construct", "--N", "64"],
+                                     ["scan", "--N", "64,128,256"]],
+                             ids=["interp", "construct", "scan"])
+    def test_non_finite_alpha_exit1(self, cmd, alpha, tmp_path, capsys):
+        out = ["--out", str(tmp_path / "s")] if cmd[0] == "construct" else []
+        err = _error_exit([*cmd, "--alpha", alpha, *out], capsys)
+        assert err == f"error: alpha must be a finite number in [0, 2], got {alpha}\n"
+
     @pytest.mark.parametrize("cmd", ["validate", "interp"])
     def test_csv_without_a_n_column_exit1(self, cmd, tmp_path, capsys):
         path = str(_quadratic_csv(tmp_path, header="n,value,exact_num,exact_den"))
@@ -321,12 +339,17 @@ class TestBadInput:
 class TestTracingContract:
     """perfbench/tracing.py rebinds these functions by name to time them."""
 
-    def test_tracer_spans_and_uninstall(self, capsys, monkeypatch):
+    @staticmethod
+    def _tracing(monkeypatch):
         path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
         spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
         tracing = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, spec.name, tracing)  # for its dataclasses
         spec.loader.exec_module(tracing)
+        return tracing
+
+    def test_tracer_spans_and_uninstall(self, capsys, monkeypatch):
+        tracing = self._tracing(monkeypatch)
         mods = {m: importlib.import_module(f"convexsums.{m}") for m in tracing.MODULES}
         before = {(m, k): v for m, mod in mods.items() for k, v in vars(mod).items()
                   if callable(v)}
@@ -350,6 +373,23 @@ class TestTracingContract:
         assert all(after[key] is fn for key, fn in before.items())
         assert experiments.EXPERIMENTS == table
         assert mods["interp"].ConvexInterpolant.eval_many is eval_many
+
+    def test_interp_layer_spans(self, capsys, monkeypatch):
+        tracing = self._tracing(monkeypatch)
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            code = cli.main(["interp", "--N", "64", "--alpha", "1"])
+        finally:
+            tracer.uninstall()
+        capsys.readouterr()
+        assert code == 0
+        spans = {s.name: s for s in tracer.spans}
+        assert {"interp.build_c1", "interp.upgrade_c2", "interp.eval_many"} <= set(spans)
+        # 64 knots from knots_from_sequence: 63 pairs, two pieces each
+        assert spans["interp.upgrade_c2"].attrs == {"pieces": 126}
+        evals = [s for s in tracer.spans if s.name == "interp.eval_many"]
+        assert [s.attrs["points"] for s in evals[-2:]] == [64, 2000]
 
 
 # N = 32 specs on a grid of Mx = 128 by Mt = 700 t-rows: three row blocks,

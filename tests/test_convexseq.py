@@ -10,6 +10,7 @@ from convexsums.convexseq import (
     ConstructionError,
     ConvexSequence,
     LatticeHit,
+    construct,
     construct_dirichlet_like,
     construct_small_alpha,
     intersect_count,
@@ -201,6 +202,20 @@ class TestSmallAlpha:
     def test_domain_rejected(self):
         with pytest.raises(ValueError):
             construct_small_alpha(64, 0.75)
+
+
+class TestConstruct:
+    @pytest.mark.parametrize("alpha, build", [(0.25, construct_small_alpha),
+                                              (0.5, construct_dirichlet_like),
+                                              (2.0, construct_dirichlet_like)])
+    def test_picks_the_construction(self, alpha, build):
+        got, want = construct(256, alpha), build(256, alpha)
+        assert np.array_equal(got.values, want.values) and got.hits == want.hits
+
+    @pytest.mark.parametrize("alpha", [-0.1, 2.5, math.nan, math.inf, -math.inf])
+    def test_alpha_outside_0_2_rejected(self, alpha):
+        with pytest.raises(ValueError, match=r"\[0, 2\]"):
+            construct(256, alpha)
 
 
 class TestShear:

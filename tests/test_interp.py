@@ -14,6 +14,7 @@ from convexsums.interp import (
     solve_x_cot_x,
     upgrade_c2,
 )
+from test_acceptance import _random_knots
 
 
 def quad_knots(n=5, a=0.7, b=0.3):
@@ -40,6 +41,27 @@ class TestSolveXCotX:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             solve_x_cot_x(1.0)
+
+    def test_array_matches_scalar_calls(self):
+        ys = np.concatenate([np.linspace(0.0, math.pi / 4, 10_000), [math.pi / 4 + 1e-12]])
+        got = solve_x_cot_x(ys)
+        assert got.shape == ys.shape
+        assert got.tolist() == [solve_x_cot_x(y) for y in ys.tolist()]
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 47, 48, 49])
+    def test_small_arrays_match_scalar_calls(self, n):
+        ys = np.linspace(0.0, math.pi / 4, n)
+        got = solve_x_cot_x(ys)
+        assert isinstance(got, np.ndarray) and got.shape == (n,)
+        assert got.tolist() == [solve_x_cot_x(y) for y in ys.tolist()]
+
+    @pytest.mark.parametrize("n", [9, 100])
+    @pytest.mark.parametrize("bad", [-1e-3, 1.0, math.nan])
+    def test_array_with_one_out_of_range_raises(self, bad, n):
+        ys = np.linspace(0.1, 0.7, n)
+        ys[4] = bad
+        with pytest.raises(ValueError, match="no root"):
+            solve_x_cot_x(ys)
 
 
 class TestBuildC1:
@@ -151,6 +173,100 @@ class TestEval:
         xs = np.linspace(f.x_min(), f.x_max(), 101)
         for a, b in zip(f.eval_many(xs), g.eval_many(xs)):
             assert np.array_equal(a, b)
+
+
+def _reference_piece(pc, x: float) -> tuple[float, float, float]:
+    """(integral of f' from x_lo, f', f'') at x: the module docstring's
+    formulas for one piece, in scalar math."""
+    u = x - pc.x_lo
+    slope = (pc.p_hi - pc.p_lo) / (pc.x_hi - pc.x_lo)
+    if pc.kind == "linear":
+        return pc.p_lo * u + 0.5 * slope * u * u, pc.p_lo + slope * u, slope
+    a = pc.angle
+    m = 0.5 * (pc.x_lo + pc.x_hi)
+    h = 0.5 * (pc.x_hi - pc.x_lo)
+    amp = (pc.p_hi - pc.p_lo) / (2.0 * math.sin(a))
+    mean = 0.5 * (pc.p_lo + pc.p_hi)
+    phase = a * (x - m) / h
+    return (
+        mean * u - (amp / (a / h)) * (math.cos(phase) - math.cos(-a)),
+        mean + amp * math.sin(phase),
+        slope * (a / math.sin(a)) * math.cos(phase),
+    )
+
+
+def _reference_eval(f: ConvexInterpolant, x: float) -> tuple[float, float, float]:
+    """(f, f', f'') at x, one piece at a time in scalar math.
+
+    The piece is the last one with x_lo <= x (the first if none).  f there
+    is the knot value at the piece's left end, or else the running sum of
+    trapezoid areas since the last knot, plus the piece's integral.
+    """
+    pieces = f.pieces
+    i = max([j for j, pc in enumerate(pieces) if pc.x_lo <= x] or [0])
+    y_at = {k.x: k.y for k in f.knots}
+    anchor = f.knots[0].y
+    for pc in pieces[:i]:
+        anchor = y_at.get(pc.x_lo, anchor) + 0.5 * (pc.p_lo + pc.p_hi) * (pc.x_hi - pc.x_lo)
+    anchor = y_at.get(pieces[i].x_lo, anchor)
+    integral, deriv, second = _reference_piece(pieces[i], x)
+    return anchor + integral, deriv, second
+
+
+class TestArrayKernel:
+    """eval_many gathers per-point piece parameters; pin it to scalar math."""
+
+    @staticmethod
+    def _interpolants(rng):
+        f1 = build_c1(_random_knots(rng))
+        f2 = upgrade_c2(f1)
+        return f1, f2, f2.with_padding(f2.x_max() + float(rng.uniform(0.1, 2.0)))
+
+    def test_eval_many_bit_identical_to_scalar_reference(self):
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            for f in self._interpolants(rng):
+                xs = np.concatenate([
+                    np.linspace(f.x_min(), f.x_max(), 41),
+                    [pc.x_lo for pc in f.pieces],
+                    [k.x for k in f.knots],
+                ])
+                got = np.column_stack(f.eval_many(xs))
+                want = np.array([_reference_eval(f, x) for x in xs.tolist()])
+                assert np.array_equal(got, want), f.mode
+
+    def test_piece_methods_bit_identical_to_scalar_reference(self):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            for f in self._interpolants(rng):
+                for pc in f.pieces:
+                    x = np.linspace(pc.x_lo, pc.x_hi, 7)
+                    got = np.column_stack(
+                        [pc.integral_from_lo(x), pc.deriv(x), pc.second(x)]
+                    )
+                    want = np.array([_reference_piece(pc, v) for v in x.tolist()])
+                    assert np.array_equal(got, want)
+                    assert pc.deriv(pc.x_hi) == want[-1, 1]
+
+    def test_mixed_pieces_equal_each_piece_alone(self):
+        rng = np.random.default_rng(13)
+        f = upgrade_c2(build_c1(_random_knots(rng))).with_padding(12.0)
+        assert {pc.kind for pc in f.pieces} == {"sinusoid", "linear"}
+        xs = np.sort(rng.uniform(f.x_min(), f.x_max(), 500))
+        together = f.eval_many(xs)
+        idx = np.searchsorted([pc.x_lo for pc in f.pieces], xs, side="right") - 1
+        for i in np.unique(idx):
+            alone = f.eval_many(xs[idx == i])
+            for a, b in zip(together, alone):
+                assert np.array_equal(a[idx == i], b)
+
+    def test_pieces_survive_json(self, tmp_path):
+        f = upgrade_c2(build_c1(_random_knots(np.random.default_rng(14)))).with_padding(20.0)
+        path = tmp_path / "f.json"
+        f.dump_json(str(path))
+        g = ConvexInterpolant.load_json(str(path))
+        assert g.pieces == f.pieces and g.knots == f.knots
+        assert (g.mode, g.D, g.pad_end) == (f.mode, f.D, f.pad_end)
 
 
 class TestKnotsFromSequence:

@@ -52,7 +52,8 @@ class RunConfig:
 
 def _emit(config: RunConfig, result, out: str | None) -> None:
     doc = {"config": config.to_json_dict(), "version": __version__, "result": result}
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    # a non-finite float is no JSON: it fails here as one `error:` line
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)

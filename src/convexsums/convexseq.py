@@ -182,7 +182,9 @@ class ConvexityReport:
             "first_diff_max": self.first_diff_max,
             "second_diff_min": self.second_diff_min,
             "second_diff_max": self.second_diff_max,
-            "tightest_C": self.tightest_C,
+            # null when no finite C exists (the sequence is not increasing
+            # and strictly convex)
+            "tightest_C": self.tightest_C if self.tightest_C < math.inf else None,
             "pass": self.passed,
             "theta": self.theta,
         }
@@ -332,7 +334,7 @@ def _finalize(
             values[n - 1] = (m * scale) * step_f
             hit_data[k] = (n, m * scale)
     hits = [LatticeHit(n=n, alpha=alpha, num=m) for n, m in hit_data]
-    meta = dict(meta, scale=scale, tightest_C=tightest)
+    meta = dict(meta, scale=scale, tightest_C=tightest if tightest < math.inf else None)
     return ConvexSequence(N=N, values=values, hits=hits, meta=meta)
 
 

@@ -76,12 +76,16 @@ class ExpSumSpec:
                 raise ValueError(f"{name} has non-finite entries")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.sum(np.abs(b))):
+                raise ValueError("||b||_1 overflows the float range")
 
     def norm_b1(self) -> float:
         return float(np.sum(np.abs(self.b)))
 
     def norm_b2(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.b) ** 2)))
+        with np.errstate(over="ignore"):  # inf past 1.3e154; _level_report rejects it
+            return float(np.sqrt(np.sum(np.abs(self.b) ** 2)))
 
     def support(self) -> np.ndarray:
         """Indices (0-based) of the nonzero coefficients."""
@@ -340,7 +344,8 @@ def sup_norm_Lp(
     sup_direction "t": outer variable x, value = (sum_x (max_t |f|)^p dx)^{1/p}.
     sup_direction "x": outer variable t, likewise with dt.
     with_levels: return (norm, dyadic_level_report(spec, grid, sup_direction))
-    from the same single pass over the grid.
+    from the same single pass over the grid.  ValueError when the sum of
+    (sup |f|)^p leaves the float range: inf, or 0 while max |f| > 0.
     """
     if not 1 <= p < math.inf:
         raise ValueError(f"p must be finite and >= 1, got {p}")
@@ -349,7 +354,16 @@ def sup_norm_Lp(
 
     sup, arg, masks, k_min = _sweep(spec, grid, sup_direction, threads, with_levels)
     cell = grid.dx if sup_direction == "t" else grid.dt
-    value = math.fsum(v**p for v in sup) * cell
+    try:
+        with np.errstate(over="ignore"):
+            value = math.fsum(v**p for v in sup) * cell
+    except OverflowError:  # fsum's partial sums left the float range
+        value = math.inf
+    if value == math.inf or (value == 0 and sup.max() > 0):
+        raise ValueError(
+            f"(sup |f|)^p summed over the grid is {value} in floats at p = {p} "
+            f"(max |f| = {sup.max()})"
+        )
     outer = int(np.argmax(sup))
     inner = int(arg[outer])
     k_star, l_star = (outer, inner) if sup_direction == "t" else (inner, outer)
@@ -446,15 +460,20 @@ def _level_report(
     masks: np.ndarray,
     k_min: int,
     max_abs: float,
-    levels: int = _LEVELS,
 ) -> LevelSetReport:
     """The dyadic ladder read off the exponent bitmasks of _sweep."""
     cell = grid.dx if direction == "t" else grid.dt
     exponent = 7.0 / 3.0 if direction == "t" else 8.0 / 3.0
-    denom = spec.N**exponent * spec.norm_b2() ** 4
+    try:
+        b2_4 = spec.norm_b2() ** 4
+    except OverflowError:
+        b2_4 = math.inf
+    if not 0 < b2_4 < math.inf:
+        raise ValueError(f"||b||_2^4 = {b2_4} in floats (||b||_2 = {spec.norm_b2()})")
+    denom = spec.N**exponent * b2_4
     k_hi = math.floor(math.log2(max_abs)) if max_abs > 0 else k_min
     alphas, measures, stats = [], [], []
-    for k in range(k_hi, max(k_min, k_hi - levels) - 1, -1):
+    for k in range(k_hi, max(k_min, k_hi - _LEVELS) - 1, -1):
         bit = np.uint64(1) << np.uint64(k - k_min)
         measure = float(np.count_nonzero(masks & bit != 0) * cell)
         alpha = float(2.0 ** (k + 1))
@@ -476,7 +495,6 @@ def dyadic_level_report(
     spec: ExpSumSpec,
     grid: GridSpec,
     direction: str,
-    levels: int = _LEVELS,
     threads: int | None = None,
 ) -> LevelSetReport:
     """Level-set projections for all dyadic bands, one pass over the grid.
@@ -488,4 +506,4 @@ def dyadic_level_report(
     if direction not in ("t", "x"):
         raise ValueError("direction must be 't' or 'x'")
     sup, _, masks, k_min = _sweep(spec, grid, direction, threads, with_levels=True)
-    return _level_report(spec, grid, direction, masks, k_min, float(sup.max()), levels)
+    return _level_report(spec, grid, direction, masks, k_min, float(sup.max()))

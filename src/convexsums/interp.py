@@ -37,7 +37,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -49,8 +50,8 @@ C_RATIO_MAX = 1e6
 X_COT_X_TOL = 1e-12
 X_COT_X_MAX_ITER = 200
 # below this size scalar calls are cheaper: the vectorised bisection costs
-# about 0.5 ms whatever the size (40 halvings of a dozen numpy calls), a
-# scalar call about 10 us
+# about 0.3 ms whatever the size (40 halvings of about ten numpy calls), a
+# scalar call about 7-10 us
 X_COT_X_ARRAY_MIN = 48
 
 
@@ -120,9 +121,6 @@ class DerivativePiece:
     def slope(self) -> float:
         return _slope(self.x_lo, self.x_hi, self.p_lo, self.p_hi)
 
-    def area(self) -> float:
-        return _area(self.x_lo, self.x_hi, self.p_lo, self.p_hi)
-
     def _eval(self, x) -> tuple:
         angle = math.nan if self.angle is None else self.angle
         out = _eval_pieces(
@@ -147,9 +145,10 @@ def solve_x_cot_x(y):
 
     x*cot(x) decreases from pi/4 at x = pi/4 to 0 at x = pi/2, so the
     equation has a unique root for y in [0, pi/4].  A float gives a float.
-    An array is solved elementwise in one vectorised loop: each element
-    halves its own bracket until it is no wider than X_COT_X_TOL, so it
-    takes the same steps as its scalar call, which tests pin to the bit.
+    An array is solved elementwise in one vectorised loop that halves every
+    bracket until all are no wider than X_COT_X_TOL.  All brackets start as
+    [pi/4, pi/2] and shrink alike, so each stops after the same 40 halvings
+    as its scalar call (widths near 7.1e-13), which tests pin to the bit.
     Arrays of fewer than X_COT_X_ARRAY_MIN values take the scalar calls,
     which cost less than the vectorised loop's fixed cost per halving.
     """
@@ -174,14 +173,12 @@ def solve_x_cot_x(y):
         raise ValueError(f"x*cot(x) = {y[bad][0]} has no root in [pi/4, pi/2]")
     lo = np.full(y.shape, math.pi / 4)
     hi = np.full(y.shape, math.pi / 2)
-    live = np.ones(y.shape, dtype=bool)
     for _ in range(X_COT_X_MAX_ITER):
         mid = 0.5 * (lo + hi)
         above = mid * np.cos(mid) / np.sin(mid) > y
-        lo = np.where(live & above, mid, lo)
-        hi = np.where(live & ~above, mid, hi)
-        live &= hi - lo > X_COT_X_TOL
-        if not live.any():
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+        if (hi - lo).max() <= X_COT_X_TOL:
             break
     return 0.5 * (lo + hi)
 
@@ -218,36 +215,21 @@ class ConvexInterpolant:
     of how many pieces precede.
 
     The pieces live in the float64 rows x_lo, x_hi, p_lo, p_hi, angle of
-    _cols (angle NaN on linear pieces) and the flag _sinusoid; the
-    DerivativePiece list `pieces` is built from them on first use.
+    cols (angle NaN on linear pieces) and the flag sinusoid; knot_xy holds
+    the knots' x and y rows.  The DerivativePiece list `pieces` and the
+    anchors are built from them on first use.
     """
 
     def __init__(
         self,
         knots: list[Knot],
-        pieces: list[DerivativePiece],
+        knot_xy: np.ndarray,
+        cols: np.ndarray,
+        sinusoid: np.ndarray,
         mode: str,  # "C1" or "C2"
         D: float,  # curvature floor (C2); in C1 mode the would-be floor
         pad_end: float | None = None,  # right end of the padding piece, if any
     ) -> None:
-        pieces = list(pieces)
-        cols = np.array(
-            [(p.x_lo, p.x_hi, p.p_lo, p.p_hi, math.nan if p.angle is None else p.angle)
-             for p in pieces],
-            dtype=float,
-        ).reshape(-1, 5).T
-        sinusoid = np.array([p.kind != "linear" for p in pieces], dtype=bool)
-        knot_xy = np.array([(k.x, k.y) for k in knots], dtype=float).reshape(-1, 2).T
-        self._set(knots, knot_xy, cols, sinusoid, mode, D, pad_end)
-        self._pieces = pieces
-
-    @classmethod
-    def _from_arrays(cls, knots, knot_xy, cols, sinusoid, mode, D, pad_end=None):
-        self = cls.__new__(cls)
-        self._set(knots, knot_xy, cols, sinusoid, mode, D, pad_end)
-        return self
-
-    def _set(self, knots, knot_xy, cols, sinusoid, mode, D, pad_end) -> None:
         self.knots = knots
         self.mode = mode
         self.D = D
@@ -255,25 +237,22 @@ class ConvexInterpolant:
         self._knot_xy = knot_xy
         self._cols = cols
         self._sinusoid = sinusoid
-        self._pieces = None
-        self._anchors = _anchors(cols, knot_xy)
-        self._bounds = np.append(cols[0], cols[1, -1])
 
-    @property
+    @cached_property
     def pieces(self) -> list[DerivativePiece]:
-        if self._pieces is None:
-            kinds = np.where(self._sinusoid, "sinusoid", "linear").tolist()
-            angles = np.where(self._sinusoid, self._cols[4], None).tolist()
-            self._pieces = list(
-                map(DerivativePiece, kinds, *self._cols[:4].tolist(), angles)
-            )
-        return self._pieces
+        kinds = np.where(self._sinusoid, "sinusoid", "linear").tolist()
+        angles = np.where(self._sinusoid, self._cols[4], None).tolist()
+        return list(map(DerivativePiece, kinds, *self._cols[:4].tolist(), angles))
+
+    @cached_property
+    def _f_lo(self) -> np.ndarray:
+        return _anchors(self._cols, self._knot_xy)
 
     def x_min(self) -> float:
-        return float(self._bounds[0])
+        return float(self._cols[0, 0])
 
     def x_max(self) -> float:
-        return float(self._bounds[-1])
+        return float(self._cols[1, -1])
 
     def min_segment_slope(self) -> float:
         return float(_slope(*self._cols[:4]).min())
@@ -290,13 +269,11 @@ class ConvexInterpolant:
         x = np.asarray(x, dtype=float)
         slack = 1e-9 * max(1.0, self.x_max())
         if x.size and (x.min() < self.x_min() - slack or x.max() > self.x_max() + slack):
-            raise ValueError(
-                f"points outside domain [{self.x_min()}, {self.x_max()}]"
-            )
-        idx = np.searchsorted(self._bounds, x, side="right") - 1
-        idx = np.clip(idx, 0, len(self._anchors) - 1)
+            raise ValueError(f"points outside domain [{self.x_min()}, {self.x_max()}]")
+        idx = np.searchsorted(self._cols[0], x, side="right") - 1
+        idx = np.clip(idx, 0, self._cols.shape[1] - 1)
         integral, fp, fpp = _eval_pieces(x, *self._cols[:, idx], self._sinusoid[idx])
-        return self._anchors[idx] + integral, fp, fpp
+        return self._f_lo[idx] + integral, fp, fpp
 
     def with_padding(self, x_end: float) -> "ConvexInterpolant":
         """Extend past the last knot with constant curvature D up to x_end."""
@@ -307,14 +284,9 @@ class ConvexInterpolant:
         x_lo = self.x_max()
         p_lo = self._cols[3, -1]
         pad = [x_lo, x_end, p_lo, p_lo + self.D * (x_end - x_lo), math.nan]
-        return ConvexInterpolant._from_arrays(
-            self.knots,
-            self._knot_xy,
-            np.column_stack((self._cols, pad)),
-            np.append(self._sinusoid, False),
-            self.mode,
-            self.D,
-            pad_end=x_end,
+        return ConvexInterpolant(
+            self.knots, self._knot_xy, np.column_stack((self._cols, pad)),
+            np.append(self._sinusoid, False), self.mode, self.D, pad_end=x_end,
         )
 
     def to_json_dict(self) -> dict:
@@ -332,12 +304,16 @@ class ConvexInterpolant:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ConvexInterpolant":
+        knots = [Knot(**k) for k in d["knots"]]
+        pieces = [DerivativePiece(**p) for p in d["pieces"]]
+        # astuple rows: (x, y, p) per knot, (kind, x_lo, ..., angle) per piece;
+        # a None angle becomes NaN in a float array
         return cls(
-            knots=[Knot(**k) for k in d["knots"]],
-            pieces=[DerivativePiece(**p) for p in d["pieces"]],
-            mode=d["mode"],
-            D=d["D"],
-            pad_end=d.get("pad_end"),
+            knots,
+            np.array([astuple(k)[:2] for k in knots], dtype=float).reshape(-1, 2).T,
+            np.array([astuple(p)[1:] for p in pieces], dtype=float).reshape(-1, 5).T,
+            np.array([p.kind != "linear" for p in pieces], dtype=bool),
+            d["mode"], d["D"], d.get("pad_end"),
         )
 
     @classmethod
@@ -400,7 +376,7 @@ def build_c1(knots: Sequence[Knot]) -> ConvexInterpolant:
     cols = np.stack([x1, x0, x0, x2, p1, p0, p0, p2, nan, nan])
     cols = cols.reshape(5, 2, -1).transpose(0, 2, 1).reshape(5, -1)
     D = (math.pi / 4.0) * float(_slope(*cols[:4]).min())
-    return ConvexInterpolant._from_arrays(
+    return ConvexInterpolant(
         knots, xyp[:2], cols, np.zeros(cols.shape[1], dtype=bool), "C1", D
     )
 
@@ -416,7 +392,7 @@ def upgrade_c2(interp: ConvexInterpolant) -> ConvexInterpolant:
     D = interp.D
     cols = interp._cols.copy()
     cols[4] = solve_x_cot_x(D / _slope(*cols[:4]))
-    return ConvexInterpolant._from_arrays(
+    return ConvexInterpolant(
         interp.knots, interp._knot_xy, cols, np.ones(cols.shape[1], dtype=bool), "C2", D
     )
 
@@ -443,8 +419,7 @@ def knots_from_sequence(seq, N: int | None = None) -> list[Knot]:
     a0 = 2.0 * a[0] - a[1] + step
     a_next = 2.0 * a[-1] - a[-2] + step
     ext = np.concatenate([[a0], a, [a_next]])
-    d2 = np.diff(ext, 2)
-    if np.any(d2 <= 0.0):
+    if np.any(np.diff(ext, 2) <= 0.0):
         raise InterpolationError("sequence is not strictly convex after extension")
     x = np.arange(1, N + 1) / N
     p = 0.5 * N * (ext[2:] - ext[:-2])

@@ -1,13 +1,18 @@
+import contextlib
 import importlib.util
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import convexsums
 from convexsums import cli, experiments, expsum
@@ -26,6 +31,13 @@ def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 class TestConstructValidate:
@@ -59,10 +71,19 @@ class TestConstructValidate:
         p.write_text("\n".join(rows) + "\n")
         code, out, _ = run_cli(["validate", str(p)], capsys)
         assert code == 2
-        doc = json.loads(out)
+        doc = strict_json(out)
         assert doc["result"]["pass"] is False
-        # flat second differences sit below the floor, tightest_C blows up
+        # flat second differences sit below the floor: no finite C exists
         assert doc["result"]["second_diff_max"] == pytest.approx(0.0, abs=1e-15)
+        assert doc["result"]["tightest_C"] is None
+
+    def test_validate_concave_exit2(self, tmp_path, capsys):
+        p = tmp_path / "concave.csv"
+        p.write_text("n,a_n,exact_num,exact_den\n1,0.1,,\n2,0.3,,\n3,0.4,,\n4,0.45,,\n")
+        code, out, _ = run_cli(["validate", str(p)], capsys)
+        assert code == 2
+        r = strict_json(out)["result"]
+        assert r["pass"] is False and r["tightest_C"] is None
 
     def test_missing_file_exit1(self, capsys):
         code, _, err = run_cli(["validate", "/nonexistent/x.csv"], capsys)
@@ -228,6 +249,25 @@ def _write_json(tmp_path, doc, name="in.json"):
 
 
 class TestBadInput:
+    @pytest.mark.parametrize("b, extra", [
+        ([1e-100, 0.0], []), ([1e-100, 0.0], ["--levels"]), ([1e308, 1e308], []),
+        ([1.0, 0.0, 0.0, 0.0], ["--p", "1e308"]), ([1e308, 0.0], ["--p", "1"]),
+        ([1e100, 0.0], ["--p", "1", "--levels"]), ([1e160, 0.0], ["--p", "1", "--levels"]),
+    ], ids=["underflow", "underflow-levels", "b1-overflow", "huge-p", "fsum-overflow",
+            "b2-fourth-overflow", "b2-square-overflow"])
+    def test_expsum_float_limits_exit1(self, b, extra, tmp_path, capsys):
+        N = len(b)
+        spec = {"N": N, "xi": [(n + 1) / N for n in range(N)],
+                "eta": [float(n * n) for n in range(N)], "b": b}
+        path = _write_json(tmp_path, spec)
+        _error_exit(["expsum", path, "--grid-budget", "1024", *extra], capsys)
+
+    def test_non_finite_envelope_exit1(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "count_fractions", lambda *a: math.inf)
+        err = _error_exit(["farey", "--lo", "0", "--hi", "1", "--qmax", "5",
+                           "--count-only"], capsys)
+        assert "JSON" in err
+
     @pytest.mark.parametrize("theta", ["0", "-1", "nan"])
     def test_validate_theta_exit1(self, theta, tmp_path, capsys):
         path = str(_quadratic_csv(tmp_path))
@@ -334,6 +374,23 @@ class TestBadInput:
             cmd = ["expsum", _write_json(tmp_path, spec)]
         err = _error_exit([*cmd, f"--grid-budget={budget}"], capsys)
         assert err == f"error: grid budget must be >= 1, got {budget}\n"
+
+
+class TestConstructInterpProperty:
+    @given(N=st.integers(10, 4096), alpha=st.floats(0.0, 2.0))
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    def test_exit_code_and_strict_json(self, N, alpha):
+        with tempfile.TemporaryDirectory() as tmp:
+            for argv in (["construct", "--out", os.path.join(tmp, "s")], ["interp"]):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([*argv, "--N", str(N), "--alpha", repr(alpha)])
+                assert code in (0, 1, 2)
+                assert "Traceback" not in err.getvalue()
+                if code == 1:
+                    assert out.getvalue() == "" and err.getvalue().startswith("error:")
+                else:
+                    strict_json(out.getvalue())
 
 
 class TestTracingContract:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexsums.convexseq import (
     ConstructionError,
@@ -216,6 +218,20 @@ class TestConstruct:
     def test_alpha_outside_0_2_rejected(self, alpha):
         with pytest.raises(ValueError, match=r"\[0, 2\]"):
             construct(256, alpha)
+
+    @pytest.mark.xfail(strict=True, reason="the small-alpha walk can break the "
+                       "second-difference ceiling: C = 4.276 at (256, 0.25)")
+    def test_small_alpha_walk_validates_at_256_quarter(self):
+        assert validate(construct(256, 0.25)).passed
+
+    @given(N=st.integers(10, 4096), alpha=st.floats(0.5, 2.0))
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    def test_mediant_construction_validates_or_refuses(self, N, alpha):
+        try:
+            seq = construct(N, alpha)
+        except ConstructionError:
+            return
+        assert validate(seq).passed
 
 
 class TestShear:

@@ -292,6 +292,13 @@ class TestLevelSets:
         with pytest.raises(ValueError):
             ExpSumSpec(N=2, xi=np.zeros(2), eta=np.zeros(2), b=np.zeros(2))
 
+    def test_b2_fourth_power_underflow_rejected(self):
+        spec = ExpSumSpec(N=2, xi=np.array([0.5, 1.0]), eta=np.zeros(2),
+                          b=np.array([1e-100, 0.0]))
+        grid = GridSpec(0.0, 2.0, 8, 0.0, 4.0, 16)
+        with pytest.raises(ValueError, match=r"\|\|b\|\|_2\^4 = 0.0"):
+            dyadic_level_report(spec, grid, "t")
+
 
 class TestExpSumSpec:
     @pytest.mark.parametrize("name", ["xi", "eta", "b"])

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from convexsums import interp
+from convexsums.convexseq import construct_dirichlet_like
 from convexsums.interp import (
     ConvexInterpolant,
     InterpolationError,
@@ -267,6 +269,19 @@ class TestArrayKernel:
         g = ConvexInterpolant.load_json(str(path))
         assert g.pieces == f.pieces and g.knots == f.knots
         assert (g.mode, g.D, g.pad_end) == (f.mode, f.D, f.pad_end)
+        xs = np.concatenate([np.linspace(f.x_min(), f.x_max(), 301),
+                             [pc.x_lo for pc in f.pieces]])
+        for a, b in zip(f.eval_many(xs), g.eval_many(xs)):
+            assert np.array_equal(a, b)
+
+    def test_anchors_built_once_per_construction(self, monkeypatch):
+        # build_c1 -> upgrade_c2 -> with_padding -> eval_many: only the
+        # interpolant that is evaluated computes its anchors
+        calls = []
+        real = interp._anchors
+        monkeypatch.setattr(interp, "_anchors", lambda *a: calls.append(1) or real(*a))
+        construct_dirichlet_like(64, 1.0)
+        assert len(calls) == 1
 
 
 class TestKnotsFromSequence:

@@ -8,9 +8,10 @@ integer (or rational) multiplier, so membership never rests on a float.
 
 Two constructions are provided.  construct_dirichlet_like (alpha in [1/2, 2])
 follows the mediant pipeline: enumerate the fractions with small denominator
-in a window of width ~ N^{alpha-1}, expand consecutive pairs to comparable
-denominators, and read knots off the cumulative mediants; the interpolation
-module turns the knots into a C2 convex function that is then sampled at n/N.
+in a window of width ~ N^{alpha-1}, rewrite each consecutive pair with
+integer multipliers so both denominators are comparable, and read knots off
+the cumulative mediants; the interpolation module turns the knots into a C2
+convex function that is then sampled at n/N.
 construct_small_alpha (alpha in [0, 1/2]) walks the lattice directly: it
 places knots on consecutive (strided) lattice values with x-gaps following a
 constant-curvature profile, which yields ~ N^alpha hits.
@@ -26,14 +27,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .interp import Knot, build_c1, upgrade_c2
-from .rational import (
-    Q,
-    enumerate_fractions,
-    expand_to_range,
-    mediant,
-    power_floor,
-    power_value,
-)
+from .rational import Q, enumerate_fractions, power_floor, power_value
 
 
 class ConstructionError(ValueError):
@@ -338,17 +332,42 @@ def _finalize(
     return ConvexSequence(N=N, values=values, hits=hits, meta=meta)
 
 
+def _mediant_step(
+    n1: int, d1: int, n2: int, d2: int, sn: int, sd: int
+) -> tuple[int, int]:
+    """(k, M): the mediant of n1/d1 < n2/d2 after expanding both to Delta.
+
+    With Delta = (sn/sd)/(d1*d2), each term is rewritten with the least
+    multiplier m_i >= 1 for which d_i*m_i >= Delta, m_i = ceil(Delta/d_i); then
+    k = d1*m1 + d2*m2 and M = n1*m1 + n2*m2, not reduced.  The expansions are
+    value-preserving, so M/k lies strictly between the terms.  Integer
+    arithmetic throughout; ConstructionError when the terms are out of order
+    or some d_i*m_i exceeds 2*Delta (only when d_i > 2*Delta).
+    """
+    if n1 * d2 >= n2 * d1:
+        raise ConstructionError(f"pair {n1}/{d1}, {n2}/{d2} is not increasing")
+    den = sd * d1 * d2  # Delta = sn/den
+    m1 = max(1, -(-sn // (den * d1)))
+    m2 = max(1, -(-sn // (den * d2)))
+    if max(d1 * m1, d2 * m2) * den > 2 * sn:
+        raise ConstructionError(
+            f"pair {n1}/{d1}, {n2}/{d2}: a denominator exceeds 2*Delta, "
+            f"Delta = {sn / den:.6g}"
+        )
+    return d1 * m1 + d2 * m2, n1 * m1 + n2 * m2
+
+
 def construct_dirichlet_like(N: int, alpha: float) -> ConvexSequence:
     """Mediant construction with ~ N^{(alpha+1)/3} certified hits.
 
     Pipeline: fractions r_i with denominator <= floor(N^{(2-alpha)/3}) in
     [N^{alpha-1}/3, 2N^{alpha-1}/3]; per pair, Delta_i = N^{2-alpha} *
     (r_{i+1}-r_i), both endpoints expanded to denominators in
-    [Delta_i, 2*Delta_i], mediant M_i/k_i of the expansions; knot i at
-    x = (sum k_j)/N, y = (sum M_j)/N^alpha with slope r_{i+1} * N^{1-alpha}
-    (the slope attached to a knot is the NEXT pair's left fraction: the chord
-    over pair i is the mediant, which lies in (r_i, r_{i+1}), so this choice
-    brackets every chord).  An origin knot (0, 0) with slope r_1 * N^{1-alpha}
+    [Delta_i, 2*Delta_i], mediant M_i/k_i of the expansions (_mediant_step,
+    in integers); knot i at x = (sum k_j)/N, y = (sum M_j)/N^alpha with slope
+    r_{i+1} * N^{1-alpha} (the slope attached to a knot is the NEXT pair's
+    left fraction: the chord over pair i is the mediant, which lies in
+    (r_i, r_{i+1}), so this choice brackets every chord).  An origin knot (0, 0) with slope r_1 * N^{1-alpha}
     starts the run.  The C2 interpolant through the knots is sampled at n/N;
     knot samples are the hits, a_n = (sum M_j) * N^{-alpha} exactly.
 
@@ -381,21 +400,20 @@ def construct_dirichlet_like(N: int, alpha: float) -> ConvexSequence:
     step_q, _ = _lattice_step(N, alpha)
     step_f = float(step_q)
 
+    sn, sd = scale2.numerator, scale2.denominator
+    terms = [(r.numerator, r.denominator) for r in fracs]
     knots = [Knot(x=0.0, y=0.0, p=float(fracs[0]) * slope_f)]
     hit_data: list[tuple[int, int]] = []
     X = Y = 0  # cumulative integer sums of k_j and M_j
     trimmed = 0
-    for r1, r2 in zip(fracs, fracs[1:]):
-        delta = scale2 * Q(1, r1.denominator * r2.denominator)  # neighbours: r2 - r1
-        e1 = expand_to_range(r1, delta, 2 * delta)
-        e2 = expand_to_range(r2, delta, 2 * delta)
-        med = mediant(e1, e2)
-        if X + med.den > N:  # past the sampling range: trim this and the rest
+    for (n1, d1), (n2, d2) in zip(terms, terms[1:]):
+        k, M = _mediant_step(n1, d1, n2, d2, sn, sd)
+        if X + k > N:  # past the sampling range: trim this and the rest
             trimmed = len(fracs) - 1 - len(hit_data)
             break
-        X += med.den
-        Y += med.num
-        knots.append(Knot(x=X / N, y=Y * step_f, p=float(r2) * slope_f))
+        X += k
+        Y += M
+        knots.append(Knot(x=X / N, y=Y * step_f, p=n2 / d2 * slope_f))
         hit_data.append((X, Y))
     if len(knots) < 2:
         raise ConstructionError("fewer than 2 knots remain after trimming")

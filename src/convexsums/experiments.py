@@ -371,14 +371,5 @@ def intersection_scan(
             pts.append((float(N), float(count)))
         r = regress(pts)
         target = (alpha + 1) / 3 if alpha >= 0.5 else alpha
-        results.append(
-            RegressionResult(
-                points=r.points,
-                slope=r.slope,
-                intercept=r.intercept,
-                residual=r.residual,
-                alpha=alpha,
-                target=target,
-            )
-        )
+        results.append(replace(r, alpha=alpha, target=target))
     return results

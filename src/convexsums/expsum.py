@@ -477,9 +477,13 @@ def _level_report(
         bit = np.uint64(1) << np.uint64(k - k_min)
         measure = float(np.count_nonzero(masks & bit != 0) * cell)
         alpha = float(2.0 ** (k + 1))
+        try:
+            alpha_4 = alpha**4
+        except OverflowError:
+            raise ValueError(f"level alpha = {alpha}: alpha**4 overflows a float") from None
         alphas.append(alpha)
         measures.append(measure)
-        stats.append(alpha**4 * measure / denom)
+        stats.append(alpha_4 * measure / denom)
     return LevelSetReport(
         direction=direction,
         alphas=alphas,

@@ -1,5 +1,6 @@
-"""Exact rational helpers: Farey enumeration, mediants, denominator expansion.
+"""Exact rational helpers: Farey enumeration, exact powers, integer roots.
 
+Rationals are fractions.Fraction, the package's only rational type.
 Everything in this module is exact integer arithmetic, apart from the
 50-digit decimal that power_floor uses only where its error cannot move the
 answer.  Interval endpoints may be given as int, fractions.Fraction or a
@@ -12,12 +13,7 @@ from __future__ import annotations
 import decimal
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction as Q
-
-
-class InfeasibleExpansionError(ValueError):
-    """No multiple of the required denominator lies in the target range."""
 
 
 Endpoint = int | float | Q
@@ -27,25 +23,6 @@ def _as_exact(v: Endpoint) -> Q:
     if isinstance(v, float) and not math.isfinite(v):
         raise ValueError(f"endpoint must be finite, got {v}")
     return Q(v)  # a float becomes its exact binary value
-
-
-@dataclass(frozen=True)
-class Fraction:
-    """A fraction num/den that is *not* required to be in lowest terms.
-
-    Mediants depend on the representative, not the value, so reduction is
-    deliberately not performed here.
-    """
-
-    num: int
-    den: int
-
-    def __post_init__(self) -> None:
-        if self.den < 1:
-            raise ValueError(f"denominator must be >= 1, got {self.den}")
-
-    def __str__(self) -> str:
-        return f"{self.num}/{self.den}"
 
 
 def _farey_walk(lo: Endpoint, hi: Endpoint, qmax: int) -> Iterator[tuple[int, int]]:
@@ -95,34 +72,6 @@ def enumerate_fractions(lo: Endpoint, hi: Endpoint, qmax: int) -> list[Q]:
 def count_fractions(lo: Endpoint, hi: Endpoint, qmax: int) -> int:
     """len(enumerate_fractions(lo, hi, qmax)), without building the fractions."""
     return sum(1 for _ in _farey_walk(lo, hi, qmax))
-
-
-def mediant(f1: Fraction, f2: Fraction) -> Fraction:
-    """Mediant (n1+n2)/(d1+d2) of the given representatives, not reduced.
-
-    Requires f1 < f2 by value; the mediant then lies strictly between them.
-    """
-    if f1.num * f2.den >= f2.num * f1.den:
-        raise ValueError(f"mediant requires f1 < f2, got {f1} >= {f2}")
-    return Fraction(f1.num + f2.num, f1.den + f2.den)
-
-
-def expand_to_range(r: Q, lo: Endpoint, hi: Endpoint) -> Fraction:
-    """Rewrite r with the smallest multiple of its reduced denominator >= lo.
-
-    The result is value-equal to r with denominator in [lo, hi].  Feasible
-    whenever r.denominator <= lo and hi >= 2*lo: consecutive multiples of the
-    denominator are that far apart, so one lands in the window.
-    """
-    lo_q, hi_q = _as_exact(lo), _as_exact(hi)
-    if lo_q <= 0:
-        raise ValueError(f"lo must be positive, got {lo_q}")
-    m = max(1, math.ceil(lo_q / r.denominator))
-    if m * r.denominator > hi_q:
-        raise InfeasibleExpansionError(
-            f"no multiple of {r.denominator} in [{float(lo_q):.6g}, {float(hi_q):.6g}]"
-        )
-    return Fraction(r.numerator * m, r.denominator * m)
 
 
 def iroot(n: int, k: int) -> int:

@@ -253,8 +253,9 @@ class TestBadInput:
         ([1e-100, 0.0], []), ([1e-100, 0.0], ["--levels"]), ([1e308, 1e308], []),
         ([1.0, 0.0, 0.0, 0.0], ["--p", "1e308"]), ([1e308, 0.0], ["--p", "1"]),
         ([1e100, 0.0], ["--p", "1", "--levels"]), ([1e160, 0.0], ["--p", "1", "--levels"]),
+        ([0.6e77, 0.6e77], ["--p", "1", "--levels"]),
     ], ids=["underflow", "underflow-levels", "b1-overflow", "huge-p", "fsum-overflow",
-            "b2-fourth-overflow", "b2-square-overflow"])
+            "b2-fourth-overflow", "b2-square-overflow", "level-alpha-fourth-overflow"])
     def test_expsum_float_limits_exit1(self, b, extra, tmp_path, capsys):
         N = len(b)
         spec = {"N": N, "xi": [(n + 1) / N for n in range(N)],

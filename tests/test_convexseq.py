@@ -5,13 +5,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from convexsums.convexseq import (
     ConstructionError,
     ConvexSequence,
     LatticeHit,
+    _mediant_step,
     construct,
     construct_dirichlet_like,
     construct_small_alpha,
@@ -107,6 +108,85 @@ class TestIntersectCount:
             exact_values=[v + shift for v in seq.exact_values],
         )
         assert intersect_count(seq, 1.0, tol=0) == intersect_count(shifted, 1.0, tol=0)
+
+
+class TestMediantStep:
+    """The integer pair step of the mediant construction, scale2 = sn/sd."""
+
+    def test_half_twothirds(self):
+        # Delta = 12/6 = 2: both terms keep multiplier 1
+        assert _mediant_step(1, 2, 2, 3, 12, 1) == (5, 3)
+
+    def test_unreduced_inputs_not_reduced_output(self):
+        # Delta = 1728/144 = 12: multipliers 1, increment 10/24 = 5/12
+        assert _mediant_step(4, 12, 6, 12, 1728, 1) == (24, 10)
+        assert Q(10, 24) == Q(5, 12)
+
+    def test_order_enforced(self):
+        for terms in ((2, 3, 1, 2), (1, 2, 1, 2), (1, 2, 2, 4)):
+            with pytest.raises(ConstructionError, match="not increasing"):
+                _mediant_step(*terms, 10**6, 1)
+
+    def test_expands_both_terms(self):
+        # Delta = 48/6 = 8: 1/2 -> 4/8, 2/3 -> 6/9
+        assert _mediant_step(1, 2, 2, 3, 48, 1) == (17, 10)
+
+    def test_exact_scale(self):
+        # Delta = 64/6 = 32/3: 1/3 -> 4/12, 1/2 -> 6/12
+        assert _mediant_step(1, 3, 1, 2, 64, 1) == (24, 10)
+
+    def test_float_scale(self):
+        # the float snap of scale2 as an exact binary fraction, Delta ~ 10.665
+        s = Q(63.99)
+        assert s.denominator > 1
+        assert _mediant_step(1, 3, 1, 2, s.numerator, s.denominator) == (24, 10)
+
+    def test_infeasible(self):
+        # Delta = 6/6 = 1: denominator 3 exceeds 2*Delta, and no multiple helps
+        with pytest.raises(ConstructionError, match="1/2, 2/3"):
+            _mediant_step(1, 2, 2, 3, 6, 1)
+
+    @given(
+        n1=st.integers(0, 50),
+        d1=st.integers(1, 50),
+        n2=st.integers(0, 50),
+        d2=st.integers(1, 50),
+        extra=st.integers(0, 10**6),
+        sd=st.integers(1, 1000),
+    )
+    @settings(max_examples=100)
+    def test_strictly_between(self, n1, d1, n2, d2, extra, sd):
+        assume(Q(n1, d1) < Q(n2, d2))
+        sn = -(-max(d1, d2) * sd * d1 * d2 // 2) + extra  # feasible: max d <= 2*Delta
+        k, M = _mediant_step(n1, d1, n2, d2, sn, sd)
+        assert Q(n1, d1) < Q(M, k) < Q(n2, d2)
+
+    @given(
+        n1=st.integers(0, 50),
+        d1=st.integers(1, 50),
+        n2=st.integers(0, 50),
+        d2=st.integers(1, 50),
+        sn=st.integers(1, 10**6),
+        sd=st.integers(1, 20),
+    )
+    @settings(max_examples=100)
+    def test_expansions_in_range(self, n1, d1, n2, d2, sn, sd):
+        assume(Q(n1, d1) < Q(n2, d2))
+        delta = Q(sn, sd * d1 * d2)
+        if max(d1, d2) > 2 * delta:
+            with pytest.raises(ConstructionError):
+                _mediant_step(n1, d1, n2, d2, sn, sd)
+            return
+        k, M = _mediant_step(n1, d1, n2, d2, sn, sd)
+        # recover the multipliers from k = d1*m1 + d2*m2, M = n1*m1 + n2*m2
+        det = d1 * n2 - n1 * d2
+        for (n, d), num in (((n1, d1), k * n2 - M * d2), ((n2, d2), M * d1 - k * n1)):
+            assert num % det == 0
+            m = num // det
+            assert m >= 1
+            assert Q(n * m, d * m) == Q(n, d)
+            assert delta <= d * m <= 2 * delta
+            assert m == 1 or d * (m - 1) < delta  # the least such multiplier
 
 
 class TestDirichletLike:

@@ -8,14 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convexsums.rational import (
-    Fraction,
-    InfeasibleExpansionError,
     Q,
     count_fractions,
     enumerate_fractions,
-    expand_to_range,
     iroot,
-    mediant,
     power_exact,
     power_floor,
     power_value,
@@ -99,79 +95,6 @@ class TestEnumerate:
             assert lo <= r <= hi
         for r1, r2 in zip(got, got[1:]):
             assert r1.denominator * r2.numerator - r1.numerator * r2.denominator == 1
-
-
-class TestMediant:
-    def test_half_twothirds(self):
-        m = mediant(Fraction(1, 2), Fraction(2, 3))
-        assert (m.num, m.den) == (3, 5)
-
-    def test_unreduced_inputs_not_reduced_output(self):
-        m = mediant(Fraction(4, 12), Fraction(6, 12))
-        assert (m.num, m.den) == (10, 24)
-        assert Q(m.num, m.den) == Q(5, 12)
-
-    def test_order_enforced(self):
-        with pytest.raises(ValueError):
-            mediant(Fraction(2, 3), Fraction(1, 2))
-        with pytest.raises(ValueError):
-            mediant(Fraction(1, 2), Fraction(1, 2))
-
-    @given(
-        n1=st.integers(0, 50),
-        d1=st.integers(1, 50),
-        n2=st.integers(0, 50),
-        d2=st.integers(1, 50),
-    )
-    @settings(max_examples=100)
-    def test_strictly_between(self, n1, d1, n2, d2):
-        f1, f2 = Fraction(n1, d1), Fraction(n2, d2)
-        if fractions.Fraction(n1, d1) >= fractions.Fraction(n2, d2):
-            return
-        m = mediant(f1, f2)
-        v = fractions.Fraction(m.num, m.den)
-        assert fractions.Fraction(n1, d1) < v < fractions.Fraction(n2, d2)
-        assert m.num == n1 + n2 and m.den == d1 + d2
-
-
-class TestExpand:
-    def test_simple(self):
-        f = expand_to_range(Q(1, 2), 4, 8)
-        assert (f.num, f.den) == (2, 4)
-
-    def test_float_bounds(self):
-        f = expand_to_range(Q(1, 3), 10.67, 21.33)
-        assert (f.num, f.den) == (4, 12)
-
-    def test_exact_bounds(self):
-        f = expand_to_range(Q(1, 3), Q(32, 3), Q(64, 3))
-        assert (f.num, f.den) == (4, 12)
-
-    def test_infeasible(self):
-        with pytest.raises(InfeasibleExpansionError):
-            expand_to_range(Q(2, 3), 2, 2.5)
-
-    @given(
-        num=st.integers(0, 30),
-        den=st.integers(1, 30),
-        lo_num=st.integers(1, 400),
-    )
-    @settings(max_examples=100)
-    def test_value_preserved_den_in_range(self, num, den, lo_num):
-        r = Q(num, den)
-        lo = Q(lo_num, 7)
-        hi = 2 * lo
-        try:
-            f = expand_to_range(r, lo, hi)
-        except InfeasibleExpansionError:
-            # oracle: no multiple of den lies in [lo, hi]
-            q = r.denominator
-            ks = range(math.ceil(lo / q), math.floor(hi / q) + 1)
-            assert not [k for k in ks if k >= 1]
-            return
-        assert fractions.Fraction(f.num, f.den) == r
-        assert lo <= f.den <= hi
-        assert f.den % r.denominator == 0
 
 
 class TestPower:

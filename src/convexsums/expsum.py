@@ -13,11 +13,14 @@ cost of a longdouble floor.
 
 Grid rows come from one of two paths, chosen from the spec and the grid
 alone.  When xi_n = n/N and the x-grid is the uniform right-open grid on
-[0, N), the row f(., t) is Mx times an inverse DFT of the coefficient vector
-c_n = b_n e(t eta_n) folded into length Mx (folding n mod Mx is exact
-because e(k n / Mx) only depends on n mod Mx).  Otherwise each term splits
-as e(x xi_n) e(t eta_n), and a block of rows is one matrix product of the
-two factors restricted to the nonzero coefficients.
+[0, N), the row f(., t) is the unnormalised inverse DFT (no 1/Mx factor) of
+the coefficient vector c_n = b_n e(t eta_n) folded into length Mx (folding
+n mod Mx is exact because e(k n / Mx) only depends on n mod Mx).  At
+power-of-two Mx that is Mx times the normalised inverse DFT to the bit; at
+other Mx it skips the 1/Mx, Mx round trip and may differ by an ulp.
+Otherwise each term splits as e(x xi_n) e(t eta_n), and a block of rows is
+one matrix product of the two factors restricted to the nonzero
+coefficients.
 
 One sweep over the grid serves both the sup-then-L^p norm and the dyadic
 level sets: each block of rows is reduced once, from one |f| matrix, to its
@@ -181,16 +184,23 @@ def _fft_applies(spec: ExpSumSpec, grid: GridSpec) -> bool:
 
 
 def _rows_fast(spec: ExpSumSpec, grid: GridSpec, t_index: np.ndarray) -> np.ndarray:
-    """Rows via inverse DFT of the folded coefficient vector, batched over t."""
+    """Rows via the unnormalised inverse DFT of the folded coefficients.
+
+    One complex buffer per block: the terms b_n e(t eta_n) are scattered
+    into it at flat index row * Mx + (n mod Mx), summing folds that collide,
+    and it is inverse-transformed in place with no 1/Mx factor.
+    """
     idx = spec.support()
     eta = spec.eta[idx].astype(np.longdouble)
     fold = (idx + 1) % grid.Mx
     t_nodes = grid.t_lo + t_index.astype(np.longdouble) * np.longdouble(grid.dt)
-    phase = _frac(t_nodes[:, None] * eta[None, :]).astype(float)
-    vals = spec.b[idx][None, :] * np.exp(2j * math.pi * phase)
+    vals = 2j * math.pi * _frac(t_nodes[:, None] * eta[None, :]).astype(float)
+    np.exp(vals, out=vals)
+    np.multiply(spec.b[idx], vals, out=vals)  # b first: vals *= b differs in the last bit
     c = np.zeros((len(t_index), grid.Mx), dtype=complex)
-    np.add.at(c, (np.arange(len(t_index))[:, None], fold[None, :]), vals)
-    return grid.Mx * np.fft.ifft(c, axis=1)
+    flat = (np.arange(len(t_index)) * grid.Mx)[:, None] + fold
+    np.add.at(c.reshape(-1), flat.reshape(-1), vals.reshape(-1))  # 1-D: numpy's fast path
+    return np.fft.ifft(c, axis=1, norm="forward", out=c)
 
 
 def _rows_naive(spec: ExpSumSpec, grid: GridSpec, t_index: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Exact rational helpers: Farey enumeration, exact powers, integer roots.
+"""Exact rational helpers: Farey enumeration and counts, exact powers, roots.
 
 Rationals are fractions.Fraction, the package's only rational type.
 Everything in this module is exact integer arithmetic, apart from the
@@ -11,7 +11,9 @@ stay deterministic.
 from __future__ import annotations
 
 import decimal
+import itertools
 import math
+from array import array
 from collections.abc import Iterator
 from fractions import Fraction as Q
 
@@ -25,6 +27,16 @@ def _as_exact(v: Endpoint) -> Q:
     return Q(v)  # a float becomes its exact binary value
 
 
+def _window(lo: Endpoint, hi: Endpoint, qmax: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(num, den) of lo and of hi, once qmax >= 1 and lo < hi are checked."""
+    if qmax < 1:
+        raise ValueError(f"qmax must be >= 1, got {qmax}")
+    lo_q, hi_q = _as_exact(lo), _as_exact(hi)
+    if lo_q >= hi_q:
+        raise ValueError(f"empty interval: lo={lo_q} >= hi={hi_q}")
+    return (lo_q.numerator, lo_q.denominator), (hi_q.numerator, hi_q.denominator)
+
+
 def _farey_walk(lo: Endpoint, hi: Endpoint, qmax: int) -> Iterator[tuple[int, int]]:
     """(num, den) of each rational in [lo, hi] with reduced denominator <= qmax.
 
@@ -34,13 +46,7 @@ def _farey_walk(lo: Endpoint, hi: Endpoint, qmax: int) -> Iterator[tuple[int, in
     after c/d is (kc - a)/(kd - b) with k = floor((qmax + b)/d).  Every
     comparison is an integer cross-multiplication, so there is no sort.
     """
-    if qmax < 1:
-        raise ValueError(f"qmax must be >= 1, got {qmax}")
-    lo_q, hi_q = _as_exact(lo), _as_exact(hi)
-    if lo_q >= hi_q:
-        raise ValueError(f"empty interval: lo={lo_q} >= hi={hi_q}")
-    ln, ld = lo_q.numerator, lo_q.denominator
-    hn, hd = hi_q.numerator, hi_q.denominator
+    (ln, ld), (hn, hd) = _window(lo, hi, qmax)
     # first term >= lo: the least ceil(lo*q)/q; ties keep the smaller q,
     # which is the reduced form
     a, b = -(-ln // ld), 1
@@ -69,9 +75,37 @@ def enumerate_fractions(lo: Endpoint, hi: Endpoint, qmax: int) -> list[Q]:
     return [Q(n, d) for n, d in _farey_walk(lo, hi, qmax)]
 
 
+def _mertens(n: int) -> array:
+    """M(0..n), where M(m) is the sum of the Moebius function mu over 1..m."""
+    mu = array("b", [1]) * (n + 1)
+    mu[0] = 0
+    composite = bytearray(n + 1)
+    for p in range(2, n + 1):
+        if not composite[p]:
+            for k in range(p, n + 1, p):
+                composite[k] = 1
+                mu[k] = -mu[k]
+            for k in range(p * p, n + 1, p * p):
+                mu[k] = 0
+    return array("q", itertools.accumulate(mu))
+
+
 def count_fractions(lo: Endpoint, hi: Endpoint, qmax: int) -> int:
-    """len(enumerate_fractions(lo, hi, qmax)), without building the fractions."""
-    return sum(1 for _ in _farey_walk(lo, hi, qmax))
+    """len(enumerate_fractions(lo, hi, qmax)), without walking the terms.
+
+    Moebius inversion over g = gcd(p, q): the pairs (p, q) with q <= m and
+    lo <= p/q <= hi number S(m) = sum_{q<=m} c(q), c(q) = floor(hi q) -
+    ceil(lo q) + 1, and each is g times a reduced pair with denominator
+    <= m/g.  So the count is sum_{d<=qmax} mu(d) S(qmax // d), which is
+    sum_{q<=qmax} c(q) M(qmax // q) with M the Mertens function; every c(q)
+    is an exact integer.
+    """
+    (ln, ld), (hn, hd) = _window(lo, hi, qmax)
+    mertens = _mertens(qmax)
+    return sum(
+        (hn * q // hd + (-ln * q) // ld + 1) * mertens[qmax // q]
+        for q in range(1, qmax + 1)
+    )
 
 
 def iroot(n: int, k: int) -> int:

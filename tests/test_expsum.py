@@ -157,6 +157,38 @@ class TestEvalGrid:
             direct = eval_point(spec, grid.x_lo + k * grid.dx, grid.t_lo + l * grid.dt)
             assert abs(m[l, k] - direct) <= 1e-9 * spec.norm_b1()
 
+    @pytest.mark.parametrize(
+        "N, Mx, support",
+        [(64, 256, None), (256, 1024, [0, 5, 200, 255]), (100, 64, None), (96, 8, None)],
+    )
+    def test_fast_rows_bitwise_at_power_of_two_mx(self, N, Mx, support):
+        # the rows as a 2-D scatter then Mx times the normalised inverse DFT;
+        # at power-of-two Mx the 1/Mx and Mx scalings are exact, so the
+        # unnormalised inverse DFT gives the same bits (Mx < N: folds collide)
+        spec = random_spec(N=N, seed=N, support=support)
+        grid = GridSpec(0.0, float(N), Mx, 0.0, float(N * N), 300)
+        t_index = np.arange(37, 293)
+        idx = spec.support()
+        eta = spec.eta[idx].astype(np.longdouble)
+        t = grid.t_lo + t_index.astype(np.longdouble) * np.longdouble(grid.dt)
+        phase = expsum._frac(t[:, None] * eta[None, :]).astype(float)
+        vals = spec.b[idx][None, :] * np.exp(2j * math.pi * phase)
+        c = np.zeros((len(t_index), Mx), dtype=complex)
+        np.add.at(c, (np.arange(len(t_index))[:, None], (idx + 1)[None, :] % Mx), vals)
+        want = Mx * np.fft.ifft(c, axis=1)
+        assert np.array_equal(expsum._rows_fast(spec, grid, t_index), want)
+
+    @pytest.mark.parametrize("N, Mx", [(64, 16), (100, 7), (256, 60)])
+    def test_fast_rows_colliding_folds(self, monkeypatch, N, Mx):
+        # Mx < N folds several n onto one DFT bin, and the bin sums them all
+        spec = random_spec(N=N, seed=N + Mx)
+        grid = GridSpec(0.0, float(N), Mx, 3.0, 3.0 + N * N, 40)
+        forbid_rows(monkeypatch, "_rows_naive")
+        m = eval_grid(spec, grid)
+        for l, t in enumerate(grid.t_nodes()):
+            for k, x in enumerate(grid.x_nodes()):
+                assert abs(m[l, k] - eval_point(spec, x, t)) <= 1e-9 * spec.norm_b1()
+
     def test_incompatible_grid_falls_back(self, monkeypatch):
         spec = random_spec(N=64, seed=1)
         grid = GridSpec(0.0, 32.0, 64, 0.0, 10.0, 4)  # x range is not [0, N)

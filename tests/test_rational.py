@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from convexsums import rational
 from convexsums.rational import (
     Q,
     count_fractions,
@@ -65,6 +66,39 @@ class TestEnumerate:
             enumerate_fractions(Q(1, 2), Q(1, 2), 5)
         with pytest.raises(ValueError):
             enumerate_fractions(Q(2, 3), Q(1, 3), 5)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((Q(1, 2), Q(1, 2), 5), "empty interval"),
+            ((Q(2, 3), Q(1, 3), 5), "empty interval"),
+            ((0, 1, 0), "qmax must be >= 1"),
+            ((float("nan"), 1, 5), "endpoint must be finite"),
+        ],
+    )
+    def test_count_and_enumerate_reject_alike(self, args, message):
+        for fn in (count_fractions, enumerate_fractions):
+            with pytest.raises(ValueError, match=message):
+                fn(*args)
+
+    def test_mertens_small(self):
+        want = [0, 1, 0, -1, -1, -2, -1, -2, -2, -2, -1, -2, -2, -3]
+        assert rational._mertens(13).tolist() == want
+
+    @pytest.mark.parametrize(
+        "lo, hi, qmax",
+        [
+            (Q(0), Q(1), 300),
+            (Q(-7, 3), Q(5, 4), 211),
+            (0.1234, 0.9876, 256),
+            (-2.5, -2.4999, 500),
+            (Q(355, 113), Q(22, 7), 997),
+        ],
+    )
+    def test_count_matches_walk_large_qmax(self, lo, hi, qmax):
+        # denominators well past the property test's 20, where many pairs
+        # (p, q) share a factor and the inversion subtracts them
+        assert count_fractions(lo, hi, qmax) == len(enumerate_fractions(lo, hi, qmax))
 
     @given(
         lo=st.one_of(

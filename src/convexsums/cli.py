@@ -7,11 +7,16 @@ sequence data goes to CSV; everything else is JSON.
 
 Exit codes: 0 success, 2 validation failure (a report that says "no"),
 1 runtime or usage error.
+
+The argument parser is built once per process, on the first call of
+main, and reused by every later call.  Its handlers are this module's
+functions, and they look up what they call when they run.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass
@@ -222,6 +227,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="convexsums",

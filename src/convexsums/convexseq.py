@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -120,9 +120,9 @@ class ConvexSequence:
                     w.writerow([i + 1, repr(float(self.values[i])), "", ""])
 
     def hits_to_json(self, path: str) -> None:
-        hits = [asdict(h) for h in self.hits or []]
+        hits = [vars(h) for h in self.hits or []]
         with open(path, "w") as fh:
-            json.dump(hits, fh, indent=2, sort_keys=True)
+            fh.write(json.dumps(hits, indent=2, sort_keys=True))
 
     @classmethod
     def from_csv(cls, path: str, hits_path: str | None = None) -> "ConvexSequence":

@@ -249,9 +249,8 @@ def _witness(
     the predicted N^exponent ||b||_2.
     """
     count = len(seq.hits)
-    worst = 0.0
-    for x, t in points:
-        worst = max(worst, abs(eval_point(spec, x, t) - count) / count)
+    xs, ts = np.array(points).T
+    worst = max(abs(v - count) / count for v in eval_point(spec, xs, ts))
     norm, swept = _sup_norm_L4(spec, grid, sup_direction, shift, threads)
     return ExperimentReport(
         id=id,

@@ -165,14 +165,27 @@ def _threads(threads: int | None) -> int:
     return min(8, os.cpu_count() or 1)
 
 
-def eval_point(spec: ExpSumSpec, x: float, t: float) -> complex:
-    """Direct evaluation at one point, ascending-n compensated summation."""
+def eval_point(
+    spec: ExpSumSpec, x: float | np.ndarray, t: float | np.ndarray
+) -> complex | list[complex]:
+    """Direct evaluation, ascending-n compensated summation.
+
+    x and t are floats, giving f(x, t) as a complex, or equal-length 1-D
+    arrays, giving the list [f(x_i, t_i)].  The phases, exponentials and
+    products are element-wise and each point is summed by its own fsum in
+    ascending n, so every point gets the bits of the call with its floats.
+    """
+    xs, ts = np.asarray(x, dtype=np.longdouble), np.asarray(t, dtype=np.longdouble)
+    if xs.shape != ts.shape or xs.ndim > 1:
+        raise ValueError("x and t must be floats or 1-D arrays of equal length")
     idx = spec.support()
     xi = spec.xi[idx].astype(np.longdouble)
     eta = spec.eta[idx].astype(np.longdouble)
-    phase = _frac(np.longdouble(x) * xi + np.longdouble(t) * eta).astype(float)
+    phase = _frac(xs[..., None] * xi + ts[..., None] * eta).astype(float)
     terms = spec.b[idx] * np.exp(2j * math.pi * phase)
-    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+    sums = [complex(math.fsum(row.real), math.fsum(row.imag))
+            for row in terms.reshape(-1, len(idx))]
+    return sums if xs.ndim else sums[0]
 
 
 def _fft_applies(spec: ExpSumSpec, grid: GridSpec) -> bool:

@@ -225,6 +225,61 @@ class TestUsageErrors:
         assert capsys.readouterr().out
 
 
+def _fresh_cli(argv, cwd):
+    """(exit code, stdout, stderr) of `python -m convexsums.cli argv` in cwd.
+
+    The child does not inherit pytest's sys.path: it is handed the directory
+    the package under test was imported from.
+    """
+    src = str(Path(convexsums.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    r = subprocess.run(
+        [sys.executable, "-m", "convexsums.cli", *argv], cwd=cwd,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    return r.returncode, r.stdout, r.stderr
+
+
+class TestReusedMain:
+    """main called many times in one process, as the benchmark drives it."""
+
+    def test_calls_match_fresh_processes(self, tmp_path, capsys, monkeypatch):
+        here, fresh = tmp_path / "here", tmp_path / "fresh"
+        for d in (here, fresh):
+            d.mkdir()
+            (d / "spec.json").write_text(json.dumps({
+                "N": 8,
+                "xi": [n / 8 for n in range(1, 9)],
+                "eta": [n * (n + 1) / 128 for n in range(1, 9)],
+                "b": [1.0] * 8,
+            }))
+            (d / "pts.json").write_text(json.dumps([[64, 8.0], [256, 16.0], [1024, 32.0]]))
+        monkeypatch.chdir(here)
+        cli._parser.cache_clear()
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "--N", "x", "--alpha", "1"])
+        err = capsys.readouterr()
+        assert exc.value.code == 1 and err.out == ""
+        assert err.err.startswith("error:") and len(err.err.splitlines()) == 1
+        runs = [
+            ["construct", "--N", "64", "--alpha", "1", "--out", "s"],
+            ["validate", "s.csv", "--hits", "s.hits.json"],
+            ["interp", "--N", "64", "--alpha", "1"],
+            ["farey", "--lo", "0.25", "--hi", "0.75", "--qmax", "12"],
+            ["expsum", "spec.json", "--grid-budget", "4096", "--levels"],
+            ["experiment", "A", "--N", "64", "--grid-budget", "65536", "--seed", "1"],
+            ["scan", "--N", "64,128", "--alpha", "1"],
+            ["regress", "pts.json"],
+        ]
+        for argv in runs:
+            code, out, _ = run_cli(argv, capsys)
+            assert (code, out) == _fresh_cli(argv, fresh)[:2], argv[0]
+        for name in ("s.csv", "s.hits.json"):
+            assert (here / name).read_bytes() == (fresh / name).read_bytes()
+        info = cli._parser.cache_info()
+        assert (info.misses, info.hits) == (1, len(runs))
+
+
 def _error_exit(argv, capsys):
     """Run argv, require exit 1 with one `error:` line and no stdout."""
     code, out, err = run_cli(argv, capsys)
@@ -547,14 +602,7 @@ class TestExperimentDeterminism:
         _, out3, _ = run_cli(argv, capsys)
         assert json.loads(out3) == json.loads(run_cli(argv, capsys)[1])
 
-    def test_entry_point_subprocess(self):
-        # the child does not inherit pytest's sys.path: hand it the directory
-        # the package under test was imported from
-        src = str(Path(convexsums.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        r = subprocess.run(
-            [sys.executable, "-m", "convexsums.cli", "--version"],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
-        )
-        assert r.returncode == 0
-        assert r.stdout.strip() == "0.1.0"
+    def test_entry_point_subprocess(self, tmp_path):
+        code, out, _ = _fresh_cli(["--version"], tmp_path)
+        assert code == 0
+        assert out.strip() == "0.1.0"

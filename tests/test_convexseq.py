@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -415,3 +416,11 @@ class TestSerialization:
         assert back.hits == seq.hits
         data = json.loads(h.read_text())
         assert all(set(d) == {"n", "alpha", "num", "den"} for d in data)
+
+    @pytest.mark.parametrize("N, alpha", [(4096, 2.0), (256, 0.25), (1000, 0.5)])
+    def test_hits_json_bytes_match_asdict_encoding(self, tmp_path, N, alpha):
+        seq = construct(N, alpha)
+        h = tmp_path / "seq.hits.json"
+        seq.hits_to_json(str(h))
+        want = json.dumps([asdict(x) for x in seq.hits], indent=2, sort_keys=True)
+        assert h.read_text() == want

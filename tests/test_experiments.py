@@ -137,6 +137,68 @@ def _sheared_A_spec(N):
                       eta=shear(c, -1.0 / N**2).values, b=_hit_coefficients(c))
 
 
+class _Captured(Exception):
+    pass
+
+
+def _identity_inputs(fn, N, monkeypatch):
+    """The spec and point arrays fn(N) checks its identity on, in one call.
+
+    The experiment stops at that call, before its norm sweep.
+    """
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        raise _Captured
+
+    monkeypatch.setattr(experiments, "eval_point", spy)
+    with pytest.raises(_Captured):
+        fn(N, grid_budget=SMALL_BUDGET, seed=1)
+    monkeypatch.undo()
+    ((spec, xs, ts),) = calls
+    return spec, xs, ts
+
+
+def _bits(vals):
+    return [(v.real.hex(), v.imag.hex()) for v in vals]
+
+
+class TestIdentityBatch:
+    """_witness evaluates all aligned points in one eval_point call, with the
+    bits of one scalar call per point."""
+
+    @pytest.mark.parametrize("N", [64, 1024])
+    def test_A_points_exact_and_bitwise(self, N, monkeypatch):
+        spec, xs, ts = _identity_inputs(experiment_A, N, monkeypatch)
+        assert len(xs) == len(ts) == N
+        got = eval_point(spec, xs, ts)
+        assert _bits(got) == _bits(eval_point(spec, x, t) for x, t in zip(xs, ts))
+        count = np.count_nonzero(spec.b)
+        assert all(v == complex(count) for v in got)  # error exactly 0.0
+
+    def test_B_seeded_points_bitwise(self, monkeypatch):
+        spec, xs, ts = _identity_inputs(experiment_B, 128, monkeypatch)
+        assert len(xs) == 64
+        assert not np.all(ts == np.round(ts * 2**20) / 2**20)  # not all dyadic
+        assert _bits(eval_point(spec, xs, ts)) == _bits(
+            eval_point(spec, x, t) for x, t in zip(xs, ts)
+        )
+
+    @pytest.mark.parametrize("fn", [experiment_A, experiment_B, experiment_C])
+    def test_one_call_per_experiment(self, fn, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return eval_point(*args)
+
+        monkeypatch.setattr(experiments, "eval_point", counting)
+        rep = fn(64, grid_budget=SMALL_BUDGET, seed=1)
+        assert len(calls) == 1
+        assert len(calls[0][1]) == len(rep.checked_j)
+
+
 class TestOuterPeriod:
     """Each experiment sweeps one certified period of its outer variable."""
 

@@ -38,6 +38,11 @@ def constant_spec(c=1.0):
     return ExpSumSpec(N=1, xi=np.zeros(1), eta=np.zeros(1), b=np.array([c]))
 
 
+def bits(v: complex) -> tuple[str, str]:
+    """The exact bits of a complex, signed zeros included."""
+    return v.real.hex(), v.imag.hex()
+
+
 def forbid_rows(monkeypatch, name):
     """Make the row function `name` raise, pinning which path a call takes."""
 
@@ -83,6 +88,30 @@ class TestEvalPoint:
         v = eval_point(spec, 7.0, 7 * N)  # x*xi + t*eta = 7*3n/N*... integer? no:
         # phase = 7n/N + 7N*(3n/N - n/N^2) = 7n/N + 21n - 7n/N = 21n, an integer
         assert v == pytest.approx(3.0, abs=1e-12)
+
+    def test_arrays_match_scalar_calls_bitwise(self):
+        spec = random_spec(N=128, seed=8, canonical=False)
+        rng = np.random.default_rng(9)
+        xs, ts = rng.uniform(0, 128, 200), rng.uniform(0, 128**2, 200)
+        assert [bits(v) for v in eval_point(spec, xs, ts)] == [
+            bits(eval_point(spec, float(x), float(t))) for x, t in zip(xs, ts)
+        ]
+
+    def test_float_input_gives_complex(self):
+        spec = random_spec(N=16, seed=10)
+        assert type(eval_point(spec, 1.5, 2.25)) is complex
+        assert type(eval_point(spec, np.float64(1.5), np.float64(2.25))) is complex
+        (v,) = eval_point(spec, np.array([1.5]), np.array([2.25]))
+        assert bits(v) == bits(eval_point(spec, 1.5, 2.25))
+
+    @pytest.mark.parametrize("x, t", [
+        (np.zeros(3), np.zeros(4)),
+        (0.0, np.zeros(2)),
+        (np.zeros((2, 2)), np.zeros((2, 2))),
+    ], ids=["unequal-length", "float-and-array", "two-dimensional"])
+    def test_mismatched_arrays_rejected(self, x, t):
+        with pytest.raises(ValueError, match="equal length"):
+            eval_point(random_spec(N=16, seed=11), x, t)
 
 
 # bytes of a longdouble that hold its value: the 80-bit x87 format pads to 16

@@ -97,6 +97,13 @@ class TestEvalPoint:
             bits(eval_point(spec, float(x), float(t))) for x, t in zip(xs, ts)
         ]
 
+    def test_compensated_sum(self):
+        # a plain float sum of 1e16 + 1 - 1e16 loses the 1
+        b = np.array([1e16, 1.0, -1e16])
+        spec = ExpSumSpec(N=3, xi=np.zeros(3), eta=np.zeros(3), b=b)
+        assert eval_point(spec, 0.0, 0.0) == 1.0
+        assert eval_point(spec, np.zeros(2), np.ones(2)) == [1.0, 1.0]
+
     def test_float_input_gives_complex(self):
         spec = random_spec(N=16, seed=10)
         assert type(eval_point(spec, 1.5, 2.25)) is complex

@@ -22,18 +22,26 @@ Otherwise each term splits as e(x xi_n) e(t eta_n), and a block of rows is
 one matrix product of the two factors restricted to the nonzero
 coefficients.
 
+A sweep streams the t-rows in blocks of at most _BLOCK_NODES nodes, so that
+a block's arrays stay cache-sized.  Each worker thread allocates its block
+arrays (the complex rows, |f| and the reduction scratch) once per sweep and
+reuses them for every block it takes, and the arrays of the spec (support,
+frequencies, folds, x-factors) are built once per sweep.  A grid of at most
+_BLOCK_NODES nodes runs in the calling thread.
+
 One sweep over the grid serves both the sup-then-L^p norm and the dyadic
 level sets: each block of rows is reduced once, from one |f| matrix, to its
-per-outer-node max, argmax and bitmask of observed dyadic exponents.  All
-reductions (max, bitwise-or, ordered sums) use a fixed partition of the
-t-rows into blocks combined in block order, so results are independent of
-thread count.
+per-outer-node max, argmax and bitmask of observed dyadic exponents.  The
+reductions are exact (max, first argmax, bitwise-or) and combined in block
+order, and a row's bits do not depend on the block that holds it, so results
+are independent of the thread count and of the block partition.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable
@@ -41,7 +49,8 @@ from typing import Callable
 import numpy as np
 
 DEFAULT_BUDGET = 2**24  # max total grid nodes Mx * Mt
-_BLOCK_ROWS = 256
+_BLOCK_NODES = 2**17  # grid nodes per row block: a thread's block arrays stay cache-sized
+_BLOCK_ROWS = 256  # at 2048 rows OpenBLAS splits a separable block over its own threads
 _LEVELS = 40  # dyadic bands below the top one in a level report
 
 
@@ -160,8 +169,11 @@ def canonical_grid(N: int, budget: int = DEFAULT_BUDGET) -> GridSpec:
 
 
 def _threads(threads: int | None) -> int:
+    """threads, or by default the CPUs this process may run on, at most 8."""
     if threads is not None:
         return max(1, threads)
+    if hasattr(os, "sched_getaffinity"):
+        return min(8, len(os.sched_getaffinity(0)))
     return min(8, os.cpu_count() or 1)
 
 
@@ -196,69 +208,110 @@ def _fft_applies(spec: ExpSumSpec, grid: GridSpec) -> bool:
     )
 
 
-def _rows_fast(spec: ExpSumSpec, grid: GridSpec, t_index: np.ndarray) -> np.ndarray:
-    """Rows via the unnormalised inverse DFT of the folded coefficients.
+_Rows = Callable[[int, np.ndarray], np.ndarray]  # rows(s, out): t-rows s, s + 1, ... into out
 
-    One complex buffer per block: the terms b_n e(t eta_n) are scattered
-    into it at flat index row * Mx + (n mod Mx), summing folds that collide,
-    and it is inverse-transformed in place with no 1/Mx factor.
+
+def _rows_fast(spec: ExpSumSpec, grid: GridSpec) -> _Rows:
+    """Row writer via the unnormalised inverse DFT of the folded coefficients.
+
+    Returns rows(s, out), which writes the t-rows s, s + 1, ... into the
+    (rows x Mx) complex array out and returns it: the terms b_n e(t eta_n) are
+    scattered into out at flat index row * Mx + (n mod Mx), summing folds that
+    collide, and out is inverse-transformed in place with no 1/Mx factor.
     """
     idx = spec.support()
+    b = spec.b[idx]
     eta = spec.eta[idx].astype(np.longdouble)
     fold = (idx + 1) % grid.Mx
-    t_nodes = grid.t_lo + t_index.astype(np.longdouble) * np.longdouble(grid.dt)
-    vals = 2j * math.pi * _frac(t_nodes[:, None] * eta[None, :]).astype(float)
-    np.exp(vals, out=vals)
-    np.multiply(spec.b[idx], vals, out=vals)  # b first: vals *= b differs in the last bit
-    c = np.zeros((len(t_index), grid.Mx), dtype=complex)
-    flat = (np.arange(len(t_index)) * grid.Mx)[:, None] + fold
-    np.add.at(c.reshape(-1), flat.reshape(-1), vals.reshape(-1))  # 1-D: numpy's fast path
-    return np.fft.ifft(c, axis=1, norm="forward", out=c)
+    dt = np.longdouble(grid.dt)
+
+    def rows(s: int, out: np.ndarray) -> np.ndarray:
+        r = len(out)
+        t_nodes = grid.t_lo + np.arange(s, s + r).astype(np.longdouble) * dt
+        vals = 2j * math.pi * _frac(t_nodes[:, None] * eta[None, :]).astype(float)
+        np.exp(vals, out=vals)
+        np.multiply(b, vals, out=vals)  # b first: vals *= b differs in the last bit
+        out.fill(0)
+        flat = (np.arange(r) * grid.Mx)[:, None] + fold
+        np.add.at(out.reshape(-1), flat.reshape(-1), vals.reshape(-1))  # 1-D: numpy's fast path
+        return np.fft.ifft(out, axis=1, norm="forward", out=out)
+
+    return rows
 
 
-def _rows_naive(spec: ExpSumSpec, grid: GridSpec, t_index: np.ndarray) -> np.ndarray:
-    """Rows as the product E_t @ E_x of the separable factors of each term.
+def _rows_naive(spec: ExpSumSpec, grid: GridSpec) -> _Rows:
+    """Row writer for the product E_t @ E_x of the separable factors of each term.
 
-    E_t[r, k] = b_k e(t_r eta_k) and E_x[k, c] = e(xi_k x_c), over the support.
+    E_t[r, k] = b_k e(t_r eta_k) and E_x[k, c] = e(xi_k x_c), over the support;
+    E_x is built once per call.  rows(s, out) is as for _rows_fast.
     """
     idx = spec.support()
+    b = spec.b[idx]
     xi = spec.xi[idx].astype(np.longdouble)
     eta = spec.eta[idx].astype(np.longdouble)
     x = grid.x_lo + np.arange(grid.Mx) * np.longdouble(grid.dx)
-    t = grid.t_lo + t_index.astype(np.longdouble) * np.longdouble(grid.dt)
     e_x = np.exp(2j * math.pi * _frac(xi[:, None] * x[None, :]).astype(float))
-    e_t = np.exp(2j * math.pi * _frac(t[:, None] * eta[None, :]).astype(float))
-    return (spec.b[idx] * e_t) @ e_x
+    dt = np.longdouble(grid.dt)
+
+    def rows(s: int, out: np.ndarray) -> np.ndarray:
+        t = grid.t_lo + np.arange(s, s + len(out)).astype(np.longdouble) * dt
+        e_t = b * np.exp(2j * math.pi * _frac(t[:, None] * eta[None, :]).astype(float))
+        if len(out) > 1:
+            return np.matmul(e_t, e_x, out=out)
+        # numpy takes a one-row product to gemv, which rounds otherwise than
+        # gemm: row 0 of a two-row product keeps each row's bits off its block
+        out[:] = np.matmul(np.repeat(e_t, 2, axis=0), e_x)[:1]
+        return out
+
+    return rows
 
 
-def _block_starts(Mt: int) -> list[int]:
-    return list(range(0, Mt, _BLOCK_ROWS))
+def _block_rows(Mx: int) -> int:
+    """Rows per block: at most _BLOCK_NODES nodes and at most _BLOCK_ROWS rows."""
+    return min(_BLOCK_ROWS, max(1, _BLOCK_NODES // Mx))
 
 
 def _map_blocks(
     spec: ExpSumSpec,
     grid: GridSpec,
     threads: int | None,
-    fn: Callable[[np.ndarray], object],
+    worker: Callable[[_Rows, int], Callable[[int, int], object]],
 ) -> list[object]:
-    """Apply fn to each block of rows; results returned in block order.
+    """Reduce each block of t-rows in a worker thread; results in block order.
 
-    fn receives the (rows x Mx) complex matrix of one t-block.  The block
-    partition is fixed by _BLOCK_ROWS, never by the thread count, so any
-    order-sensitive combination downstream stays deterministic.
+    The blocks hold h = _block_rows(Mx) rows each, the last one fewer: a
+    partition fixed by Mx, never by the thread count, so any order-sensitive
+    combination downstream stays deterministic.  worker(rows, h) runs once in
+    each thread that takes blocks.  It allocates that thread's arrays, sized
+    to one block, and returns block(s, r), which reduces the r rows from row
+    s; rows(s, out) writes those rows into the (r x Mx) complex array out and
+    returns it.  rows, with its arrays of the spec, is built once per call.
+
+    A grid of at most _BLOCK_NODES nodes runs in the calling thread: a pool
+    costs more than it saves there.
     """
-    rows = _rows_fast if _fft_applies(spec, grid) else _rows_naive
-    starts = _block_starts(grid.Mt)
+    rows = (_rows_fast if _fft_applies(spec, grid) else _rows_naive)(spec, grid)
+    h = min(grid.Mt, _block_rows(grid.Mx))
+    local = threading.local()
 
     def run(s: int):
-        t_index = np.arange(s, min(s + _BLOCK_ROWS, grid.Mt))
-        return fn(rows(spec, grid, t_index))
+        if not hasattr(local, "block"):
+            local.block = worker(rows, h)
+        return local.block(s, min(h, grid.Mt - s))
 
+    starts = range(0, grid.Mt, h)
     nt = _threads(threads)
-    if nt == 1 or len(starts) == 1:
+    if nt == 1 or grid.Mx * grid.Mt <= _BLOCK_NODES:
         return [run(s) for s in starts]
     with ThreadPoolExecutor(max_workers=nt) as ex:
         return list(ex.map(run, starts))
+
+
+def _abs_block(rows: _Rows, h: int, Mx: int) -> Callable[[int, int], np.ndarray]:
+    """|f| on the r rows from row s, in two arrays of h rows reused by every block."""
+    c = np.empty((h, Mx), dtype=complex)
+    a = np.empty((h, Mx))
+    return lambda s, r: np.abs(rows(s, c[:r]), out=a[:r])
 
 
 def eval_grid(
@@ -271,8 +324,9 @@ def eval_grid(
     Intended for modest grids; the norm and level-set routines stream their
     rows instead of materializing this.
     """
-    blocks = _map_blocks(spec, grid, threads, lambda m: m)
-    return np.concatenate(blocks, axis=0)
+    f = np.empty((grid.Mt, grid.Mx), dtype=complex)
+    _map_blocks(spec, grid, threads, lambda rows, h: lambda s, r: rows(s, f[s:s + r]))
+    return f
 
 
 @dataclass(frozen=True)
@@ -314,35 +368,44 @@ def _sweep(
     k_top = math.ceil(math.log2(spec.norm_b1()))  # |f| <= ||b||_1 everywhere
     k_min = k_top - 62
 
-    def per_block(m: np.ndarray):
-        a = np.abs(m)
-        if axis == 0:
-            # argmax along axis 0 copies its input to make that axis
-            # contiguous; the bool matrix a == max is an eighth of the copy
-            mx = a.max(axis=0)
-            am = (a == mx).argmax(axis=0)
-        else:
-            am = a.argmax(axis=1)
-            mx = np.take_along_axis(a, am[:, None], axis=1)[:, 0]
-        if not with_levels:
-            return mx, am, None
-        # floor(log2 a) = e - 1 for a = mant * 2^e, mant in [0.5, 1)
-        k = np.frexp(a)[1].astype(np.int64)
-        k -= 1 + k_min
-        np.clip(k, 0, k_top - k_min, out=k)
-        bits = k.view(np.uint64)
-        np.left_shift(np.uint64(1), bits, out=bits)
-        bits[a == 0] = 0
-        return mx, am, np.bitwise_or.reduce(bits, axis=axis)
+    def worker(rows: _Rows, h: int):
+        abs_block = _abs_block(rows, h, grid.Mx)
+        mask_h = np.empty((h, grid.Mx), dtype=bool)
+        if with_levels:
+            mant_h, exp_h = np.empty((h, grid.Mx)), np.empty((h, grid.Mx), dtype=np.intc)
+            k_h = np.empty((h, grid.Mx), dtype=np.int64)
 
-    partials = _map_blocks(spec, grid, threads, per_block)
+        def block(s: int, r: int):
+            a, mask = abs_block(s, r), mask_h[:r]
+            if axis == 0:
+                # argmax along axis 0 copies its input to make that axis
+                # contiguous; the bool matrix a == max is an eighth of the copy
+                mx = a.max(axis=0)
+                am = np.equal(a, mx, out=mask).argmax(axis=0) + s
+            else:
+                am = a.argmax(axis=1)
+                mx = np.take_along_axis(a, am[:, None], axis=1)[:, 0]
+            if not with_levels:
+                return mx, am, None
+            # floor(log2 a) = e - 1 for a = mant * 2^e, mant in [0.5, 1)
+            k = k_h[:r]
+            np.copyto(k, np.frexp(a, out=(mant_h[:r], exp_h[:r]))[1])
+            k -= 1 + k_min
+            np.clip(k, 0, k_top - k_min, out=k)
+            bits = k.view(np.uint64)
+            np.left_shift(np.uint64(1), bits, out=bits)
+            bits[np.equal(a, 0, out=mask)] = 0
+            return mx, am, np.bitwise_or.reduce(bits, axis=axis)
+
+        return block
+
+    partials = _map_blocks(spec, grid, threads, worker)
     masks = None
     if direction == "t":
         sup = np.zeros(grid.Mx)
         arg = np.zeros(grid.Mx, dtype=np.int64)
-        for bi, (mx, am, _) in enumerate(partials):
-            better = mx > sup
-            arg = np.where(better, am + bi * _BLOCK_ROWS, arg)
+        for mx, am, _ in partials:
+            arg = np.where(mx > sup, am, arg)
             sup = np.maximum(sup, mx)
         if with_levels:
             masks = np.bitwise_or.reduce([om for _, _, om in partials])
@@ -424,12 +487,19 @@ def level_set_projection(
     if direction not in ("t", "x"):
         raise ValueError("direction must be 't' or 'x'")
 
-    def per_block(m: np.ndarray) -> np.ndarray:
-        a = np.abs(m)
-        inband = (a >= alpha / 2) & (a < alpha)
-        return inband.any(axis=0) if direction == "t" else inband.any(axis=1)
+    def worker(rows: _Rows, h: int):
+        abs_block = _abs_block(rows, h, grid.Mx)
+        mask_h = np.empty((h, grid.Mx), dtype=bool)
 
-    partials = _map_blocks(spec, grid, threads, per_block)
+        def block(s: int, r: int) -> np.ndarray:
+            a = abs_block(s, r)
+            inband = np.greater_equal(a, alpha / 2, out=mask_h[:r])
+            inband &= a < alpha
+            return inband.any(axis=0) if direction == "t" else inband.any(axis=1)
+
+        return block
+
+    partials = _map_blocks(spec, grid, threads, worker)
     if direction == "t":
         hit = np.zeros(grid.Mx, dtype=bool)
         for h in partials:

@@ -508,7 +508,7 @@ class TestTracingContract:
 # N = 32 specs on a grid of Mx = 128 by Mt = 700 t-rows: three row blocks,
 # the last one partial
 SWEEP_N = 32
-SWEEP_BUDGET = 128 * 700
+SWEEP_BUDGET = 128 * 1100  # past expsum._BLOCK_NODES, so --threads 3 starts a pool
 
 
 def _sweep_spec(tmp_path, canonical):
@@ -535,7 +535,7 @@ class TestExpsumSingleSweep:
         code, out, _ = run_cli(_levels_argv(path, direction), capsys)
         assert code == 0
         grid = canonical_grid(SWEEP_N, SWEEP_BUDGET)
-        assert grid.Mt == 700
+        assert grid.Mt == 1100
         norm = sup_norm_Lp(spec, grid, direction, 4.0)
         rep = dyadic_level_report(spec, grid, direction)
         want = {"norm": norm.to_json_dict(), "levels": rep.to_json_dict()}
@@ -554,19 +554,25 @@ class TestExpsumSingleSweep:
     ):
         path, _ = _sweep_spec(tmp_path, canonical)
         name = "_rows_fast" if canonical else "_rows_naive"
-        rows, blocks = getattr(expsum, name), []
+        make_rows, blocks = getattr(expsum, name), []
 
-        def counting(spec, grid, t_index):
-            blocks.append(len(t_index))
-            return rows(spec, grid, t_index)
+        def counting(spec, grid):
+            rows = make_rows(spec, grid)
+
+            def counted(s, out):
+                blocks.append((s, len(out)))
+                return rows(s, out)
+
+            return counted
 
         monkeypatch.setattr(expsum, name, counting)
         code, _, _ = run_cli(_levels_argv(path, direction, "--threads", "1"), capsys)
         assert code == 0
-        assert len(blocks) == math.ceil(700 / 256)
-        assert sum(blocks) == 700
+        assert blocks == [(0, 256), (256, 256), (512, 256), (768, 256), (1024, 76)]
 
-    def test_levels_thread_count_invariant(self, tmp_path, capsys, canonical, direction):
+    def test_levels_thread_count_invariant(
+        self, tmp_path, capsys, pools, canonical, direction
+    ):
         path, _ = _sweep_spec(tmp_path, canonical)
         results = []
         for threads in ("1", "3"):
@@ -575,6 +581,7 @@ class TestExpsumSingleSweep:
             assert code == 0
             results.append(json.dumps(json.loads(out)["result"], sort_keys=True))
         assert results[0] == results[1]
+        assert pools == [3]
 
 
 class TestExperimentDeterminism:

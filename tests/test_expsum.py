@@ -1,5 +1,6 @@
 """Tests for grid evaluation of exponential sums and their maximal norms."""
 
+import json
 import math
 
 import numpy as np
@@ -212,7 +213,9 @@ class TestEvalGrid:
         c = np.zeros((len(t_index), Mx), dtype=complex)
         np.add.at(c, (np.arange(len(t_index))[:, None], (idx + 1)[None, :] % Mx), vals)
         want = Mx * np.fft.ifft(c, axis=1)
-        assert np.array_equal(expsum._rows_fast(spec, grid, t_index), want)
+        out = np.full((len(t_index), Mx), np.nan, dtype=complex)  # every entry is written
+        assert expsum._rows_fast(spec, grid)(37, out) is out
+        assert np.array_equal(out, want)
 
     @pytest.mark.parametrize("N, Mx", [(64, 16), (100, 7), (256, 60)])
     def test_fast_rows_colliding_folds(self, monkeypatch, N, Mx):
@@ -242,12 +245,63 @@ class TestEvalGrid:
         for row in m:
             assert np.mean(np.abs(row) ** 2) == pytest.approx(b2sq, rel=1e-9)
 
-    def test_determinism_across_thread_counts(self):
+    def test_determinism_across_thread_counts(self, pools):
         spec = random_spec(N=64, seed=17, support=[3, 10, 40])
-        grid = canonical_grid(64, budget=2**15)
+        grid = canonical_grid(64, budget=2**18)
         a = eval_grid(spec, grid, threads=1)
         b = eval_grid(spec, grid, threads=4)
         assert np.array_equal(a, b)
+        assert pools == [4]
+
+
+class TestBlocks:
+    def test_block_rows(self):
+        heights = [expsum._block_rows(Mx) for Mx in (4, 512, 1024, 4096, 2**17, 2**18)]
+        assert heights == [256, 256, 128, 32, 1, 1]
+
+    @pytest.mark.parametrize("canonical", [True, False], ids=["fft", "separable"])
+    def test_partition_does_not_change_results(self, monkeypatch, pools, canonical):
+        # blocks of 8, 256 and 256 rows at Mx = 128, of 1, 102 and 110 at
+        # Mx = 1280, the last one partial but at 110; both grids hold more
+        # than 2**17 nodes, so two threads start a pool unless _BLOCK_NODES
+        # is 2**24
+        spec = random_spec(N=32, seed=43, canonical=canonical)
+        grids = [GridSpec(0.0, 32.0, 128, 0.0, 1024.0, 1100),
+                 GridSpec(0.0, 32.0, 1280, 5.0, 1029.0, 110)]
+
+        def results(grid, threads):
+            out = [eval_grid(spec, grid, threads).tobytes()]
+            for d in ("t", "x"):
+                norm, levels = sup_norm_Lp(spec, grid, d, 4.0, threads, with_levels=True)
+                out.append(json.dumps([norm.to_json_dict(), levels.to_json_dict()]))
+                out.append(repr([level_set_projection(spec, grid, a, d, threads)
+                                 for a in (1.0, 4.0, 16.0)]))
+            return out
+
+        for grid in grids:
+            want = results(grid, 1)
+            for nodes in (2**10, 2**17, 2**24):
+                monkeypatch.setattr(expsum, "_BLOCK_NODES", nodes)
+                for threads in (1, 2):
+                    started = len(pools)
+                    assert results(grid, threads) == want
+                    assert (len(pools) > started) == (threads == 2 and nodes < 2**24)
+
+
+class TestThreads:
+    def test_default_is_the_cpu_affinity(self, monkeypatch):
+        monkeypatch.setattr(expsum.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(expsum.os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                            raising=False)
+        assert expsum._threads(None) == 3
+        assert expsum._threads(5) == 5
+        monkeypatch.setattr(expsum.os, "sched_getaffinity", lambda pid: set(range(12)))
+        assert expsum._threads(None) == 8
+
+    def test_default_without_affinity_is_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(expsum.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(expsum.os, "cpu_count", lambda: 5)
+        assert expsum._threads(None) == 5
 
 
 class TestSupNorm:
@@ -305,12 +359,13 @@ class TestSupNorm:
         with pytest.raises(ValueError):
             sup_norm_Lp(spec, grid, "t", 0.5)
 
-    def test_determinism_across_thread_counts(self):
+    def test_determinism_across_thread_counts(self, pools):
         spec = random_spec(N=64, seed=37)
-        grid = canonical_grid(64, budget=2**16)
+        grid = canonical_grid(64, budget=2**18)
         a = sup_norm_Lp(spec, grid, "t", 4.0, threads=1)
         b = sup_norm_Lp(spec, grid, "t", 4.0, threads=3)
         assert a == b
+        assert pools == [3]
 
 
 class TestLevelSets:

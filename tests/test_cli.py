@@ -505,10 +505,11 @@ class TestTracingContract:
         assert [s.attrs["points"] for s in evals[-2:]] == [64, 2000]
 
 
-# N = 32 specs on a grid of Mx = 128 by Mt = 700 t-rows: three row blocks,
-# the last one partial
+# N = 32 specs on a grid of Mx = 128 by Mt = 1100 t-rows: five row blocks,
+# the last one partial; 140,800 nodes, past expsum._BLOCK_NODES, so that
+# more than one thread starts a pool
 SWEEP_N = 32
-SWEEP_BUDGET = 128 * 1100  # past expsum._BLOCK_NODES, so --threads 3 starts a pool
+SWEEP_BUDGET = 128 * 1100
 
 
 def _sweep_spec(tmp_path, canonical):

@@ -261,13 +261,14 @@ class TestBlocks:
 
     @pytest.mark.parametrize("canonical", [True, False], ids=["fft", "separable"])
     def test_partition_does_not_change_results(self, monkeypatch, pools, canonical):
-        # blocks of 8, 256 and 256 rows at Mx = 128, of 1, 102 and 110 at
-        # Mx = 1280, the last one partial but at 110; both grids hold more
-        # than 2**17 nodes, so two threads start a pool unless _BLOCK_NODES
-        # is 2**24
+        # _BLOCK_NODES = 2**10, 2**17, 2**24 make blocks of 8, 256, 256 rows
+        # at Mx = 128 (Mt = 1030: the last block 6 rows) and of 1, 109, 110
+        # rows at Mx = 1200 (Mt = 110: the last block 1 row at 2**17); both
+        # grids hold more than 2**17 nodes, so two threads start a pool
+        # unless _BLOCK_NODES is 2**24
         spec = random_spec(N=32, seed=43, canonical=canonical)
-        grids = [GridSpec(0.0, 32.0, 128, 0.0, 1024.0, 1100),
-                 GridSpec(0.0, 32.0, 1280, 5.0, 1029.0, 110)]
+        grids = [GridSpec(0.0, 32.0, 128, 0.0, 1024.0, 1030),
+                 GridSpec(0.0, 32.0, 1200, 5.0, 1029.0, 110)]
 
         def results(grid, threads):
             out = [eval_grid(spec, grid, threads).tobytes()]
@@ -275,7 +276,7 @@ class TestBlocks:
                 norm, levels = sup_norm_Lp(spec, grid, d, 4.0, threads, with_levels=True)
                 out.append(json.dumps([norm.to_json_dict(), levels.to_json_dict()]))
                 out.append(repr([level_set_projection(spec, grid, a, d, threads)
-                                 for a in (1.0, 4.0, 16.0)]))
+                                 for a in (2.0, 16.0)]))
             return out
 
         for grid in grids:

@@ -62,6 +62,7 @@ from .expsum import (
     canonical_grid,
     check_budget,
     eval_point,
+    grid_closes,
     sup_norm_Lp,
 )
 
@@ -168,29 +169,29 @@ def _outer_period(
 
     direction names the inner variable, as in sup_norm_Lp.  shift = (x, t)
     must be a lattice vector of f (x xi_n + t eta_n integral on the support,
-    so f(x + shift) = f), and the inner grid must close on itself (its
-    length times each inner frequency integral, so a whole-step inner shift
-    permutes the inner nodes).  Then k shifts that move P whole outer steps
-    and a whole number of inner steps map the inner nodes at outer node j
-    onto those at j + P.  Every check is exact, on the floats that are
-    evaluated.  Returns the least such P if it divides the outer node count,
-    else None.
+    so f(x + shift) = f), and the inner grid must close on itself
+    (grid_closes: its length times each inner frequency integral, so a
+    whole-step inner shift permutes the inner nodes).  Then k shifts that
+    move P whole outer steps and a whole number of inner steps map the inner
+    nodes at outer node j onto those at j + P.  Every check is exact, on the
+    floats that are evaluated.  Returns the least such P if it divides the
+    outer node count, else None.
     """
     idx = spec.support()
-    xi = [Q(v) for v in spec.xi[idx].tolist()]
-    eta = [Q(v) for v in spec.eta[idx].tolist()]
+    xi, eta = spec.xi[idx], spec.eta[idx]
     sx, st = Q(shift[0]), Q(shift[1])
-    if any((sx * a + st * b).denominator != 1 for a, b in zip(xi, eta)):
+    if any((sx * Q(a) + st * Q(b)).denominator != 1
+           for a, b in zip(xi.tolist(), eta.tolist())):
         return None
     # (frequencies, nodes, step, shift) along x and along t
-    x = (xi, grid.Mx, Q(grid.dx), sx)
-    t = (eta, grid.Mt, Q(grid.dt), st)
+    x = (xi, grid.Mx, grid.dx, sx)
+    t = (eta, grid.Mt, grid.dt, st)
     inner, outer = (t, x) if direction == "t" else (x, t)
     nu, m_in, d_in, s_in = inner
     _, m_out, d_out, s_out = outer
-    if any((m_in * d_in * v).denominator != 1 for v in nu):
+    if not grid_closes(nu, m_in, d_in):
         return None
-    steps_out, steps_in = s_out / d_out, s_in / d_in
+    steps_out, steps_in = s_out / Q(d_out), s_in / Q(d_in)
     P = abs(math.lcm(steps_out.denominator, steps_in.denominator) * steps_out)
     if P == 0 or m_out % P:
         return None

@@ -11,23 +11,35 @@ reduction subtracts the nearest integer (rint) and adds 1 to negative
 remainders, which gives a - floor(a) to the last bit at a fraction of the
 cost of a longdouble floor.
 
+Both grid-row paths start from the t-factors b_n e(t_l eta_n) of a block of
+rows (_t_factors).  When the t-grid closes (Mt dt eta_n and Mt t_lo eta_n
+integral on the support: every phase on the lattice 1/Mt, as on the
+witness grids) each factor is the direct exponential of its own phase.
+Otherwise row l = qH + j is the anchor b_n e(t_{qH} eta_n) times the offset
+e(j dt eta_n), H = _ANCHOR_ROWS: K exponentials per anchor and one H x K
+offset table per sweep in place of one exponential per row and term.  The
+product rounds twice more than the direct exponential, a few ulp of |b_n|;
+the anchor and offset phases carry fewer bits than t_l eta_n, so where that
+product overflows the longdouble mantissa (power-of-two dt, rows l >= 2^11)
+the factored phases are the more accurate ones.
+
 Grid rows come from one of two paths, chosen from the spec and the grid
 alone.  When xi_n = n/N and the x-grid is the uniform right-open grid on
 [0, N), the row f(., t) is the unnormalised inverse DFT (no 1/Mx factor) of
-the coefficient vector c_n = b_n e(t eta_n) folded into length Mx (folding
-n mod Mx is exact because e(k n / Mx) only depends on n mod Mx).  At
-power-of-two Mx that is Mx times the normalised inverse DFT to the bit; at
-other Mx it skips the 1/Mx, Mx round trip and may differ by an ulp.
-Otherwise each term splits as e(x xi_n) e(t eta_n), and a block of rows is
-one matrix product of the two factors restricted to the nonzero
-coefficients.
+the t-factors folded into length Mx (folding n mod Mx is exact because
+e(k n / Mx) only depends on n mod Mx).  At power-of-two Mx that is Mx times
+the normalised inverse DFT to the bit; at other Mx it skips the 1/Mx, Mx
+round trip and may differ by an ulp.  Otherwise each term splits as
+e(x xi_n) e(t eta_n), and a block of rows is one matrix product of the
+t-factors and the x-factors, restricted to the nonzero coefficients.
 
 A sweep streams the t-rows in blocks of at most _BLOCK_NODES nodes, so that
 a block's arrays stay cache-sized.  Each worker thread allocates its block
 arrays (the complex rows, |f| and the reduction scratch) once per sweep and
 reuses them for every block it takes, and the arrays of the spec (support,
-frequencies, folds, x-factors) are built once per sweep.  A grid of at most
-_BLOCK_NODES nodes runs in the calling thread.
+frequencies, folds, x-factors, the closing check and the offset table) are
+built once per sweep.  A grid of at most _BLOCK_NODES nodes runs in the
+calling thread.
 
 One sweep over the grid serves both the sup-then-L^p norm and the dyadic
 level sets: each block of rows is reduced once, from one |f| matrix, to its
@@ -51,6 +63,7 @@ import numpy as np
 DEFAULT_BUDGET = 2**24  # max total grid nodes Mx * Mt
 _BLOCK_NODES = 2**17  # grid nodes per row block: a thread's block arrays stay cache-sized
 _BLOCK_ROWS = 256  # at 2048 rows OpenBLAS splits a separable block over its own threads
+_ANCHOR_ROWS = 64  # t-rows per anchor exponential when the t-grid does not close
 _LEVELS = 40  # dyadic bands below the top one in a level report
 
 
@@ -208,6 +221,67 @@ def _fft_applies(spec: ExpSumSpec, grid: GridSpec) -> bool:
     )
 
 
+def grid_closes(freqs: np.ndarray, m: int, *steps: float) -> bool:
+    """Whether m * d * v is an integer for every step d and frequency v, exactly.
+
+    For an m-node grid of step d this says the grid closes on itself: a shift
+    by its whole length m d moves every phase d v by an integer.  The test is
+    in integers, on the floats that are evaluated.
+    """
+    ratios = [v.as_integer_ratio() for v in freqs.tolist()]
+    for d in steps:
+        dn, dd = float(d).as_integer_ratio()
+        if any(m * dn * vn % (dd * vd) for vn, vd in ratios):
+            return False
+    return True
+
+
+def _t_factors(spec: ExpSumSpec, grid: GridSpec) -> Callable[[int, int], np.ndarray]:
+    """factors(s, r): the (r x K) matrix b_n e(t_l eta_n), rows l = s ... s + r - 1.
+
+    Columns run over the support.  When the t-grid closes (grid_closes on
+    Mt with dt and t_lo) every entry is the direct exponential of its phase.
+    Otherwise row l = q H + j, H = _ANCHOR_ROWS, is the product of the anchor
+    b_n e(t_{qH} eta_n), made per call, and the offset e(j dt eta_n), from a
+    table built once; anchors sit at fixed multiples of H, so a row's bits do
+    not depend on the rows asked for with it.  Every phase is reduced by _frac.
+    """
+    idx = spec.support()
+    b = spec.b[idx]
+    eta = spec.eta[idx].astype(np.longdouble)
+    dt = np.longdouble(grid.dt)
+
+    def e(t: np.ndarray) -> np.ndarray:  # e(t_i eta_n) for the longdouble nodes t
+        vals = 2j * math.pi * _frac(t[:, None] * eta[None, :]).astype(float)
+        return np.exp(vals, out=vals)
+
+    def nodes(l: np.ndarray) -> np.ndarray:
+        return grid.t_lo + l.astype(np.longdouble) * dt
+
+    if grid_closes(spec.eta[idx], grid.Mt, grid.dt, grid.t_lo):
+        def direct(s: int, r: int) -> np.ndarray:
+            vals = e(nodes(np.arange(s, s + r)))
+            return np.multiply(b, vals, out=vals)  # b first: vals *= b differs in the last bit
+
+        return direct
+
+    H = _ANCHOR_ROWS
+    offsets = e(np.arange(min(H, grid.Mt)).astype(np.longdouble) * dt)
+
+    def factors(s: int, r: int) -> np.ndarray:
+        q = s // H
+        anchors = e(nodes(np.arange(q * H, s + r, H)))
+        np.multiply(b, anchors, out=anchors)
+        out = np.empty((r, len(idx)), dtype=complex)
+        for a in anchors:
+            lo, hi = max(s, q * H), min(s + r, q * H + H)
+            np.multiply(a, offsets[lo - q * H:hi - q * H], out=out[lo - s:hi - s])
+            q += 1
+        return out
+
+    return factors
+
+
 _Rows = Callable[[int, np.ndarray], np.ndarray]  # rows(s, out): t-rows s, s + 1, ... into out
 
 
@@ -215,22 +289,18 @@ def _rows_fast(spec: ExpSumSpec, grid: GridSpec) -> _Rows:
     """Row writer via the unnormalised inverse DFT of the folded coefficients.
 
     Returns rows(s, out), which writes the t-rows s, s + 1, ... into the
-    (rows x Mx) complex array out and returns it: the terms b_n e(t eta_n) are
-    scattered into out at flat index row * Mx + (n mod Mx), summing folds that
-    collide, and out is inverse-transformed in place with no 1/Mx factor.
+    (rows x Mx) complex array out and returns it: the terms b_n e(t eta_n) of
+    _t_factors are scattered into out at flat index row * Mx + (n mod Mx),
+    summing folds that collide, and out is inverse-transformed in place with
+    no 1/Mx factor.
     """
     idx = spec.support()
-    b = spec.b[idx]
-    eta = spec.eta[idx].astype(np.longdouble)
     fold = (idx + 1) % grid.Mx
-    dt = np.longdouble(grid.dt)
+    factors = _t_factors(spec, grid)
 
     def rows(s: int, out: np.ndarray) -> np.ndarray:
         r = len(out)
-        t_nodes = grid.t_lo + np.arange(s, s + r).astype(np.longdouble) * dt
-        vals = 2j * math.pi * _frac(t_nodes[:, None] * eta[None, :]).astype(float)
-        np.exp(vals, out=vals)
-        np.multiply(b, vals, out=vals)  # b first: vals *= b differs in the last bit
+        vals = factors(s, r)
         out.fill(0)
         flat = (np.arange(r) * grid.Mx)[:, None] + fold
         np.add.at(out.reshape(-1), flat.reshape(-1), vals.reshape(-1))  # 1-D: numpy's fast path
@@ -242,20 +312,18 @@ def _rows_fast(spec: ExpSumSpec, grid: GridSpec) -> _Rows:
 def _rows_naive(spec: ExpSumSpec, grid: GridSpec) -> _Rows:
     """Row writer for the product E_t @ E_x of the separable factors of each term.
 
-    E_t[r, k] = b_k e(t_r eta_k) and E_x[k, c] = e(xi_k x_c), over the support;
-    E_x is built once per call.  rows(s, out) is as for _rows_fast.
+    E_t[r, k] = b_k e(t_r eta_k), from _t_factors, and E_x[k, c] = e(xi_k x_c),
+    over the support; E_x is built once per call.  rows(s, out) is as for
+    _rows_fast.
     """
     idx = spec.support()
-    b = spec.b[idx]
     xi = spec.xi[idx].astype(np.longdouble)
-    eta = spec.eta[idx].astype(np.longdouble)
     x = grid.x_lo + np.arange(grid.Mx) * np.longdouble(grid.dx)
     e_x = np.exp(2j * math.pi * _frac(xi[:, None] * x[None, :]).astype(float))
-    dt = np.longdouble(grid.dt)
+    factors = _t_factors(spec, grid)
 
     def rows(s: int, out: np.ndarray) -> np.ndarray:
-        t = grid.t_lo + np.arange(s, s + len(out)).astype(np.longdouble) * dt
-        e_t = b * np.exp(2j * math.pi * _frac(t[:, None] * eta[None, :]).astype(float))
+        e_t = factors(s, len(out))
         if len(out) > 1:
             return np.matmul(e_t, e_x, out=out)
         # numpy takes a one-row product to gemv, which rounds otherwise than
@@ -303,7 +371,7 @@ def _map_blocks(
     nt = _threads(threads)
     if nt == 1 or grid.Mx * grid.Mt <= _BLOCK_NODES:
         return [run(s) for s in starts]
-    with ThreadPoolExecutor(max_workers=nt) as ex:
+    with ThreadPoolExecutor(max_workers=min(nt, len(starts))) as ex:
         return list(ex.map(run, starts))
 
 

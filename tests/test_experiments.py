@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from convexsums import experiments
+from convexsums import experiments, expsum
 from convexsums.convexseq import construct_dirichlet_like, shear
 from convexsums.experiments import (
     RegressionResult,
@@ -22,6 +22,7 @@ from convexsums.expsum import (
     GridSpec,
     canonical_grid,
     eval_point,
+    grid_closes,
     level_set_projection,
     sup_norm_Lp,
 )
@@ -262,6 +263,63 @@ class TestOuterPeriod:
         a, b = (json.dumps(fn(64, grid_budget=SMALL_BUDGET, seed=4, threads=k)
                            .to_json_dict(), sort_keys=True) for k in (1, 2))
         assert a == b
+
+
+def _swept_spec_and_grid(fn, N, monkeypatch):
+    """The spec an experiment sweeps and the whole grid it reports."""
+    swept = []
+
+    def spy(spec, grid, *args, **kwargs):
+        swept.append(spec)
+        return sup_norm_Lp(spec, grid, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "sup_norm_Lp", spy)
+    rep = fn(N, grid_budget=SMALL_BUDGET, seed=1)
+    monkeypatch.undo()
+    return swept[0], rep.norm.grid
+
+
+def _t_grid_closes(spec, grid):
+    return grid_closes(spec.eta[spec.support()], grid.Mt, grid.dt, grid.t_lo)
+
+
+def _direct_factors(spec, grid, s, r):
+    """b_n e(t_l eta_n) on the support, rows s ... s + r - 1, phase by phase."""
+    idx = spec.support()
+    t = grid.t_lo + np.arange(s, s + r).astype(np.longdouble) * np.longdouble(grid.dt)
+    phase = expsum._frac(t[:, None] * spec.eta[idx].astype(np.longdouble)).astype(float)
+    return spec.b[idx] * np.exp(2j * math.pi * phase)
+
+
+class TestClosingGrids:
+    """The witness t-grids close, except B's at N = 128 and 512 (no dyadic
+    sqrt(N)), and on a closing grid the row factors are the direct
+    exponentials to the bit."""
+
+    @pytest.mark.parametrize("fn, N, closes", [
+        (experiment_A, 64, True), (experiment_A, 256, True),
+        (experiment_B, 64, True), (experiment_B, 256, True),
+        (experiment_B, 128, False), (experiment_C, 64, True), (experiment_C, 128, True),
+    ], ids=["A-64", "A-256", "B-64", "B-256", "B-128", "C-64", "C-128"])
+    def test_witness_grids(self, fn, N, closes, monkeypatch):
+        assert _t_grid_closes(*_swept_spec_and_grid(fn, N, monkeypatch)) == closes
+
+    @pytest.mark.parametrize("N", [64, 128, 256])
+    def test_levels_A_grids(self, N):
+        assert _t_grid_closes(_sheared_A_spec(N), canonical_grid(N))
+
+    @pytest.mark.parametrize("which", ["levels-A-64", "C-64"])
+    def test_rows_are_direct_exponentials(self, which, monkeypatch):
+        if which == "C-64":
+            spec, grid = _swept_spec_and_grid(experiment_C, 64, monkeypatch)
+        else:
+            spec, grid = _sheared_A_spec(64), canonical_grid(64)
+        assert _t_grid_closes(spec, grid)
+        factors = expsum._t_factors(spec, grid)
+        want = _direct_factors(spec, grid, 0, grid.Mt)
+        assert np.array_equal(factors(0, grid.Mt), want)
+        for s, r in [(0, 1), (37, 100), (grid.Mt - 5, 5)]:
+            assert np.array_equal(factors(s, r), want[s:s + r])
 
 
 def level_ratio(spec, grid, K):

@@ -18,6 +18,7 @@ from convexsums.expsum import (
     dyadic_level_report,
     eval_grid,
     eval_point,
+    grid_closes,
     level_set_projection,
     sup_norm_Lp,
 )
@@ -199,17 +200,15 @@ class TestEvalGrid:
         [(64, 256, None), (256, 1024, [0, 5, 200, 255]), (100, 64, None), (96, 8, None)],
     )
     def test_fast_rows_bitwise_at_power_of_two_mx(self, N, Mx, support):
-        # the rows as a 2-D scatter then Mx times the normalised inverse DFT;
-        # at power-of-two Mx the 1/Mx and Mx scalings are exact, so the
-        # unnormalised inverse DFT gives the same bits (Mx < N: folds collide)
+        # the rows as a 2-D scatter of the t-factors then Mx times the
+        # normalised inverse DFT; at power-of-two Mx the 1/Mx and Mx scalings
+        # are exact, so the unnormalised inverse DFT gives the same bits
+        # (Mx < N: folds collide)
         spec = random_spec(N=N, seed=N, support=support)
         grid = GridSpec(0.0, float(N), Mx, 0.0, float(N * N), 300)
         t_index = np.arange(37, 293)
         idx = spec.support()
-        eta = spec.eta[idx].astype(np.longdouble)
-        t = grid.t_lo + t_index.astype(np.longdouble) * np.longdouble(grid.dt)
-        phase = expsum._frac(t[:, None] * eta[None, :]).astype(float)
-        vals = spec.b[idx][None, :] * np.exp(2j * math.pi * phase)
+        vals = expsum._t_factors(spec, grid)(37, len(t_index))
         c = np.zeros((len(t_index), Mx), dtype=complex)
         np.add.at(c, (np.arange(len(t_index))[:, None], (idx + 1)[None, :] % Mx), vals)
         want = Mx * np.fft.ifft(c, axis=1)
@@ -254,6 +253,74 @@ class TestEvalGrid:
         assert pools == [4]
 
 
+def dense_style_spec(N, seed):
+    """eta sorted uniform on [0, N), b normal, as in criterion 7."""
+    rng = np.random.default_rng(seed)
+    eta = np.sort(rng.uniform(0, 1, N)) * N
+    return ExpSumSpec(N=N, xi=np.arange(1, N + 1) / N, eta=eta, b=rng.normal(size=N))
+
+
+def t_grid_closes(spec, grid):
+    return grid_closes(spec.eta[spec.support()], grid.Mt, grid.dt, grid.t_lo)
+
+
+class TestTFactors:
+    """On a t-grid that does not close, row l = qH + j of the t-factors is
+    the anchor b e(t_{qH} eta) times the offset e(j dt eta)."""
+
+    # Mt = 512 rows of step 128: every direct product l dt eta fits the
+    # 64-bit longdouble mantissa, so the two sides differ by the factoring
+    # alone, two rounded exponentials and one product against one
+    SPEC, GRID = random_spec(N=256, seed=1), canonical_grid(256, budget=2**19)
+
+    def test_near_direct_exponentials(self, monkeypatch):
+        spec, grid = self.SPEC, self.GRID
+        assert grid.Mt == 512 and not t_grid_closes(spec, grid)
+        got = expsum._t_factors(spec, grid)(0, grid.Mt)
+        f = eval_grid(spec, grid)
+        monkeypatch.setattr(expsum, "grid_closes", lambda *args: True)
+        want = expsum._t_factors(spec, grid)(0, grid.Mt)
+        b = np.abs(spec.b[spec.support()])
+        assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * b)
+        assert np.max(np.abs(f - eval_grid(spec, grid))) <= 2 * np.spacing(spec.norm_b1())
+
+    def test_rows_do_not_depend_on_the_block(self):
+        factors = expsum._t_factors(self.SPEC, self.GRID)
+        whole = factors(0, self.GRID.Mt)
+        for s, r in [(0, 1), (63, 2), (64, 64), (100, 200), (511, 1)]:
+            assert np.array_equal(factors(s, r), whole[s:s + r])
+
+    def test_closing_check(self):
+        # random and dense etas have 53-bit mantissas: no grid of theirs closes
+        assert not t_grid_closes(self.SPEC, self.GRID)
+        for N in (256, 1024):
+            assert not t_grid_closes(dense_style_spec(N, seed=N), canonical_grid(N, 2**22))
+        eta = np.array([0.5, 0.75])
+        assert grid_closes(eta, 4, 1.0, 3.0)  # 4 * 0.75 and 12 * 0.75 are integers
+        assert not grid_closes(eta, 2, 1.0)  # 2 * 0.75 is not
+        assert not grid_closes(eta, 4, 1.0, 0.5)  # nor is 4 * 0.5 * 0.75
+
+    def test_phases_reduced_per_anchor_not_per_row(self, monkeypatch):
+        # 48-row blocks straddle the 64-row anchors; the sweep reduces the
+        # anchors of each block, the H-row offset table once, and no
+        # per-(row, term) phase
+        spec = random_spec(N=64, seed=3)
+        grid = canonical_grid(64, budget=2**18)
+        K, H = len(spec.support()), expsum._ANCHOR_ROWS
+        real, phases = expsum._frac, []
+
+        def counting(a):
+            phases.append(a.size)
+            return real(a)
+
+        monkeypatch.setattr(expsum, "_frac", counting)
+        monkeypatch.setattr(expsum, "_BLOCK_NODES", 48 * grid.Mx)
+        blocks = math.ceil(grid.Mt / 48)
+        sup_norm_Lp(spec, grid, "t", 4.0, threads=1, with_levels=True)
+        assert not t_grid_closes(spec, grid) and grid.Mt == 1024
+        assert sum(phases) <= (math.ceil(grid.Mt / H) + 2 * blocks + H) * K < grid.Mt * K
+
+
 class TestBlocks:
     def test_block_rows(self):
         heights = [expsum._block_rows(Mx) for Mx in (4, 512, 1024, 4096, 2**17, 2**18)]
@@ -287,6 +354,14 @@ class TestBlocks:
                     started = len(pools)
                     assert results(grid, threads) == want
                     assert (len(pools) > started) == (threads == 2 and nodes < 2**24)
+
+
+    def test_at_most_one_worker_per_block(self, pools):
+        # 4 blocks of 256 rows: a huge thread count starts 4 workers
+        spec = random_spec(N=64, seed=17, support=[3, 10, 40])
+        grid = canonical_grid(64, budget=2**18)
+        assert np.array_equal(eval_grid(spec, grid, threads=10**6), eval_grid(spec, grid, 1))
+        assert pools == [4]
 
 
 class TestThreads:

@@ -306,6 +306,7 @@ class TestTFactors:
         # per-(row, term) phase
         spec = random_spec(N=64, seed=3)
         grid = canonical_grid(64, budget=2**18)
+        assert not t_grid_closes(spec, grid) and grid.Mt == 1024
         K, H = len(spec.support()), expsum._ANCHOR_ROWS
         real, phases = expsum._frac, []
 
@@ -317,7 +318,6 @@ class TestTFactors:
         monkeypatch.setattr(expsum, "_BLOCK_NODES", 48 * grid.Mx)
         blocks = math.ceil(grid.Mt / 48)
         sup_norm_Lp(spec, grid, "t", 4.0, threads=1, with_levels=True)
-        assert not t_grid_closes(spec, grid) and grid.Mt == 1024
         assert sum(phases) <= (math.ceil(grid.Mt / H) + 2 * blocks + H) * K < grid.Mt * K
 
 
@@ -354,7 +354,6 @@ class TestBlocks:
                     started = len(pools)
                     assert results(grid, threads) == want
                     assert (len(pools) > started) == (threads == 2 and nodes < 2**24)
-
 
     def test_at_most_one_worker_per_block(self, pools):
         # 4 blocks of 256 rows: a huge thread count starts 4 workers

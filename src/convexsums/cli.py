@@ -80,9 +80,11 @@ def _load_spec(path: str) -> ExpSumSpec:
     for field in ("N", "xi", "eta", "b"):
         if field not in raw:
             raise ValueError(f"spec file {path}: missing field '{field}'")
+    if type(raw["N"]) is not int:  # int() would truncate 2.7 and read true as 1
+        raise ValueError(f"spec file {path}: N must be an integer, got {raw['N']!r}")
     try:
         return ExpSumSpec(
-            N=int(raw["N"]),
+            N=raw["N"],
             xi=np.asarray(raw["xi"], dtype=float),
             eta=np.asarray(raw["eta"], dtype=float),
             b=np.asarray(raw["b"], dtype=float),

@@ -17,23 +17,19 @@ The identity points are exact in floating point for power-of-two N: every
 phase is a dyadic rational times an integer, the products fit well inside
 the longdouble mantissa, and the fractional parts reduce to exactly zero.
 
-The same alignment is a translation symmetry of f, and each experiment
-names it as a lattice vector (x0, t0) with f(x + x0, t + t0) = f(x, t),
-since x0 xi_n + t0 eta_n is an integer on the hits:
-
-  A: (1, N), with xi_n + N eta_n = N a_n;
-  B: (0, sqrt(N)) when N is a perfect square (none otherwise), with
-     sqrt(N) eta_n = sqrt(N) a_n;
-  C: (N, 1), with N xi_n + eta_n = n.
-
-On the experiment's own grid the sup over the inner variable then repeats
-exactly along the outer one, so the norm sweeps one period of outer nodes
-and scales the L^4 sum by the number of periods (_sup_norm_L4).  The
-period is certified in exact rationals on the evaluated floats
-(_outer_period); when a check fails, as for B at N = 128 or 512, the whole
-grid is swept.  The reported grid, norm and ratio are those of the whole
-grid to the last bits; argmax is the first maximum within the swept
-period, and norm.swept_nodes counts the nodes evaluated.
+The same alignment is a translation symmetry of f: (1, N) for A, (N, 1)
+for C, (0, sqrt(N)) for B at square N.  The code names none of them.  It
+reads the whole lattice of f's symmetries in grid steps off the evaluated
+floats, exactly (_cell), and sweeps one cell: on each inner line the m
+nodes of one period, and the P outer nodes over which the inner sup
+repeats, where P divides the outer node count (else every outer node).  A
+cell is finer than the named vectors: A at N = 64 repeats on one x-node and
+2048 t-nodes, and B at N = 128, with no named vector, on half of each x-row.
+The whole grid is swept when the inner period exceeds the inner node count,
+as for B at N = 512.  The norm is scaled by the number of outer cells
+(_sup_norm_L4), so the reported grid, norm and ratio are those of the whole
+grid to the last bits; argmax is the first maximum within the cell, and
+norm.swept_nodes counts the nodes evaluated.
 
 Reports hold no timing fields, so a fixed config and seed gives
 byte-identical JSON regardless of machine speed or thread count.
@@ -62,7 +58,6 @@ from .expsum import (
     canonical_grid,
     check_budget,
     eval_point,
-    grid_closes,
     sup_norm_Lp,
 )
 
@@ -162,71 +157,72 @@ def _hit_coefficients(seq: ConvexSequence) -> np.ndarray:
     return b
 
 
-def _outer_period(
-    spec: ExpSumSpec, grid: GridSpec, direction: str, shift: tuple[int, int]
-) -> int | None:
-    """Outer grid steps after which the sup over the inner variable repeats.
+def _egcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, u, v) with u a + v b = g = gcd(a, b)."""
+    u, v, u1, v1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b, u, v, u1, v1 = b, a - q * b, u1, v1, u - q * u1, v - q * v1
+    return (a, u, v) if a >= 0 else (-a, -u, -v)
 
-    direction names the inner variable, as in sup_norm_Lp.  shift = (x, t)
-    must be a lattice vector of f (x xi_n + t eta_n integral on the support,
-    so f(x + shift) = f), and the inner grid must close on itself
-    (grid_closes: its length times each inner frequency integral, so a
-    whole-step inner shift permutes the inner nodes).  Then k shifts that
-    move P whole outer steps and a whole number of inner steps map the inner
-    nodes at outer node j onto those at j + P.  Every check is exact, on the
-    floats that are evaluated.  Returns the least such P if it divides the
-    outer node count, else None.
+
+def _cell(spec: ExpSumSpec, grid: GridSpec, direction: str) -> tuple[int, int]:
+    """(P, m): outer and inner node counts of one cell of f's translation lattice.
+
+    direction names the inner variable, as in sup_norm_Lp.  In grid steps f
+    is invariant under L = {(i, j) : i w_n[0] + j w_n[1] integral on the
+    support}, w_n = (d_out nu_n, d_in mu_n) with nu, mu the outer and inner
+    frequencies.  L is the dual of Z^2 + sum Z w_n; scaled by D, the lcm of
+    the denominators, that module has the Hermite normal form (g1, h),
+    (0, g2), built one w_n at a time.  m is the least j > 0 with (0, j) in L,
+    and P the least i > 0 with some (i, j) in L.  Every value is exact, on
+    the evaluated floats.
     """
     idx = spec.support()
-    xi, eta = spec.xi[idx], spec.eta[idx]
-    sx, st = Q(shift[0]), Q(shift[1])
-    if any((sx * Q(a) + st * Q(b)).denominator != 1
-           for a, b in zip(xi.tolist(), eta.tolist())):
-        return None
-    # (frequencies, nodes, step, shift) along x and along t
-    x = (xi, grid.Mx, grid.dx, sx)
-    t = (eta, grid.Mt, grid.dt, st)
-    inner, outer = (t, x) if direction == "t" else (x, t)
-    nu, m_in, d_in, s_in = inner
-    _, m_out, d_out, s_out = outer
-    if not grid_closes(nu, m_in, d_in):
-        return None
-    steps_out, steps_in = s_out / Q(d_out), s_in / Q(d_in)
-    P = abs(math.lcm(steps_out.denominator, steps_in.denominator) * steps_out)
-    if P == 0 or m_out % P:
-        return None
-    return int(P)
+    x, t = (spec.xi[idx], grid.dx), (spec.eta[idx], grid.dt)
+    (mu, d_in), (nu, d_out) = (t, x) if direction == "t" else (x, t)
+    w = [(Q(d_out) * Q(a), Q(d_in) * Q(b)) for a, b in zip(nu.tolist(), mu.tolist())]
+    D = math.lcm(*(c.denominator for v in w for c in v))
+    g1, h, g2 = D, 0, D
+    for a, b in w:
+        x_n, y_n = int(a * D), int(b * D)
+        g, u, v = _egcd(g1, x_n)
+        g1, h, g2 = g, (u * h + v * y_n) % g2, math.gcd(g2, (g1 * y_n - x_n * h) // g)
+    m = D // math.gcd(D, h, g2)
+    r = math.gcd(h * D // math.gcd(D, g2), D)
+    return r // math.gcd(r, g1), m
 
 
 def _sup_norm_L4(
-    spec: ExpSumSpec,
-    grid: GridSpec,
-    direction: str,
-    shift: tuple[int, int] | None,
-    threads: int | None,
+    spec: ExpSumSpec, grid: GridSpec, direction: str, threads: int | None
 ) -> tuple[NormResult, int]:
     """(L^4 norm of the inner-direction sup on grid, number of nodes swept).
 
-    With an outer period P from _outer_period, the sweep covers the first P
-    outer nodes at the grid's own step, and the norm is scaled by (outer
-    nodes / P)^{1/4}: the sup array repeats exactly, so only the summation
-    order of the Riemann sum changes.  The full grid is swept when there is
-    no period or the sub-grid's step is not the grid's to the bit.  The
-    result reports grid; argmax is the first maximum within the period.
+    With the cell (P, m) of _cell and m at most the inner node count, every
+    inner line holds all m residues of its period, so the sup over the inner
+    variable is the sup over its first m nodes and repeats every P outer
+    nodes.  The sweep then covers m inner nodes, and P outer nodes when P
+    divides the outer node count (else all of them), at the grid's own
+    steps; the norm is scaled by (outer nodes / swept outer nodes)^{1/4}, so
+    only the summation order of the Riemann sum changes.  The full grid is
+    swept when m exceeds the inner node count or a sub-grid step is not the
+    grid's to the bit.  The result reports grid; argmax is the first maximum
+    within the cell.
     """
-    P = None if shift is None else _outer_period(spec, grid, direction, shift)
+    P, m = _cell(spec, grid, direction)
+    m_out, m_in = (grid.Mx, grid.Mt) if direction == "t" else (grid.Mt, grid.Mx)
     sub = grid
-    if P is not None:
-        if direction == "t":
-            sub = replace(grid, x_hi=grid.x_lo + P * grid.dx, Mx=P)
-        else:
-            sub = replace(grid, t_hi=grid.t_lo + P * grid.dt, Mt=P)
+    if m <= m_in:
+        P = P if m_out % P == 0 else m_out
+        x, t = (P, m) if direction == "t" else (m, P)
+        sub = replace(grid, x_hi=grid.x_lo + x * grid.dx, Mx=x,
+                      t_hi=grid.t_lo + t * grid.dt, Mt=t)
         if (sub.dx, sub.dt) != (grid.dx, grid.dt):
             sub = grid
     norm = sup_norm_Lp(spec, sub, direction, 4.0, threads=threads)
-    swept = sub.Mx * sub.Mt
-    periods = grid.Mx * grid.Mt // swept
-    return replace(norm, value=norm.value * periods**0.25, grid=grid), swept
+    swept_out = sub.Mx if direction == "t" else sub.Mt
+    value = norm.value * (m_out // swept_out) ** 0.25
+    return replace(norm, value=value, grid=grid), sub.Mx * sub.Mt
 
 
 def _witness(
@@ -237,7 +233,6 @@ def _witness(
     points: list[tuple[float, float]],
     grid: GridSpec,
     sup_direction: str,
-    shift: tuple[int, int] | None,
     exponent: float,
     seed: int,
     threads: int | None,
@@ -245,14 +240,14 @@ def _witness(
     """The part every experiment shares, once its spec, points and grid exist.
 
     Checks |f| = hit count of seq at each aligned point (relative error <=
-    1e-6), takes the L^4 norm of the sup over sup_direction (over one outer
-    period when shift certifies one, see _sup_norm_L4), and divides it by
-    the predicted N^exponent ||b||_2.
+    1e-6), takes the L^4 norm of the sup over sup_direction (over one cell
+    of f's translation lattice where the grid allows, see _sup_norm_L4), and
+    divides it by the predicted N^exponent ||b||_2.
     """
     count = len(seq.hits)
     xs, ts = np.array(points).T
     worst = max(abs(v - count) / count for v in eval_point(spec, xs, ts))
-    norm, swept = _sup_norm_L4(spec, grid, sup_direction, shift, threads)
+    norm, swept = _sup_norm_L4(spec, grid, sup_direction, threads)
     return ExperimentReport(
         id=id,
         N=spec.N,
@@ -290,8 +285,7 @@ def experiment_A(
     )
     js = list(range(1, N + 1))
     points = [(float(j), float(j) * N) for j in js]
-    return _witness("A", c, spec, js, points, grid, "t", (1, N), 7 / 12, seed,
-                    threads)
+    return _witness("A", c, spec, js, points, grid, "t", 7 / 12, seed, threads)
 
 
 def experiment_B(
@@ -310,9 +304,7 @@ def experiment_B(
     js = sorted(int(j) for j in rng.integers(1, int(N**1.5) + 1, size=64))
     root = math.sqrt(N)
     points = [(0.0, j * root) for j in js]
-    shift = (0, math.isqrt(N)) if math.isqrt(N) ** 2 == N else None
-    return _witness("B", seq, spec, js, points, grid, "x", shift, 5 / 8, seed,
-                    threads)
+    return _witness("B", seq, spec, js, points, grid, "x", 5 / 8, seed, threads)
 
 
 def experiment_C(
@@ -326,10 +318,10 @@ def experiment_C(
     The tilt makes the x-frequencies non-canonical, so the norm's rows come
     from the separable product over the (few) nonzero coefficients; f is
     N^2-periodic in x because N^2 xi_n = nN - m_n is an integer on the support.
-    On the default square grid dt = dx is a whole number, so dt shifts by
-    the lattice vector (N, 1) move one t-step and N whole x-steps: every row
-    has the same sup.  That sup is computed once, from the row t = 0, and
-    the norm is sqrt(N) * hit count up to rounding.
+    On the default square grid dt = dx is a whole number, so f's lattice
+    holds a vector of one t-step and whole x-steps: every row has the same
+    sup.  The sweep is one cell of that lattice, one t-row and one x-period
+    (_sup_norm_L4), and the norm is sqrt(N) * hit count up to rounding.
     """
     seq = _hit_sequence(N, 1.0)
     side = math.isqrt(check_budget(grid_budget))
@@ -346,8 +338,7 @@ def experiment_C(
     rng = np.random.default_rng(seed)
     js = sorted(int(j) for j in rng.integers(1, N * N + 1, size=64))
     points = [(float(j) * N, float(j)) for j in js]
-    return _witness("C", seq, spec, js, points, grid, "x", (N, 1), 5 / 6, seed,
-                    threads)
+    return _witness("C", seq, spec, js, points, grid, "x", 5 / 6, seed, threads)
 
 
 EXPERIMENTS = {"A": experiment_A, "B": experiment_B, "C": experiment_C}

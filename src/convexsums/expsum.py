@@ -172,9 +172,9 @@ def canonical_grid(N: int, budget: int = DEFAULT_BUDGET) -> GridSpec:
     period and read high: B at N = 1024 takes its t-nodes at multiples of
     sqrt(N), where |f| attains the hit count, and reports 256.0 against
     246.83 over one full period.  Experiment C's own grid caps its outer
-    variable in the same way.  The experiments sweep only one period of the
-    outer nodes of these same grids, which gives the same numbers, so this
-    note describes their reported norms too.
+    variable in the same way.  The experiments sweep only one cell of f's
+    translation lattice on these same grids, which gives the same numbers,
+    so this note describes their reported norms too.
     """
     Mx = 4 * N
     Mt = min(4 * N * N, max(1, check_budget(budget) // Mx))

@@ -186,6 +186,17 @@ class TestOtherCommands:
         assert err.startswith("error:") and "eta" in err
         assert out == ""
 
+    @pytest.mark.parametrize("N", [2.7, True], ids=["float", "bool"])
+    def test_expsum_non_integer_N_exit1(self, N, tmp_path, capsys):
+        spec = {"N": N, "xi": [0.5, 1.0], "eta": [0.0, 1.0], "b": [1.0, 1.0]}
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(spec))
+        code, out, err = run_cli(["expsum", str(p)], capsys)
+        assert code == 1
+        assert err.startswith("error:") and "N must be an integer" in err
+        assert len(err.splitlines()) == 1
+        assert out == ""
+
     def test_envelope_config_keys(self, capsys):
         code, out, _ = run_cli(
             ["farey", "--lo", "0", "--hi", "1", "--qmax", "2", "--count-only"], capsys

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction as Q
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from convexsums import experiments, expsum
 from convexsums.convexseq import construct_dirichlet_like, shear
 from convexsums.experiments import (
     RegressionResult,
+    _cell,
     _hit_coefficients,
-    _outer_period,
     _sup_norm_L4,
     experiment_A,
     experiment_B,
@@ -200,62 +201,130 @@ class TestIdentityBatch:
         assert len(calls[0][1]) == len(rep.checked_j)
 
 
-class TestOuterPeriod:
-    """Each experiment sweeps one certified period of its outer variable."""
+def _norm_inputs(fn, N, budget, monkeypatch):
+    """The spec, grid and sup direction fn(N) takes its norm on, with no sweep."""
+    calls = []
 
-    @pytest.mark.parametrize("fn, N, period", [
-        (experiment_A, 64, 4), (experiment_B, 64, 2),
-        (experiment_C, 64, 1), (experiment_C, 128, 1),
-    ], ids=["A-64", "B-64", "C-64", "C-128"])
-    def test_reduced_norm_matches_full_grid(self, fn, N, period, monkeypatch):
+    def spy(*args):
+        calls.append(args)
+        raise _Captured
+
+    monkeypatch.setattr(experiments, "_sup_norm_L4", spy)
+    with pytest.raises(_Captured):
+        fn(N, grid_budget=budget, seed=1)
+    monkeypatch.undo()
+    ((spec, grid, direction, _),) = calls
+    return spec, grid, direction
+
+
+def _brute_cell(w):
+    """(P, m) of {(i, j) : i a + j b integral for all (a, b) in w} by enumeration."""
+    D = math.lcm(*(c.denominator for v in w for c in v))
+    def inside(i, j):
+        return all((i * a + j * b).denominator == 1 for a, b in w)
+
+    return (min(i for i in range(1, D + 1) if any(inside(i, j) for j in range(D))),
+            min(j for j in range(1, D + 1) if inside(0, j)))
+
+
+class TestOuterPeriod:
+    """Each experiment sweeps one cell of f's translation lattice, read off
+    its floats (_cell), where the grid allows it, and the norm is the full
+    grid's."""
+
+    def test_cell_matches_enumeration(self):
+        rng = np.random.default_rng(16)
+        for _ in range(100):
+            K = int(rng.integers(1, 4))
+            xi = rng.integers(-16, 17, size=K) / 2.0 ** rng.integers(0, 4, size=K)
+            eta = rng.integers(-16, 17, size=K) / 2.0 ** rng.integers(0, 4, size=K)
+            dx, dt = rng.choice([0.25, 0.5, 0.75, 1.0, 3.0], size=2)
+            spec = ExpSumSpec(N=K, xi=xi, eta=eta, b=np.ones(K))
+            grid = GridSpec(x_lo=0.0, x_hi=5 * dx, Mx=5, t_lo=1.0, t_hi=1.0 + 7 * dt, Mt=7)
+            for direction, steps in (("t", (dx, dt)), ("x", (dt, dx))):
+                (nu, mu) = (xi, eta) if direction == "t" else (eta, xi)
+                w = [(Q(steps[0]) * Q(a), Q(steps[1]) * Q(b))
+                     for a, b in zip(nu.tolist(), mu.tolist())]
+                assert _cell(spec, grid, direction) == _brute_cell(w)
+
+    @pytest.mark.parametrize("fn, N, cell", [
+        (experiment_A, 64, (1, 2048)), (experiment_A, 128, (4, 32768)),
+        (experiment_A, 256, (4, 8192)), (experiment_A, 512, (2, 8192)),
+        (experiment_A, 1024, (4, 4096)),
+        (experiment_B, 64, (16, 128)), (experiment_B, 128, (2**53, 256)),
+        (experiment_B, 256, (1, 1024)), (experiment_B, 1024, (1, 4096)),
+    ], ids=["A-64", "A-128", "A-256", "A-512", "A-1024",
+            "B-64", "B-128", "B-256", "B-1024"])
+    def test_default_budget_cells(self, fn, N, cell, monkeypatch):
+        assert _cell(*_norm_inputs(fn, N, expsum.DEFAULT_BUDGET, monkeypatch)) == cell
+
+    @pytest.mark.parametrize("fn, N", [
+        (fn, N) for fn in (experiment_A, experiment_B, experiment_C)
+        for N in (64, 128, 256, 512)
+    ], ids=[f"{w}-{N}" for w in "ABC" for N in (64, 128, 256, 512)])
+    def test_reduced_norm_matches_full_grid(self, fn, N, monkeypatch):
+        spec, grid, direction = _norm_inputs(fn, N, SMALL_BUDGET, monkeypatch)
+        P, m = _cell(spec, grid, direction)
+        m_out, m_in = (grid.Mx, grid.Mt) if direction == "t" else (grid.Mt, grid.Mx)
         swept = []
 
         def spy(spec, grid, *args, **kwargs):
-            swept.append((spec, grid))
+            swept.append(grid)
             return sup_norm_Lp(spec, grid, *args, **kwargs)
 
         monkeypatch.setattr(experiments, "sup_norm_Lp", spy)
         rep = fn(N, grid_budget=SMALL_BUDGET, seed=1)
-        ((spec, sub),) = swept
-        grid = rep.norm.grid
-        inner = grid.Mt if rep.norm.sup_direction == "t" else grid.Mx
-        assert rep.swept_nodes == sub.Mx * sub.Mt == period * inner
-        full = sup_norm_Lp(spec, grid, rep.norm.sup_direction, 4.0)
+        monkeypatch.undo()
+        (sub,) = swept
+        assert rep.norm.grid == grid
+        if m <= m_in:
+            assert rep.swept_nodes == sub.Mx * sub.Mt == (P if m_out % P == 0 else m_out) * m
+        else:
+            assert sub == grid
+        full = sup_norm_Lp(spec, grid, direction, 4.0)
         assert rep.norm.value == pytest.approx(full.value, rel=1e-12, abs=0)
+        assert abs(rep.norm.max_abs - full.max_abs) <= 1e-12 * spec.norm_b1()
         k = (rep.norm.argmax_x - grid.x_lo) / grid.dx
         l = (rep.norm.argmax_t - grid.t_lo) / grid.dt
         assert k == int(k) and 0 <= k < grid.Mx
         assert l == int(l) and 0 <= l < grid.Mt
         got = abs(eval_point(spec, rep.norm.argmax_x, rep.norm.argmax_t))
         assert abs(got - rep.norm.max_abs) <= 1e-12 * spec.norm_b1()
-        assert rep.norm.max_abs == pytest.approx(full.max_abs, rel=1e-12, abs=0)
+
+    def test_irrational_sqrt_N_128_sweeps_a_cell(self):
+        rep = experiment_B(128, grid_budget=SMALL_BUDGET, seed=1)
+        assert rep.swept_nodes == rep.norm.grid.Mt * 256 < rep.norm.grid.Mx * rep.norm.grid.Mt
 
     def test_irrational_sqrt_N_sweeps_full_grid(self):
-        rep = experiment_B(128, grid_budget=SMALL_BUDGET, seed=1)
+        rep = experiment_B(512, grid_budget=SMALL_BUDGET, seed=1)
         assert rep.swept_nodes == rep.norm.grid.Mx * rep.norm.grid.Mt
 
     def test_broken_lattice_vector_sweeps_full_grid(self):
         N = 64
         spec = _sheared_A_spec(N)
         grid = canonical_grid(N, SMALL_BUDGET)
-        assert _outer_period(spec, grid, "t", (1, N)) == 4
-        assert _outer_period(spec, grid, "t", (1, 0)) is None  # no lattice vector
+        assert _cell(spec, grid, "t") == (1, 128)
         eta = spec.eta.copy()
         eta[spec.support()[0]] += 2.0**-40
         broken = ExpSumSpec(N=N, xi=spec.xi, eta=eta, b=spec.b)
-        assert _outer_period(broken, grid, "t", (1, N)) is None
-        norm, swept = _sup_norm_L4(broken, grid, "t", (1, N), threads=None)
+        assert _cell(broken, grid, "t")[1] > grid.Mt
+        norm, swept = _sup_norm_L4(broken, grid, "t", threads=None)
         assert swept == grid.Mx * grid.Mt
         assert norm == sup_norm_Lp(broken, grid, "t", 4.0)
 
-    @pytest.mark.parametrize("t_hi, Mt, x_hi, Mx", [
-        (3.0, 3, 64.0, 256),  # t-range 3 is no period of f
-        (4096.0, 1024, 1.5, 6),  # period 4 does not divide Mx = 6
+    @pytest.mark.parametrize("t_hi, Mt, x_hi, Mx, cell", [
+        (3.0, 3, 64.0, 256, (1, 512)),  # the inner period, 512 nodes, exceeds Mt
+        (512.0, 128, 0.375, 6, (4, 128)),  # the outer period 4 does not divide Mx
     ], ids=["inner-not-closed", "period-not-dividing"])
-    def test_grid_without_period(self, t_hi, Mt, x_hi, Mx):
+    def test_grid_without_period(self, t_hi, Mt, x_hi, Mx, cell):
         spec = _sheared_A_spec(64)
         grid = GridSpec(x_lo=0.0, x_hi=x_hi, Mx=Mx, t_lo=0.0, t_hi=t_hi, Mt=Mt)
-        assert _outer_period(spec, grid, "t", (1, 64)) is None
+        assert _cell(spec, grid, "t") == cell
+        norm, swept = _sup_norm_L4(spec, grid, "t", threads=None)
+        assert swept == grid.Mx * grid.Mt
+        full = sup_norm_Lp(spec, grid, "t", 4.0)
+        assert norm.value == pytest.approx(full.value, rel=1e-12, abs=0)
+        assert norm.max_abs == full.max_abs
 
     @pytest.mark.parametrize("fn", [experiment_A, experiment_B, experiment_C],
                              ids=["A", "B", "C"])

@@ -283,6 +283,7 @@ class TestOuterPeriod:
             assert sub == grid
         full = sup_norm_Lp(spec, grid, direction, 4.0)
         assert rep.norm.value == pytest.approx(full.value, rel=1e-12, abs=0)
+        assert rep.norm.max_abs == pytest.approx(full.max_abs, rel=1e-12, abs=0)
         assert abs(rep.norm.max_abs - full.max_abs) <= 1e-12 * spec.norm_b1()
         k = (rep.norm.argmax_x - grid.x_lo) / grid.dx
         l = (rep.norm.argmax_t - grid.t_lo) / grid.dt

@@ -209,12 +209,17 @@ def cmd_regress(args) -> int:
     cfg = RunConfig(command="regress", out=args.out)
     with open(args.points) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, list):
+        raise ValueError(f"{args.points}: not a JSON list of [N, value] pairs")
     pts = []
-    try:
-        for n, v in raw:
-            pts.append((float(n), float(v)))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{args.points}: entry {len(pts) + 1}: {exc}") from None
+    for entry in raw:
+        try:  # type(), not isinstance: a JSON true is no number here
+            if not (isinstance(entry, list) and len(entry) == 2
+                    and all(type(v) in (int, float) for v in entry)):
+                raise TypeError(f"not an [N, value] pair of numbers: {json.dumps(entry)}")
+            pts.append((float(entry[0]), float(entry[1])))
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"{args.points}: entry {len(pts) + 1}: {exc}") from None
     _emit(cfg, regress(pts).to_json_dict(), args.out)
     return 0
 

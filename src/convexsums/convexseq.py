@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .interp import Knot, build_c1, upgrade_c2
-from .rational import Q, enumerate_fractions, power_floor, power_value
+from .rational import Q, _farey_walk, power_floor, power_value
 
 
 class ConstructionError(ValueError):
@@ -385,14 +385,14 @@ def construct_dirichlet_like(N: int, alpha: float) -> ConvexSequence:
     w, _ = power_value(N, aq - 1)
     lo, hi = w / 3, 2 * w / 3
     widened = False
-    fracs = enumerate_fractions(lo, hi, qmax)
-    if len(fracs) < 2:
+    terms = list(_farey_walk(lo, hi, qmax))  # (num, den) pairs: the pair step is in integers
+    if len(terms) < 2:
         widened = True
         hi = 4 * w / 3
-        fracs = enumerate_fractions(lo, hi, qmax)
-    if len(fracs) < 2:
+        terms = list(_farey_walk(lo, hi, qmax))
+    if len(terms) < 2:
         raise ConstructionError(
-            f"only {len(fracs)} fractions with denominator <= {qmax} in the "
+            f"only {len(terms)} fractions with denominator <= {qmax} in the "
             f"window; N={N} too small for alpha={alpha}"
         )
     scale2, _ = power_value(N, 2 - aq)
@@ -401,15 +401,15 @@ def construct_dirichlet_like(N: int, alpha: float) -> ConvexSequence:
     step_f = float(step_q)
 
     sn, sd = scale2.numerator, scale2.denominator
-    terms = [(r.numerator, r.denominator) for r in fracs]
-    knots = [Knot(x=0.0, y=0.0, p=float(fracs[0]) * slope_f)]
+    n0, d0 = terms[0]
+    knots = [Knot(x=0.0, y=0.0, p=n0 / d0 * slope_f)]
     hit_data: list[tuple[int, int]] = []
     X = Y = 0  # cumulative integer sums of k_j and M_j
     trimmed = 0
     for (n1, d1), (n2, d2) in zip(terms, terms[1:]):
         k, M = _mediant_step(n1, d1, n2, d2, sn, sd)
         if X + k > N:  # past the sampling range: trim this and the rest
-            trimmed = len(fracs) - 1 - len(hit_data)
+            trimmed = len(terms) - 1 - len(hit_data)
             break
         X += k
         Y += M
@@ -421,7 +421,7 @@ def construct_dirichlet_like(N: int, alpha: float) -> ConvexSequence:
         "construction": "dirichlet_like",
         "alpha": alpha,
         "qmax": qmax,
-        "fractions": len(fracs),
+        "fractions": len(terms),
         "widened_window": widened,
         "trimmed_pairs": trimmed,
     }

@@ -12,16 +12,14 @@ remainders, which gives a - floor(a) to the last bit at a fraction of the
 cost of a longdouble floor.
 
 Both grid-row paths start from the t-factors b_n e(t_l eta_n) of a block of
-rows (_t_factors).  When the t-grid closes (Mt dt eta_n and Mt t_lo eta_n
-integral on the support: every phase on the lattice 1/Mt, as on the
-witness grids) each factor is the direct exponential of its own phase.
-Otherwise row l = qH + j is the anchor b_n e(t_{qH} eta_n) times the offset
-e(j dt eta_n), H = _ANCHOR_ROWS: K exponentials per anchor and one H x K
-offset table per sweep in place of one exponential per row and term.  The
-product rounds twice more than the direct exponential, a few ulp of |b_n|;
-the anchor and offset phases carry fewer bits than t_l eta_n, so where that
-product overflows the longdouble mantissa (power-of-two dt, rows l >= 2^11)
-the factored phases are the more accurate ones.
+rows (_t_factors).  Row l = qH + j is the anchor b_n e(t_{qH} eta_n) times
+the offset e(j dt eta_n), H = _ANCHOR_ROWS: K exponentials per anchor and
+one H x K offset table per sweep in place of one exponential per row and
+term.  The product rounds twice more than the direct exponential of t_l
+eta_n, a few ulp of |b_n|; the anchor and offset phases carry fewer bits
+than t_l eta_n, so where that product overflows the longdouble mantissa
+(power-of-two dt, rows l >= 2^11) the factored phases are the more accurate
+ones.
 
 Grid rows come from one of two paths, chosen from the spec and the grid
 alone.  When xi_n = n/N and the x-grid is the uniform right-open grid on
@@ -37,9 +35,8 @@ A sweep streams the t-rows in blocks of at most _BLOCK_NODES nodes, so that
 a block's arrays stay cache-sized.  Each worker thread allocates its block
 arrays (the complex rows, |f| and the reduction scratch) once per sweep and
 reuses them for every block it takes, and the arrays of the spec (support,
-frequencies, folds, x-factors, the closing check and the offset table) are
-built once per sweep.  A grid of at most _BLOCK_NODES nodes runs in the
-calling thread.
+frequencies, folds, x-factors and the offset table) are built once per
+sweep.  A grid of at most _BLOCK_NODES nodes runs in the calling thread.
 
 One sweep over the grid serves both the sup-then-L^p norm and the dyadic
 level sets: each block of rows is reduced once, from one |f| matrix, to its
@@ -63,7 +60,7 @@ import numpy as np
 DEFAULT_BUDGET = 2**24  # max total grid nodes Mx * Mt
 _BLOCK_NODES = 2**17  # grid nodes per row block: a thread's block arrays stay cache-sized
 _BLOCK_ROWS = 256  # at 2048 rows OpenBLAS splits a separable block over its own threads
-_ANCHOR_ROWS = 64  # t-rows per anchor exponential when the t-grid does not close
+_ANCHOR_ROWS = 64  # t-rows per anchor exponential; 128 moves levels-A's top dyadic band
 _LEVELS = 40  # dyadic bands below the top one in a level report
 
 
@@ -92,6 +89,9 @@ class ExpSumSpec:
         xi = np.asarray(self.xi, dtype=float)
         eta = np.asarray(self.eta, dtype=float)
         b = np.asarray(self.b, dtype=complex)
+        for name, arr in (("xi", xi), ("eta", eta), ("b", b)):
+            if arr.ndim != 1:
+                raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
         if not (len(xi) == len(eta) == len(b) == self.N):
             raise ValueError("xi, eta, b must all have length N")
         if not np.any(b != 0):
@@ -221,30 +221,14 @@ def _fft_applies(spec: ExpSumSpec, grid: GridSpec) -> bool:
     )
 
 
-def grid_closes(freqs: np.ndarray, m: int, *steps: float) -> bool:
-    """Whether m * d * v is an integer for every step d and frequency v, exactly.
-
-    For an m-node grid of step d this says the grid closes on itself: a shift
-    by its whole length m d moves every phase d v by an integer.  The test is
-    in integers, on the floats that are evaluated.
-    """
-    ratios = [v.as_integer_ratio() for v in freqs.tolist()]
-    for d in steps:
-        dn, dd = float(d).as_integer_ratio()
-        if any(m * dn * vn % (dd * vd) for vn, vd in ratios):
-            return False
-    return True
-
-
 def _t_factors(spec: ExpSumSpec, grid: GridSpec) -> Callable[[int, int], np.ndarray]:
     """factors(s, r): the (r x K) matrix b_n e(t_l eta_n), rows l = s ... s + r - 1.
 
-    Columns run over the support.  When the t-grid closes (grid_closes on
-    Mt with dt and t_lo) every entry is the direct exponential of its phase.
-    Otherwise row l = q H + j, H = _ANCHOR_ROWS, is the product of the anchor
-    b_n e(t_{qH} eta_n), made per call, and the offset e(j dt eta_n), from a
-    table built once; anchors sit at fixed multiples of H, so a row's bits do
-    not depend on the rows asked for with it.  Every phase is reduced by _frac.
+    Columns run over the support.  Row l = q H + j, H = _ANCHOR_ROWS, is the
+    product of the anchor b_n e(t_{qH} eta_n), made per call, and the offset
+    e(j dt eta_n), from a table built once; anchors sit at fixed multiples of
+    H, so a row's bits do not depend on the rows asked for with it.  Every
+    phase is reduced by _frac.
     """
     idx = spec.support()
     b = spec.b[idx]
@@ -255,22 +239,12 @@ def _t_factors(spec: ExpSumSpec, grid: GridSpec) -> Callable[[int, int], np.ndar
         vals = 2j * math.pi * _frac(t[:, None] * eta[None, :]).astype(float)
         return np.exp(vals, out=vals)
 
-    def nodes(l: np.ndarray) -> np.ndarray:
-        return grid.t_lo + l.astype(np.longdouble) * dt
-
-    if grid_closes(spec.eta[idx], grid.Mt, grid.dt, grid.t_lo):
-        def direct(s: int, r: int) -> np.ndarray:
-            vals = e(nodes(np.arange(s, s + r)))
-            return np.multiply(b, vals, out=vals)  # b first: vals *= b differs in the last bit
-
-        return direct
-
     H = _ANCHOR_ROWS
     offsets = e(np.arange(min(H, grid.Mt)).astype(np.longdouble) * dt)
 
     def factors(s: int, r: int) -> np.ndarray:
         q = s // H
-        anchors = e(nodes(np.arange(q * H, s + r, H)))
+        anchors = e(grid.t_lo + np.arange(q * H, s + r, H).astype(np.longdouble) * dt)
         np.multiply(b, anchors, out=anchors)
         out = np.empty((r, len(idx)), dtype=complex)
         for a in anchors:

@@ -1,8 +1,11 @@
 """Fixtures shared by the test modules."""
 
+import numpy as np
 import pytest
 
 from convexsums import expsum
+from convexsums.convexseq import construct_dirichlet_like, shear
+from convexsums.experiments import _hit_coefficients
 
 
 @pytest.fixture
@@ -17,3 +20,16 @@ def pools(monkeypatch):
 
     monkeypatch.setattr(expsum, "ThreadPoolExecutor", spy)
     return made
+
+
+@pytest.fixture
+def sheared_A():
+    """sheared_A(N): the spec of the benchmark's levels-A ops, experiment A's
+    hits with eta sheared by -1/N^2."""
+
+    def spec(N):
+        c = construct_dirichlet_like(N, 1.0)
+        return expsum.ExpSumSpec(N=N, xi=np.arange(1, N + 1) / N,
+                                 eta=shear(c, -1.0 / N**2).values, b=_hit_coefficients(c))
+
+    return spec

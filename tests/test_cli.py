@@ -423,12 +423,19 @@ class TestBadInput:
         err = _error_exit(["validate", csv_path, "--hits", path], capsys)
         assert path in err and "hit 1" in err and f"a_{hits[0]['n']} =" in err
 
-    @pytest.mark.parametrize("entry", [[64], [64, None], [64, 8.0, 1.0]],
-                             ids=["single", "null", "triple"])
-    def test_regress_entry_not_a_pair_exit1(self, entry, tmp_path, capsys):
-        path = _write_json(tmp_path, [[16, 4.0], entry, [1024, 32.0]])
+    @pytest.mark.parametrize("points, where", [
+        ([[16, 4.0], [64], [1024, 32.0]], "entry 2"),
+        ([[16, 4.0], [64, None], [1024, 32.0]], "entry 2"),
+        ([[16, 4.0], [64, 8.0, 1.0], [1024, 32.0]], "entry 2"),
+        ([[16, 4.0], "64", [1024, 32.0]], "entry 2"),  # a str unpacks into two digit strings
+        ([[16, 4.0], [64, True], [1024, 32.0]], "entry 2"),  # JSON true is a Python int
+        ([[16, 4.0], [10**400, 8.0], [1024, 32.0]], "entry 2"),  # no float holds it
+        ({"12": 0, "34": 0, "56": 0}, "not a JSON list"),  # iterating an object yields its keys
+    ], ids=["single", "null", "triple", "string", "bool", "huge-int", "object"])
+    def test_regress_entry_not_a_pair_exit1(self, points, where, tmp_path, capsys):
+        path = _write_json(tmp_path, points)
         err = _error_exit(["regress", path], capsys)
-        assert path in err and "entry 2" in err
+        assert path in err and where in err
 
     @pytest.mark.parametrize("budget", ["0", "-5"])
     @pytest.mark.parametrize("cmd", [["experiment", "A", "--N", "64"],

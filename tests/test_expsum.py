@@ -1,5 +1,6 @@
 """Tests for grid evaluation of exponential sums and their maximal norms."""
 
+import functools
 import json
 import math
 
@@ -18,7 +19,6 @@ from convexsums.expsum import (
     dyadic_level_report,
     eval_grid,
     eval_point,
-    grid_closes,
     level_set_projection,
     sup_norm_Lp,
 )
@@ -253,35 +253,35 @@ class TestEvalGrid:
         assert pools == [4]
 
 
-def dense_style_spec(N, seed):
-    """eta sorted uniform on [0, N), b normal, as in criterion 7."""
-    rng = np.random.default_rng(seed)
-    eta = np.sort(rng.uniform(0, 1, N)) * N
-    return ExpSumSpec(N=N, xi=np.arange(1, N + 1) / N, eta=eta, b=rng.normal(size=N))
-
-
-def t_grid_closes(spec, grid):
-    return grid_closes(spec.eta[spec.support()], grid.Mt, grid.dt, grid.t_lo)
+def _direct_factors(spec, grid, s, r):
+    """b_n e(t_l eta_n) on the support, rows s ... s + r - 1, phase by phase."""
+    idx = spec.support()
+    t = grid.t_lo + np.arange(s, s + r).astype(np.longdouble) * np.longdouble(grid.dt)
+    phase = expsum._frac(t[:, None] * spec.eta[idx].astype(np.longdouble)).astype(float)
+    return spec.b[idx] * np.exp(2j * math.pi * phase)
 
 
 class TestTFactors:
-    """On a t-grid that does not close, row l = qH + j of the t-factors is
-    the anchor b e(t_{qH} eta) times the offset e(j dt eta)."""
+    """Row l = qH + j of the t-factors is the anchor b e(t_{qH} eta) times
+    the offset e(j dt eta)."""
 
     # Mt = 512 rows of step 128: every direct product l dt eta fits the
     # 64-bit longdouble mantissa, so the two sides differ by the factoring
     # alone, two rounded exponentials and one product against one
     SPEC, GRID = random_spec(N=256, seed=1), canonical_grid(256, budget=2**19)
 
-    def test_near_direct_exponentials(self, monkeypatch):
+    def test_near_direct_exponentials(self, monkeypatch, sheared_A):
+        assert self.GRID.Mt == 512
+        # the levels-A grid at N = 64 puts every phase on the lattice 1/Mt
+        for spec, grid in [(self.SPEC, self.GRID), (sheared_A(64), canonical_grid(64))]:
+            got = expsum._t_factors(spec, grid)(0, grid.Mt)
+            want = _direct_factors(spec, grid, 0, grid.Mt)
+            b = np.abs(spec.b[spec.support()])
+            assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * b)
         spec, grid = self.SPEC, self.GRID
-        assert grid.Mt == 512 and not t_grid_closes(spec, grid)
-        got = expsum._t_factors(spec, grid)(0, grid.Mt)
         f = eval_grid(spec, grid)
-        monkeypatch.setattr(expsum, "grid_closes", lambda *args: True)
-        want = expsum._t_factors(spec, grid)(0, grid.Mt)
-        b = np.abs(spec.b[spec.support()])
-        assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * b)
+        monkeypatch.setattr(expsum, "_t_factors",
+                            lambda spec, grid: functools.partial(_direct_factors, spec, grid))
         assert np.max(np.abs(f - eval_grid(spec, grid))) <= 2 * np.spacing(spec.norm_b1())
 
     def test_rows_do_not_depend_on_the_block(self):
@@ -290,23 +290,13 @@ class TestTFactors:
         for s, r in [(0, 1), (63, 2), (64, 64), (100, 200), (511, 1)]:
             assert np.array_equal(factors(s, r), whole[s:s + r])
 
-    def test_closing_check(self):
-        # random and dense etas have 53-bit mantissas: no grid of theirs closes
-        assert not t_grid_closes(self.SPEC, self.GRID)
-        for N in (256, 1024):
-            assert not t_grid_closes(dense_style_spec(N, seed=N), canonical_grid(N, 2**22))
-        eta = np.array([0.5, 0.75])
-        assert grid_closes(eta, 4, 1.0, 3.0)  # 4 * 0.75 and 12 * 0.75 are integers
-        assert not grid_closes(eta, 2, 1.0)  # 2 * 0.75 is not
-        assert not grid_closes(eta, 4, 1.0, 0.5)  # nor is 4 * 0.5 * 0.75
-
     def test_phases_reduced_per_anchor_not_per_row(self, monkeypatch):
         # 48-row blocks straddle the 64-row anchors; the sweep reduces the
         # anchors of each block, the H-row offset table once, and no
         # per-(row, term) phase
         spec = random_spec(N=64, seed=3)
         grid = canonical_grid(64, budget=2**18)
-        assert not t_grid_closes(spec, grid) and grid.Mt == 1024
+        assert grid.Mt == 1024
         K, H = len(spec.support()), expsum._ANCHOR_ROWS
         real, phases = expsum._frac, []
 
@@ -507,6 +497,11 @@ class TestExpSumSpec:
         fields[name][1] = bad
         with pytest.raises(ValueError, match=name):
             ExpSumSpec(N=4, **fields)
+
+    def test_non_1d_rejected(self):
+        # length N along the first axis: the length check alone lets it through
+        with pytest.raises(ValueError, match="xi must be 1-D"):
+            ExpSumSpec(N=4, xi=[[0.25, 0.5]] * 4, eta=np.zeros(4), b=np.ones(4))
 
 
 class TestGridSpec:

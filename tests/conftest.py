@@ -1,5 +1,7 @@
 """Fixtures shared by the test modules."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -33,3 +35,17 @@ def sheared_A():
                                  eta=shear(c, -1.0 / N**2).values, b=_hit_coefficients(c))
 
     return spec
+
+
+@pytest.fixture
+def direct_factors():
+    """direct_factors(spec, grid, s, r): b_n e(t_l eta_n) on the support,
+    rows s ... s + r - 1, phase by phase."""
+
+    def factors(spec, grid, s, r):
+        idx = spec.support()
+        t = grid.t_lo + np.arange(s, s + r).astype(np.longdouble) * np.longdouble(grid.dt)
+        phase = expsum._frac(t[:, None] * spec.eta[idx].astype(np.longdouble)).astype(float)
+        return spec.b[idx] * np.exp(2j * math.pi * phase)
+
+    return factors

@@ -329,6 +329,43 @@ class TestOuterPeriod:
         assert a == b
 
 
+def _swept_spec_and_grid(fn, N, monkeypatch):
+    """The spec an experiment sweeps and the whole grid it reports."""
+    swept = []
+
+    def spy(spec, grid, *args, **kwargs):
+        swept.append(spec)
+        return sup_norm_Lp(spec, grid, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "sup_norm_Lp", spy)
+    rep = fn(N, grid_budget=SMALL_BUDGET, seed=1)
+    monkeypatch.undo()
+    return swept[0], rep.norm.grid
+
+
+class TestClosingGrids:
+    """On a closing t-grid, one where every phase t_l eta_n lies on a lattice,
+    the anchor x offset row factors stay within a few ulp of the direct
+    exponentials, and to the bit on C's N = 64 grid (two terms, every phase a
+    multiple of 1/4)."""
+
+    @pytest.mark.parametrize("which, ulps", [("levels-A-64", 8), ("C-64", 0)],
+                             ids=["levels-A-64", "C-64"])
+    def test_rows_are_direct_exponentials(self, which, ulps, monkeypatch, sheared_A,
+                                          direct_factors):
+        if which == "C-64":
+            spec, grid = _swept_spec_and_grid(experiment_C, 64, monkeypatch)
+        else:
+            spec, grid = sheared_A(64), canonical_grid(64)
+        factors = expsum._t_factors(spec, grid)
+        got = factors(0, grid.Mt)
+        want = direct_factors(spec, grid, 0, grid.Mt)
+        b = np.abs(spec.b[spec.support()])
+        assert np.all(np.abs(got - want) <= ulps * np.finfo(float).eps * b)
+        for s, r in [(0, 1), (37, 100), (grid.Mt - 5, 5)]:
+            assert np.array_equal(factors(s, r), got[s:s + r])
+
+
 @pytest.mark.parametrize("N, band", [(64, 64.0), (128, 30.0), (256, 58.5)])
 def test_levels_A_top_band(N, band, sheared_A):
     """The levels-A ops' top dyadic band, as perfbench/reference.json holds it.

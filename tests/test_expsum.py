@@ -253,14 +253,6 @@ class TestEvalGrid:
         assert pools == [4]
 
 
-def _direct_factors(spec, grid, s, r):
-    """b_n e(t_l eta_n) on the support, rows s ... s + r - 1, phase by phase."""
-    idx = spec.support()
-    t = grid.t_lo + np.arange(s, s + r).astype(np.longdouble) * np.longdouble(grid.dt)
-    phase = expsum._frac(t[:, None] * spec.eta[idx].astype(np.longdouble)).astype(float)
-    return spec.b[idx] * np.exp(2j * math.pi * phase)
-
-
 class TestTFactors:
     """Row l = qH + j of the t-factors is the anchor b e(t_{qH} eta) times
     the offset e(j dt eta)."""
@@ -270,18 +262,18 @@ class TestTFactors:
     # alone, two rounded exponentials and one product against one
     SPEC, GRID = random_spec(N=256, seed=1), canonical_grid(256, budget=2**19)
 
-    def test_near_direct_exponentials(self, monkeypatch, sheared_A):
+    def test_near_direct_exponentials(self, monkeypatch, sheared_A, direct_factors):
         assert self.GRID.Mt == 512
         # the levels-A grid at N = 64 puts every phase on the lattice 1/Mt
         for spec, grid in [(self.SPEC, self.GRID), (sheared_A(64), canonical_grid(64))]:
             got = expsum._t_factors(spec, grid)(0, grid.Mt)
-            want = _direct_factors(spec, grid, 0, grid.Mt)
+            want = direct_factors(spec, grid, 0, grid.Mt)
             b = np.abs(spec.b[spec.support()])
             assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * b)
         spec, grid = self.SPEC, self.GRID
         f = eval_grid(spec, grid)
         monkeypatch.setattr(expsum, "_t_factors",
-                            lambda spec, grid: functools.partial(_direct_factors, spec, grid))
+                            lambda spec, grid: functools.partial(direct_factors, spec, grid))
         assert np.max(np.abs(f - eval_grid(spec, grid))) <= 2 * np.spacing(spec.norm_b1())
 
     def test_rows_do_not_depend_on_the_block(self):

@@ -77,6 +77,8 @@ def _float_list(s: str) -> list[float]:
 def _load_spec(path: str) -> ExpSumSpec:
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"spec file {path}: not a JSON object")
     for field in ("N", "xi", "eta", "b"):
         if field not in raw:
             raise ValueError(f"spec file {path}: missing field '{field}'")

@@ -38,12 +38,14 @@ reuses them for every block it takes, and the arrays of the spec (support,
 frequencies, folds, x-factors and the offset table) are built once per
 sweep.  A grid of at most _BLOCK_NODES nodes runs in the calling thread.
 
-One sweep over the grid serves both the sup-then-L^p norm and the dyadic
-level sets: each block of rows is reduced once, from one |f| matrix, to its
-per-outer-node max, argmax and bitmask of observed dyadic exponents.  The
-reductions are exact (max, first argmax, bitwise-or) and combined in block
-order, and a row's bits do not depend on the block that holds it, so results
-are independent of the thread count and of the block partition.
+One sweep over the grid serves both the sup-then-L^p norm and the level
+sets: each block of rows is reduced once, from one |f| matrix, to its
+per-outer-node max, argmax and bitmask of observed rungs of a ladder anchored
+at a float A, rung j holding |f| in [A 2^-j-1, A 2^-j).  A rung is read off
+the IEEE-754 bit patterns of A and |f| with one integer subtract and shift.
+The reductions are exact (max, first argmax, bitwise-or) and combined in
+block order, and a row's bits do not depend on the block that holds it, so
+results are independent of the thread count and of the block partition.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ DEFAULT_BUDGET = 2**24  # max total grid nodes Mx * Mt
 _BLOCK_NODES = 2**17  # grid nodes per row block: a thread's block arrays stay cache-sized
 _BLOCK_ROWS = 256  # at 2048 rows OpenBLAS splits a separable block over its own threads
 _ANCHOR_ROWS = 64  # t-rows per anchor exponential; 128 moves levels-A's top dyadic band
-_LEVELS = 40  # dyadic bands below the top one in a level report
+_LEVELS = 40  # rungs below the top one in a level report
 
 
 def _frac(a: np.ndarray) -> np.ndarray:
@@ -349,13 +351,6 @@ def _map_blocks(
         return list(ex.map(run, starts))
 
 
-def _abs_block(rows: _Rows, h: int, Mx: int) -> Callable[[int, int], np.ndarray]:
-    """|f| on the r rows from row s, in two arrays of h rows reused by every block."""
-    c = np.empty((h, Mx), dtype=complex)
-    a = np.empty((h, Mx))
-    return lambda s, r: np.abs(rows(s, c[:r]), out=a[:r])
-
-
 def eval_grid(
     spec: ExpSumSpec,
     grid: GridSpec,
@@ -396,67 +391,68 @@ def _sweep(
     grid: GridSpec,
     direction: str,
     threads: int | None,
-    with_levels: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, int]:
+    anchor: float | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """One streaming pass: per outer node, the sup of |f| over the inner variable.
 
-    direction names the inner variable.  Returns (sup, arg, masks, k_min):
-    arg[node] is the inner index attaining sup[node]; with with_levels, bit j
-    of masks[node] is set when some inner node there has floor(log2 |f|) =
-    k_min + j (masks is None otherwise).  Each block's |f| is formed once and
-    reduced to all of these.
+    direction names the inner variable.  Returns (sup, arg, rungs): arg[node]
+    is the inner index attaining sup[node]; with an anchor A, bit j < 63 of
+    rungs[node] is set when some inner node there has |f| in [A 2^-j-1,
+    A 2^-j) (else rungs is None).  The rung of |f| is (bits(A) - 1 -
+    bits(|f|)) >> 52, bits(.) the IEEE-754 pattern as int64, exact for normal
+    |f|; as uint64 capped at 63 it puts |f| >= A and rungs past 62 in bit 63,
+    which no reader reads.  Zero and subnormal |f| rank past rung 0 for
+    A >= 2^-1021 and in bit 63 at every anchor _level_report accepts.  Each
+    block's |f| is formed once and reduced to all of these.
     """
+    if direction not in ("t", "x"):
+        raise ValueError("direction must be 't' or 'x'")
     axis = 0 if direction == "t" else 1
-    k_top = math.ceil(math.log2(spec.norm_b1()))  # |f| <= ||b||_1 everywhere
-    k_min = k_top - 62
+    if anchor is not None:
+        top = np.float64(anchor).view(np.int64) - 1
 
     def worker(rows: _Rows, h: int):
-        abs_block = _abs_block(rows, h, grid.Mx)
+        c_h, a_h = np.empty((h, grid.Mx), dtype=complex), np.empty((h, grid.Mx))
         mask_h = np.empty((h, grid.Mx), dtype=bool)
-        if with_levels:
-            mant_h, exp_h = np.empty((h, grid.Mx)), np.empty((h, grid.Mx), dtype=np.intc)
-            k_h = np.empty((h, grid.Mx), dtype=np.int64)
+        rung_h = np.empty((h, grid.Mx), dtype=np.int64)
 
         def block(s: int, r: int):
-            a, mask = abs_block(s, r), mask_h[:r]
+            a = np.abs(rows(s, c_h[:r]), out=a_h[:r])
             if axis == 0:
                 # argmax along axis 0 copies its input to make that axis
                 # contiguous; the bool matrix a == max is an eighth of the copy
                 mx = a.max(axis=0)
-                am = np.equal(a, mx, out=mask).argmax(axis=0) + s
+                am = np.equal(a, mx, out=mask_h[:r]).argmax(axis=0) + s
             else:
                 am = a.argmax(axis=1)
                 mx = np.take_along_axis(a, am[:, None], axis=1)[:, 0]
-            if not with_levels:
+            if anchor is None:
                 return mx, am, None
-            # floor(log2 a) = e - 1 for a = mant * 2^e, mant in [0.5, 1)
-            k = k_h[:r]
-            np.copyto(k, np.frexp(a, out=(mant_h[:r], exp_h[:r]))[1])
-            k -= 1 + k_min
-            np.clip(k, 0, k_top - k_min, out=k)
-            bits = k.view(np.uint64)
+            rung = np.subtract(top, a.view(np.int64), out=rung_h[:r])
+            rung >>= 52
+            bits = rung.view(np.uint64)
+            np.minimum(bits, np.uint64(63), out=bits)
             np.left_shift(np.uint64(1), bits, out=bits)
-            bits[np.equal(a, 0, out=mask)] = 0
             return mx, am, np.bitwise_or.reduce(bits, axis=axis)
 
         return block
 
     partials = _map_blocks(spec, grid, threads, worker)
-    masks = None
+    rungs = None
     if direction == "t":
         sup = np.zeros(grid.Mx)
         arg = np.zeros(grid.Mx, dtype=np.int64)
         for mx, am, _ in partials:
             arg = np.where(mx > sup, am, arg)
             sup = np.maximum(sup, mx)
-        if with_levels:
-            masks = np.bitwise_or.reduce([om for _, _, om in partials])
+        if anchor is not None:
+            rungs = np.bitwise_or.reduce([om for _, _, om in partials])
     else:
         sup = np.concatenate([mx for mx, _, _ in partials])
         arg = np.concatenate([am for _, am, _ in partials])
-        if with_levels:
-            masks = np.concatenate([om for _, _, om in partials])
-    return sup, arg, masks, k_min
+        if anchor is not None:
+            rungs = np.concatenate([om for _, _, om in partials])
+    return sup, arg, rungs
 
 
 def sup_norm_Lp(
@@ -472,7 +468,8 @@ def sup_norm_Lp(
     sup_direction "t": outer variable x, value = (sum_x (max_t |f|)^p dx)^{1/p}.
     sup_direction "x": outer variable t, likewise with dt.
     with_levels: return (norm, dyadic_level_report(spec, grid, sup_direction))
-    from the same single pass over the grid.  ValueError when the sum of
+    from the same single pass over the grid, its ladder anchored at
+    _dyadic_anchor(spec).  ValueError when the sum of
     (sup |f|)^p leaves the float range: inf, or 0 while max |f| > 0.
     """
     if not 1 <= p < math.inf:
@@ -480,7 +477,8 @@ def sup_norm_Lp(
     if sup_direction not in ("t", "x"):
         raise ValueError("sup_direction must be 't' or 'x'")
 
-    sup, arg, masks, k_min = _sweep(spec, grid, sup_direction, threads, with_levels)
+    anchor = _dyadic_anchor(spec) if with_levels else None
+    sup, arg, rungs = _sweep(spec, grid, sup_direction, threads, anchor)
     cell = grid.dx if sup_direction == "t" else grid.dt
     try:
         with np.errstate(over="ignore"):
@@ -506,7 +504,7 @@ def sup_norm_Lp(
     )
     if not with_levels:
         return norm
-    return norm, _level_report(spec, grid, sup_direction, masks, k_min, norm.max_abs)
+    return norm, _level_report(spec, grid, sup_direction, rungs, anchor, norm.max_abs)
 
 
 def level_set_projection(
@@ -519,38 +517,26 @@ def level_set_projection(
     """Measure of outer-grid cells where some inner node has |f| in [a/2, a).
 
     direction names the collapsed (inner) variable: "t" projects along t onto
-    the x-axis, "x" the other way.  Any alpha > 0 takes one banded pass over
-    the grid; sup_norm_Lp(..., with_levels=True) gets all power-of-two bands
-    in the same pass as the norm, and dyadic_level_report in one pass of its
-    own.
+    the x-axis, "x" the other way.  The band is rung 0 of a _sweep anchored at
+    alpha, one pass over the grid; sup_norm_Lp(..., with_levels=True) gets all
+    power-of-two bands in the same pass as the norm.  alpha must lie in
+    [2^-1021, inf): there [alpha/2, alpha) holds only normal floats, whose
+    rungs are exact, and a zero |f| ranks below rung 0.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if direction not in ("t", "x"):
-        raise ValueError("direction must be 't' or 'x'")
+    if not 2.0**-1021 <= alpha < math.inf:
+        raise ValueError(f"alpha must be in [2^-1021, inf), got {alpha}")
+    _, _, rungs = _sweep(spec, grid, direction, threads, alpha)
+    cell = grid.dx if direction == "t" else grid.dt
+    return float(np.count_nonzero(rungs & np.uint64(1)) * cell)
 
-    def worker(rows: _Rows, h: int):
-        abs_block = _abs_block(rows, h, grid.Mx)
-        mask_h = np.empty((h, grid.Mx), dtype=bool)
 
-        def block(s: int, r: int) -> np.ndarray:
-            a = abs_block(s, r)
-            inband = np.greater_equal(a, alpha / 2, out=mask_h[:r])
-            inband &= a < alpha
-            return inband.any(axis=0) if direction == "t" else inband.any(axis=1)
-
-        return block
-
-    partials = _map_blocks(spec, grid, threads, worker)
-    if direction == "t":
-        hit = np.zeros(grid.Mx, dtype=bool)
-        for h in partials:
-            hit |= h
-        cell = grid.dx
-    else:
-        hit = np.concatenate(partials)
-        cell = grid.dt
-    return float(np.count_nonzero(hit) * cell)
+def _dyadic_anchor(spec: ExpSumSpec) -> float:
+    """2^(k_top + 1), k_top = ceil(log2 ||b||_1) (|f| <= 2^k_top): the dyadic
+    ladder's anchor.  inf past ||b||_1 = 2^1022, where _level_report refuses
+    ||b||_2^4.
+    """
+    k_top = math.ceil(math.log2(spec.norm_b1()))
+    return math.ldexp(1.0, k_top + 1) if k_top < 1023 else math.inf
 
 
 @dataclass(frozen=True)
@@ -592,11 +578,11 @@ def _level_report(
     spec: ExpSumSpec,
     grid: GridSpec,
     direction: str,
-    masks: np.ndarray,
-    k_min: int,
+    rungs: np.ndarray,
+    anchor: float,
     max_abs: float,
 ) -> LevelSetReport:
-    """The dyadic ladder read off the exponent bitmasks of _sweep."""
+    """The dyadic ladder read off the rungs of a _sweep at _dyadic_anchor(spec)."""
     cell = grid.dx if direction == "t" else grid.dt
     exponent = 7.0 / 3.0 if direction == "t" else 8.0 / 3.0
     try:
@@ -606,12 +592,13 @@ def _level_report(
     if not 0 < b2_4 < math.inf:
         raise ValueError(f"||b||_2^4 = {b2_4} in floats (||b||_2 = {spec.norm_b2()})")
     denom = spec.N**exponent * b2_4
-    k_hi = math.floor(math.log2(max_abs)) if max_abs > 0 else k_min
+    # the top rung holds 2^floor(log2 max |f|), log2 rounded as a float: just
+    # below some powers of two it rounds up, and the top band is empty
+    j_top = round(math.log2(anchor)) - 1 - math.floor(math.log2(max_abs)) if max_abs > 0 else 62
     alphas, measures, stats = [], [], []
-    for k in range(k_hi, max(k_min, k_hi - _LEVELS) - 1, -1):
-        bit = np.uint64(1) << np.uint64(k - k_min)
-        measure = float(np.count_nonzero(masks & bit != 0) * cell)
-        alpha = float(2.0 ** (k + 1))
+    for j in range(j_top, min(62, j_top + _LEVELS) + 1):
+        measure = float(np.count_nonzero(rungs & np.uint64(1 << j)) * cell)
+        alpha = math.ldexp(anchor, -j)
         try:
             alpha_4 = alpha**4
         except OverflowError:
@@ -638,11 +625,12 @@ def dyadic_level_report(
 ) -> LevelSetReport:
     """Level-set projections for all dyadic bands, one pass over the grid.
 
-    The same sweep as sup_norm_Lp(..., with_levels=True), without the norm.
-    Bands are the half-open powers of two of LevelSetReport; see its caveat
+    The same sweep as sup_norm_Lp(..., with_levels=True), without the norm:
+    rung j of the ladder at _dyadic_anchor(spec) is the band
+    [2^(k_top - j), 2^(k_top + 1 - j)), read from the band of max |f| down
+    through _LEVELS more, at most to rung 62.  See the LevelSetReport caveat
     on a maximum that is itself a power of two.
     """
-    if direction not in ("t", "x"):
-        raise ValueError("direction must be 't' or 'x'")
-    sup, _, masks, k_min = _sweep(spec, grid, direction, threads, with_levels=True)
-    return _level_report(spec, grid, direction, masks, k_min, float(sup.max()))
+    anchor = _dyadic_anchor(spec)
+    sup, _, rungs = _sweep(spec, grid, direction, threads, anchor)
+    return _level_report(spec, grid, direction, rungs, anchor, float(sup.max()))

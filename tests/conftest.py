@@ -49,3 +49,16 @@ def direct_factors():
         return spec.b[idx] * np.exp(2j * math.pi * phase)
 
     return factors
+
+
+@pytest.fixture
+def band_measure():
+    """band_measure(spec, grid, alpha, direction): the projected measure of the
+    band |f| in [alpha/2, alpha), counted on the whole eval_grid matrix."""
+
+    def measure(spec, grid, alpha, direction):
+        a = np.abs(expsum.eval_grid(spec, grid))
+        hit = ((a >= alpha / 2) & (a < alpha)).any(axis=0 if direction == "t" else 1)
+        return float(np.count_nonzero(hit) * (grid.dx if direction == "t" else grid.dt))
+
+    return measure

@@ -213,6 +213,13 @@ class TestOtherCommands:
         assert code == 1
         assert "eta" in err
 
+    @pytest.mark.parametrize("doc", ["N xi eta b", 8, None, [8, [0.5], [0.0], [1.0]]],
+                             ids=["string", "number", "null", "list"])
+    def test_expsum_spec_not_an_object_exit1(self, doc, tmp_path, capsys):
+        path = _write_json(tmp_path, doc)
+        err = _error_exit(["expsum", path], capsys)
+        assert err == f"error: spec file {path}: not a JSON object\n"
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
@@ -549,7 +556,9 @@ def _levels_argv(path, direction, *extra):
 @pytest.mark.parametrize("direction", ["t", "x"])
 @pytest.mark.parametrize("canonical", [True, False], ids=["fft", "separable"])
 class TestExpsumSingleSweep:
-    def test_levels_result_matches_library(self, tmp_path, capsys, canonical, direction):
+    def test_levels_result_matches_library(
+        self, tmp_path, capsys, band_measure, canonical, direction
+    ):
         path, spec = _sweep_spec(tmp_path, canonical)
         code, out, _ = run_cli(_levels_argv(path, direction), capsys)
         assert code == 0
@@ -567,6 +576,7 @@ class TestExpsumSingleSweep:
         assert a[l_star, k_star] == a.max()
         for alpha, measure in zip(rep.alphas[:6], rep.measures[:6]):
             assert measure == level_set_projection(spec, grid, alpha, direction)
+            assert measure == band_measure(spec, grid, alpha, direction)
 
     def test_levels_generates_each_block_once(
         self, tmp_path, capsys, monkeypatch, canonical, direction

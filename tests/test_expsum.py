@@ -40,6 +40,11 @@ def constant_spec(c=1.0):
     return ExpSumSpec(N=1, xi=np.zeros(1), eta=np.zeros(1), b=np.array([c]))
 
 
+def zero_spec():
+    """f = e(x/2) - e(x/2): |f| is 0.0 at every node."""
+    return ExpSumSpec(N=2, xi=np.array([0.5, 0.5]), eta=np.zeros(2), b=np.array([1.0, -1.0]))
+
+
 def bits(v: complex) -> tuple[str, str]:
     """The exact bits of a complex, signed zeros included."""
     return v.real.hex(), v.imag.hex()
@@ -432,6 +437,37 @@ class TestLevelSets:
         assert level_set_projection(spec, grid, 2.0, "t") == pytest.approx(16.0)
         assert level_set_projection(spec, grid, 0.5, "t") == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("alpha, measure", [
+        (1.5, 16.0), (2.0, 16.0), (math.nextafter(2.0, 0), 16.0),
+        (math.nextafter(1.0, 3), 16.0), (1.0, 0.0), (3.0, 0.0), (math.nextafter(2.0, 3), 0.0),
+    ])
+    def test_band_edges(self, alpha, measure):
+        # |f| = 1 lies in [alpha/2, alpha) exactly when 1 < alpha <= 2
+        grid = GridSpec(0.0, 16.0, 32, 0.0, 256.0, 16)
+        assert level_set_projection(constant_spec(), grid, alpha, "t") == measure
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -1.0, 0.0, 5e-324, 2.0**-1022])
+    def test_alpha_out_of_range_rejected(self, alpha):
+        # at 5e-324 the band [alpha/2, alpha) rounded to [0, 5e-324) and took
+        # every zero of f: the whole domain
+        grid = GridSpec(0.0, 2.0, 8, 0.0, 4.0, 16)
+        with pytest.raises(ValueError, match="alpha"):
+            level_set_projection(zero_spec(), grid, alpha, "t")
+
+    def test_unknown_direction_rejected(self):
+        grid = GridSpec(0.0, 16.0, 32, 0.0, 256.0, 16)
+        for call in (lambda: level_set_projection(constant_spec(), grid, 2.0, "y"),
+                     lambda: dyadic_level_report(constant_spec(), grid, "y")):
+            with pytest.raises(ValueError, match="direction must be 't' or 'x'"):
+                call()
+
+    def test_zero_sum_has_no_level_sets(self):
+        grid = GridSpec(0.0, 2.0, 8, 0.0, 4.0, 16)
+        for d in ("t", "x"):
+            assert level_set_projection(zero_spec(), grid, 2.0**-1021, d) == 0.0
+        rep = dyadic_level_report(zero_spec(), grid, "t")
+        assert rep.measures == [0.0] and rep.max_abs == 0.0
+
     def test_measures_bounded_by_domain(self):
         spec = random_spec(N=32, seed=41)
         grid = GridSpec(0.0, 32.0, 64, 0.0, 1024.0, 64)
@@ -452,7 +488,7 @@ class TestLevelSets:
         assert rep.max_stat == pytest.approx(2.0**4 * N_domain / 1 ** (7 / 3))
         assert all(m == 0 for m in rep.measures[1:])
 
-    def test_dyadic_report_matches_direct_projection(self):
+    def test_dyadic_report_matches_direct_projection(self, band_measure):
         spec = random_spec(N=32, seed=43)
         grid = GridSpec(0.0, 32.0, 64, 0.0, 1024.0, 64)
         rep = dyadic_level_report(spec, grid, "t")
@@ -460,6 +496,20 @@ class TestLevelSets:
             assert measure == pytest.approx(
                 level_set_projection(spec, grid, alpha, "t")
             )
+            assert measure == band_measure(spec, grid, alpha, "t")
+
+    def test_bottom_band_holds_only_its_band(self, band_measure):
+        # f = 1e-15 (e(x/4) + e(3x/4 + t (1/2 + 1/3))) after an exact cancellation:
+        # max |f| ~ 2e-15 puts the report's last band at its lowest,
+        # [2^-61, 2^-60) for ||b||_1 ~ 2, and 44 nonzero nodes lie below it
+        spec = ExpSumSpec(N=4, xi=np.array([0.5, 0.5, 0.25, 0.75]),
+                          eta=np.array([1.0, 1.0, 0.0, 0.5 + 1 / 3]),
+                          b=np.array([1.0, -1.0, 1e-15, 1e-15]))
+        grid = GridSpec(0.0, 4.0, 64, 0.0, 16.0, 4096)
+        rep = dyadic_level_report(spec, grid, "t")
+        assert rep.alphas[-1] == 2.0**-59
+        for alpha, measure in zip(rep.alphas, rep.measures):
+            assert measure == band_measure(spec, grid, alpha, "t")
 
     def test_ladder_covers_observed_range(self):
         spec = random_spec(N=32, seed=47)

@@ -500,8 +500,8 @@ class TestLevelSets:
 
     def test_bottom_band_holds_only_its_band(self, band_measure):
         # f = 1e-15 (e(x/4) + e(3x/4 + t (1/2 + 1/3))) after an exact cancellation:
-        # max |f| ~ 2e-15 puts the report's last band at its lowest,
-        # [2^-61, 2^-60) for ||b||_1 ~ 2, and 44 nonzero nodes lie below it
+        # max |f| ~ 2e-15 puts the report's last band at its lowest, [2^-60,
+        # 2^-59) for ||b||_1 just above 2, and 44 nonzero nodes lie below it
         spec = ExpSumSpec(N=4, xi=np.array([0.5, 0.5, 0.25, 0.75]),
                           eta=np.array([1.0, 1.0, 0.0, 0.5 + 1 / 3]),
                           b=np.array([1.0, -1.0, 1e-15, 1e-15]))

@@ -474,8 +474,6 @@ def sup_norm_Lp(
     """
     if not 1 <= p < math.inf:
         raise ValueError(f"p must be finite and >= 1, got {p}")
-    if sup_direction not in ("t", "x"):
-        raise ValueError("sup_direction must be 't' or 'x'")
 
     anchor = _dyadic_anchor(spec) if with_levels else None
     sup, arg, rungs = _sweep(spec, grid, sup_direction, threads, anchor)
@@ -592,9 +590,9 @@ def _level_report(
     if not 0 < b2_4 < math.inf:
         raise ValueError(f"||b||_2^4 = {b2_4} in floats (||b||_2 = {spec.norm_b2()})")
     denom = spec.N**exponent * b2_4
-    # the top rung holds 2^floor(log2 max |f|), log2 rounded as a float: just
-    # below some powers of two it rounds up, and the top band is empty
-    j_top = round(math.log2(anchor)) - 1 - math.floor(math.log2(max_abs)) if max_abs > 0 else 62
+    # the top rung is the rung of max |f|, read off the bit patterns as in _sweep
+    top, peak = np.array([anchor, max_abs]).view(np.int64).tolist()
+    j_top = min(62, (top - 1 - peak) >> 52)
     alphas, measures, stats = [], [], []
     for j in range(j_top, min(62, j_top + _LEVELS) + 1):
         measure = float(np.count_nonzero(rungs & np.uint64(1 << j)) * cell)

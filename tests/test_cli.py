@@ -25,6 +25,7 @@ from convexsums.expsum import (
     level_set_projection,
     sup_norm_Lp,
 )
+from convexsums.interp import ConvexInterpolant
 
 
 def run_cli(args, capsys):
@@ -144,6 +145,26 @@ class TestOtherCommands:
         assert r["pass"] is True
         assert r["interp_err"] <= 1e-10
         assert r["knot_curvature_rel_err"] <= 1e-6
+
+    def test_interp_out_file(self, tmp_path, capsys):
+        path = str(tmp_path / "f.json")
+        code, out, _ = run_cli(["interp", "--N", "64", "--alpha", "1", "--out", path], capsys)
+        assert code == 0
+        r = json.loads(out)["result"]
+        assert r["interpolant"] == path
+        f = ConvexInterpolant.load_json(path)
+        assert (len(f.knots), f.D) == (r["knots"], r["D"])
+
+    def test_out_file_holds_the_envelope(self, tmp_path, capsys):
+        path = str(tmp_path / "farey.json")
+        argv = ["farey", "--lo", "0.2", "--hi", "0.8", "--qmax", "5"]
+        code, out, _ = run_cli([*argv, "--out", path], capsys)
+        assert code == 0 and out == ""
+        code, out, _ = run_cli(argv, capsys)
+        doc = json.loads(out)
+        doc["config"]["out"] = path
+        want = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert Path(path).read_text() == want
 
     def test_scan(self, capsys):
         code, out, _ = run_cli(
@@ -577,6 +598,15 @@ class TestExpsumSingleSweep:
         for alpha, measure in zip(rep.alphas[:6], rep.measures[:6]):
             assert measure == level_set_projection(spec, grid, alpha, direction)
             assert measure == band_measure(spec, grid, alpha, direction)
+
+    def test_norm_only_result_matches_library(self, tmp_path, capsys, canonical, direction):
+        path, spec = _sweep_spec(tmp_path, canonical)
+        argv = ["expsum", str(path), "--direction", direction,
+                "--grid-budget", str(SWEEP_BUDGET)]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        norm = sup_norm_Lp(spec, canonical_grid(SWEEP_N, SWEEP_BUDGET), direction, 4.0)
+        assert json.loads(out)["result"] == json.loads(json.dumps({"norm": norm.to_json_dict()}))
 
     def test_levels_generates_each_block_once(
         self, tmp_path, capsys, monkeypatch, canonical, direction

@@ -457,7 +457,8 @@ class TestLevelSets:
     def test_unknown_direction_rejected(self):
         grid = GridSpec(0.0, 16.0, 32, 0.0, 256.0, 16)
         for call in (lambda: level_set_projection(constant_spec(), grid, 2.0, "y"),
-                     lambda: dyadic_level_report(constant_spec(), grid, "y")):
+                     lambda: dyadic_level_report(constant_spec(), grid, "y"),
+                     lambda: sup_norm_Lp(constant_spec(), grid, "y", 4.0)):
             with pytest.raises(ValueError, match="direction must be 't' or 'x'"):
                 call()
 
@@ -467,6 +468,13 @@ class TestLevelSets:
             assert level_set_projection(zero_spec(), grid, 2.0**-1021, d) == 0.0
         rep = dyadic_level_report(zero_spec(), grid, "t")
         assert rep.measures == [0.0] and rep.max_abs == 0.0
+
+    def test_top_band_just_below_power_of_two(self):
+        # |f| = nextafter(64, 0) lies in [32, 64); log2 of it rounds to 6.0
+        spec = ExpSumSpec(N=1, xi=[1.0], eta=[0.0], b=[math.nextafter(64.0, 0.0)])
+        rep = dyadic_level_report(spec, GridSpec(0.0, 1.0, 4, 0.0, 1.0, 4), "t")
+        assert rep.alphas[:2] == [64.0, 32.0]
+        assert rep.measures[:2] == [1.0, 0.0]
 
     def test_measures_bounded_by_domain(self):
         spec = random_spec(N=32, seed=41)
@@ -538,6 +546,13 @@ class TestExpSumSpec:
         fields[name] = fields[name].copy()
         fields[name][1] = bad
         with pytest.raises(ValueError, match=name):
+            ExpSumSpec(N=4, **fields)
+
+    @pytest.mark.parametrize("name", ["xi", "eta", "b"])
+    def test_short_field_rejected(self, name):
+        fields = {"xi": np.arange(1, 5) / 4, "eta": np.zeros(4), "b": np.ones(4)}
+        fields[name] = fields[name][:3]
+        with pytest.raises(ValueError, match="length N"):
             ExpSumSpec(N=4, **fields)
 
     def test_non_1d_rejected(self):

@@ -57,6 +57,20 @@ class TestSolveXCotX:
         assert isinstance(got, np.ndarray) and got.shape == (n,)
         assert got.tolist() == [solve_x_cot_x(y) for y in ys.tolist()]
 
+    def test_within_8_ulp_of_longdouble_bisection(self):
+        ys = np.linspace(0.0, math.pi / 4, 10_001)
+        y = ys.astype(np.longdouble)
+        # the bracket holds every root, also those just past the float pi/4, pi/2
+        lo = np.full(y.shape, np.longdouble(0.75))
+        hi = np.full(y.shape, np.longdouble(1.6))
+        for _ in range(80):
+            mid = (lo + hi) / 2
+            above = mid * np.cos(mid) / np.sin(mid) > y
+            lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+        ref = (lo + hi) / 2
+        err = np.abs(solve_x_cot_x(ys).astype(np.longdouble) - ref)
+        assert np.all(err <= 8 * np.spacing(ref.astype(float)))
+
     @pytest.mark.parametrize("n", [9, 100])
     @pytest.mark.parametrize("bad", [-1e-3, 1.0, math.nan])
     def test_array_with_one_out_of_range_raises(self, bad, n):

@@ -2,8 +2,10 @@
 
 Every subcommand prints a JSON envelope {"config": ..., "version": ...,
 "result": ...} with sorted keys, so a fixed invocation (config + seed)
-produces identical bytes no matter the thread count or machine.  Bulk
-sequence data goes to CSV; everything else is JSON.
+produces identical bytes no matter the thread count or machine.  config
+is read off the parsed arguments: the command and the six settings N,
+alpha, grid_budget, seed, out and threads, each as given or at its
+default.  Bulk sequence data goes to CSV; everything else is JSON.
 
 Exit codes: 0 success, 2 validation failure (a report that says "no"),
 1 runtime or usage error.
@@ -19,7 +21,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,22 +42,18 @@ from .interp import build_c1, knots_from_sequence, upgrade_c2
 from .rational import count_fractions, enumerate_fractions
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    N: list[int] | None = None
-    alpha: list[float] | None = None
-    grid_budget: int = DEFAULT_BUDGET
-    seed: int = 0
-    out: str | None = None
-    threads: int | None = None
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-
-def _emit(config: RunConfig, result, out: str | None) -> None:
-    doc = {"config": config.to_json_dict(), "version": __version__, "result": result}
+def _emit(args: argparse.Namespace, result, out: str | None) -> None:
+    # config: the command, with experiment's A, B or C, and six settings,
+    # each as parsed or at its default where the command has no such option
+    given = vars(args)
+    config = {key: given.get(key, default) for key, default in (
+        ("N", None), ("alpha", None), ("grid_budget", DEFAULT_BUDGET), ("seed", 0),
+        ("out", None), ("threads", None))}
+    for key in ("N", "alpha"):  # one value is a one-element list, as scan's are
+        if isinstance(config[key], (int, float)):
+            config[key] = [config[key]]
+    config["command"] = " ".join(filter(None, (args.command, given.get("which"))))
+    doc = {"config": config, "version": __version__, "result": result}
     # a non-finite float is no JSON: it fails here as one `error:` line
     text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out:
@@ -82,23 +79,21 @@ def _load_spec(path: str) -> ExpSumSpec:
     for field in ("N", "xi", "eta", "b"):
         if field not in raw:
             raise ValueError(f"spec file {path}: missing field '{field}'")
-    if type(raw["N"]) is not int:  # int() would truncate 2.7 and read true as 1
+    # type(), not isinstance: int() would truncate 2.7 and read true as 1,
+    # and np.asarray would read true as 1.0 and "2" as 2.0
+    if type(raw["N"]) is not int:
         raise ValueError(f"spec file {path}: N must be an integer, got {raw['N']!r}")
-    try:
-        return ExpSumSpec(
-            N=raw["N"],
-            xi=np.asarray(raw["xi"], dtype=float),
-            eta=np.asarray(raw["eta"], dtype=float),
-            b=np.asarray(raw["b"], dtype=float),
-        )
-    except (TypeError, ValueError) as exc:
+    for field in ("xi", "eta", "b"):
+        if not (isinstance(raw[field], list)
+                and all(type(v) in (int, float) for v in raw[field])):
+            raise ValueError(f"spec file {path}: {field} must be a list of numbers")
+    try:  # an integer past the float range overflows
+        return ExpSumSpec(**{field: raw[field] for field in ("N", "xi", "eta", "b")})
+    except (OverflowError, ValueError) as exc:
         raise ValueError(f"spec file {path}: {exc}") from exc
 
 
 def cmd_construct(args) -> int:
-    cfg = RunConfig(
-        command="construct", N=[args.N], alpha=[args.alpha], out=args.out,
-    )
     seq = construct(args.N, args.alpha)
     report = validate(seq)
     base = args.out or "seq"
@@ -111,22 +106,18 @@ def cmd_construct(args) -> int:
         "meta": seq.meta,
         "validation": report.to_json_dict(),
     }
-    _emit(cfg, result, None)
+    _emit(args, result, None)
     return 0 if report.passed else 2
 
 
 def cmd_validate(args) -> int:
-    cfg = RunConfig(command="validate", out=args.out)
     seq = ConvexSequence.from_csv(args.path, hits_path=args.hits)
     report = validate(seq, theta=args.theta)
-    _emit(cfg, report.to_json_dict(), args.out)
+    _emit(args, report.to_json_dict(), args.out)
     return 0 if report.passed else 2
 
 
 def cmd_interp(args) -> int:
-    cfg = RunConfig(
-        command="interp", N=[args.N], alpha=[args.alpha], out=args.out,
-    )
     if args.path:
         seq = ConvexSequence.from_csv(args.path)
     else:
@@ -152,12 +143,11 @@ def cmd_interp(args) -> int:
     if args.out:
         f.dump_json(args.out)
         result["interpolant"] = args.out
-    _emit(cfg, result, None)
+    _emit(args, result, None)
     return 0 if ok else 2
 
 
 def cmd_farey(args) -> int:
-    cfg = RunConfig(command="farey", out=args.out)
     if args.count_only:
         result = {"count": count_fractions(args.lo, args.hi, args.qmax)}
     else:
@@ -166,15 +156,11 @@ def cmd_farey(args) -> int:
             "count": len(fracs),
             "fractions": [[f.numerator, f.denominator] for f in fracs],
         }
-    _emit(cfg, result, args.out)
+    _emit(args, result, args.out)
     return 0
 
 
 def cmd_expsum(args) -> int:
-    cfg = RunConfig(
-        command="expsum", grid_budget=args.grid_budget, out=args.out,
-        threads=args.threads,
-    )
     spec = _load_spec(args.spec)
     grid = canonical_grid(spec.N, args.grid_budget)
     if args.levels:
@@ -184,31 +170,24 @@ def cmd_expsum(args) -> int:
     else:
         norm = sup_norm_Lp(spec, grid, args.direction, args.p, threads=args.threads)
         result = {"norm": norm.to_json_dict()}
-    _emit(cfg, result, args.out)
+    _emit(args, result, args.out)
     return 0
 
 
 def cmd_experiment(args) -> int:
-    cfg = RunConfig(
-        command=f"experiment {args.which}", N=[args.N],
-        grid_budget=args.grid_budget, seed=args.seed, out=args.out,
-        threads=args.threads,
-    )
     fn = EXPERIMENTS[args.which]
     rep = fn(args.N, grid_budget=args.grid_budget, seed=args.seed, threads=args.threads)
-    _emit(cfg, rep.to_json_dict(), args.out)
+    _emit(args, rep.to_json_dict(), args.out)
     return 0 if rep.exact_identity_pass else 2
 
 
 def cmd_scan(args) -> int:
-    cfg = RunConfig(command="scan", N=args.N, alpha=args.alpha, out=args.out)
     results = intersection_scan(args.N, args.alpha)
-    _emit(cfg, [r.to_json_dict() for r in results], args.out)
+    _emit(args, [r.to_json_dict() for r in results], args.out)
     return 0
 
 
 def cmd_regress(args) -> int:
-    cfg = RunConfig(command="regress", out=args.out)
     with open(args.points) as fh:
         raw = json.load(fh)
     if not isinstance(raw, list):
@@ -222,7 +201,7 @@ def cmd_regress(args) -> int:
             pts.append((float(entry[0]), float(entry[1])))
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"{args.points}: entry {len(pts) + 1}: {exc}") from None
-    _emit(cfg, regress(pts).to_json_dict(), args.out)
+    _emit(args, regress(pts).to_json_dict(), args.out)
     return 0
 
 

@@ -43,9 +43,6 @@ class LatticeHit:
     num: int
     den: int = 1
 
-    def multiplier(self) -> Q:
-        return Q(self.num, self.den)
-
 
 def _checked_hit(
     h: LatticeHit, values: list[float], exact: list[Q] | None

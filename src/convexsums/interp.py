@@ -73,14 +73,14 @@ def _area(x_lo, x_hi, p_lo, p_hi):
     return 0.5 * (p_lo + p_hi) * (x_hi - x_lo)
 
 
-def _eval_pieces(x, x_lo, x_hi, p_lo, p_hi, angle, sinusoid):
+def _eval_pieces(x, x_lo, x_hi, p_lo, p_hi, angle):
     """(integral of f' from x_lo to x, f'(x), f''(x)) on the given pieces.
 
-    The piece parameters are scalars or arrays that broadcast against x.
-    angle is unused (NaN on linear pieces) where sinusoid is False.  Both
-    formulas are formed and np.where keeps one, so no Python loop runs per
-    piece.
+    The piece parameters are scalars or arrays that broadcast against x; a
+    NaN angle marks a linear piece.  Both formulas are formed and np.where
+    keeps one, so no Python loop runs per piece.
     """
+    sinusoid = ~np.isnan(angle)
     u = x - x_lo
     slope = _slope(x_lo, x_hi, p_lo, p_hi)
     m = 0.5 * (x_lo + x_hi)
@@ -120,10 +120,8 @@ class DerivativePiece:
 
     def _eval(self, x) -> tuple:
         angle = math.nan if self.angle is None else self.angle
-        out = _eval_pieces(
-            np.asarray(x, dtype=float), self.x_lo, self.x_hi, self.p_lo, self.p_hi,
-            angle, self.kind != "linear",
-        )
+        out = _eval_pieces(np.asarray(x, dtype=float), self.x_lo, self.x_hi,
+                           self.p_lo, self.p_hi, angle)
         return tuple(a[()] for a in out)  # a scalar x gives numpy scalars
 
     def deriv(self, x: np.ndarray) -> np.ndarray:
@@ -192,9 +190,11 @@ class ConvexInterpolant:
     of how many pieces precede.
 
     The pieces live in the float64 rows x_lo, x_hi, p_lo, p_hi, angle of
-    cols (angle NaN on linear pieces) and the flag sinusoid; knot_xy holds
-    the knots' x and y rows.  The DerivativePiece list `pieces` and the
-    anchors are built from them on first use.
+    cols, and a NaN angle marks a linear piece: C1 pieces are all linear,
+    C2 pieces all sinusoids but for a trailing padding piece, which ends
+    at pad_end (else None).  knot_xy holds the knots' x and y rows.  The
+    DerivativePiece list `pieces` and the anchors are built from them on
+    first use.
     """
 
     def __init__(
@@ -202,23 +202,21 @@ class ConvexInterpolant:
         knots: list[Knot],
         knot_xy: np.ndarray,
         cols: np.ndarray,
-        sinusoid: np.ndarray,
-        mode: str,  # "C1" or "C2"
         D: float,  # curvature floor (C2); in C1 mode the would-be floor
-        pad_end: float | None = None,  # right end of the padding piece, if any
     ) -> None:
         self.knots = knots
-        self.mode = mode
         self.D = D
-        self.pad_end = pad_end
         self._knot_xy = knot_xy
         self._cols = cols
-        self._sinusoid = sinusoid
+        linear = np.isnan(cols[4])
+        self.mode = "C1" if linear.all() else "C2"
+        self.pad_end = self.x_max() if self.mode == "C2" and linear[-1] else None
 
     @cached_property
     def pieces(self) -> list[DerivativePiece]:
-        kinds = np.where(self._sinusoid, "sinusoid", "linear").tolist()
-        angles = np.where(self._sinusoid, self._cols[4], None).tolist()
+        sinusoid = ~np.isnan(self._cols[4])
+        kinds = np.where(sinusoid, "sinusoid", "linear").tolist()
+        angles = np.where(sinusoid, self._cols[4], None).tolist()
         return list(map(DerivativePiece, kinds, *self._cols[:4].tolist(), angles))
 
     @cached_property
@@ -249,7 +247,7 @@ class ConvexInterpolant:
             raise ValueError(f"points outside domain [{self.x_min()}, {self.x_max()}]")
         idx = np.searchsorted(self._cols[0], x, side="right") - 1
         idx = np.clip(idx, 0, self._cols.shape[1] - 1)
-        integral, fp, fpp = _eval_pieces(x, *self._cols[:, idx], self._sinusoid[idx])
+        integral, fp, fpp = _eval_pieces(x, *self._cols[:, idx])
         return self._f_lo[idx] + integral, fp, fpp
 
     def with_padding(self, x_end: float) -> "ConvexInterpolant":
@@ -262,8 +260,7 @@ class ConvexInterpolant:
         p_lo = self._cols[3, -1]
         pad = [x_lo, x_end, p_lo, p_lo + self.D * (x_end - x_lo), math.nan]
         return ConvexInterpolant(
-            self.knots, self._knot_xy, np.column_stack((self._cols, pad)),
-            np.append(self._sinusoid, False), self.mode, self.D, pad_end=x_end,
+            self.knots, self._knot_xy, np.column_stack((self._cols, pad)), self.D
         )
 
     def to_json_dict(self) -> dict:
@@ -284,13 +281,12 @@ class ConvexInterpolant:
         knots = [Knot(**k) for k in d["knots"]]
         pieces = [DerivativePiece(**p) for p in d["pieces"]]
         # astuple rows: (x, y, p) per knot, (kind, x_lo, ..., angle) per piece;
-        # a None angle becomes NaN in a float array
+        # a None angle becomes NaN in a float array, which marks a linear piece
         return cls(
             knots,
             np.array([astuple(k)[:2] for k in knots], dtype=float).reshape(-1, 2).T,
             np.array([astuple(p)[1:] for p in pieces], dtype=float).reshape(-1, 5).T,
-            np.array([p.kind != "linear" for p in pieces], dtype=bool),
-            d["mode"], d["D"], d.get("pad_end"),
+            d["D"],
         )
 
     @classmethod
@@ -353,9 +349,7 @@ def build_c1(knots: Sequence[Knot]) -> ConvexInterpolant:
     cols = np.stack([x1, x0, x0, x2, p1, p0, p0, p2, nan, nan])
     cols = cols.reshape(5, 2, -1).transpose(0, 2, 1).reshape(5, -1)
     D = (math.pi / 4.0) * float(_slope(*cols[:4]).min())
-    return ConvexInterpolant(
-        knots, xyp[:2], cols, np.zeros(cols.shape[1], dtype=bool), "C1", D
-    )
+    return ConvexInterpolant(knots, xyp[:2], cols, D)
 
 
 def upgrade_c2(interp: ConvexInterpolant) -> ConvexInterpolant:
@@ -369,9 +363,7 @@ def upgrade_c2(interp: ConvexInterpolant) -> ConvexInterpolant:
     D = interp.D
     cols = interp._cols.copy()
     cols[4] = solve_x_cot_x(D / _slope(*cols[:4]))
-    return ConvexInterpolant(
-        interp.knots, interp._knot_xy, cols, np.ones(cols.shape[1], dtype=bool), "C2", D
-    )
+    return ConvexInterpolant(interp.knots, interp._knot_xy, cols, D)
 
 
 def knots_from_sequence(seq, N: int | None = None) -> list[Knot]:

@@ -18,6 +18,7 @@ import convexsums
 from convexsums import cli, experiments, expsum
 from convexsums.cli import main
 from convexsums.expsum import (
+    DEFAULT_BUDGET,
     ExpSumSpec,
     canonical_grid,
     dyadic_level_report,
@@ -227,6 +228,33 @@ class TestOtherCommands:
             "command", "N", "alpha", "grid_budget", "seed", "out", "threads",
         }
 
+    @pytest.mark.parametrize("argv, want", [
+        (["construct", "--N", "128", "--alpha", "1", "--out", "B"],
+         {"N": [128], "alpha": [1.0], "out": "B"}),
+        (["validate", "seq.csv"], {}),
+        (["interp", "seq.csv"], {"N": [256], "alpha": [1.0]}),  # unused defaults
+        (["farey", "--lo", "0", "--hi", "1", "--qmax", "3"], {}),
+        (["expsum", "spec.json", "--threads", "2", "--grid-budget", "4096"],
+         {"grid_budget": 4096, "threads": 2}),
+        (["experiment", "A", "--N", "96"], {"command": "experiment A", "N": [96]}),
+        (["scan", "--N", "64,128,256", "--alpha", "0.5,1"],
+         {"N": [64, 128, 256], "alpha": [0.5, 1.0]}),
+        (["regress", "pts.json"], {}),
+    ], ids=["construct", "validate", "interp", "farey", "expsum", "experiment", "scan",
+            "regress"])
+    def test_envelope_config_values(self, argv, want, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        _quadratic_csv(tmp_path)
+        _write_json(tmp_path, {"N": 8, "xi": [n / 8 for n in range(1, 9)],
+                               "eta": [n * n / 16 for n in range(1, 9)], "b": [1.0] * 8},
+                    "spec.json")
+        _write_json(tmp_path, [[64, 8.0], [256, 16.0], [1024, 32.0]], "pts.json")
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        defaults = {"command": argv[0], "N": None, "alpha": None,
+                    "grid_budget": DEFAULT_BUDGET, "seed": 0, "out": None, "threads": None}
+        assert json.loads(out)["config"] == defaults | want
+
     def test_expsum_malformed_names_field(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"N": 8, "xi": [0.5], "b": [1.0]}))
@@ -347,15 +375,26 @@ class TestBadInput:
         ([1e-100, 0.0], []), ([1e-100, 0.0], ["--levels"]), ([1e308, 1e308], []),
         ([1.0, 0.0, 0.0, 0.0], ["--p", "1e308"]), ([1e308, 0.0], ["--p", "1"]),
         ([1e100, 0.0], ["--p", "1", "--levels"]), ([1e160, 0.0], ["--p", "1", "--levels"]),
-        ([0.6e77, 0.6e77], ["--p", "1", "--levels"]),
+        ([0.6e77, 0.6e77], ["--p", "1", "--levels"]), ([10**400, 1.0], []),
     ], ids=["underflow", "underflow-levels", "b1-overflow", "huge-p", "fsum-overflow",
-            "b2-fourth-overflow", "b2-square-overflow", "level-alpha-fourth-overflow"])
+            "b2-fourth-overflow", "b2-square-overflow", "level-alpha-fourth-overflow",
+            "int-past-float-range"])
     def test_expsum_float_limits_exit1(self, b, extra, tmp_path, capsys):
         N = len(b)
         spec = {"N": N, "xi": [(n + 1) / N for n in range(N)],
                 "eta": [float(n * n) for n in range(N)], "b": b}
         path = _write_json(tmp_path, spec)
         _error_exit(["expsum", path, "--grid-budget", "1024", *extra], capsys)
+
+    @pytest.mark.parametrize("field, entries", [
+        ("eta", [True, False]), ("b", ["1", 2.0]), ("xi", 0.5),
+    ], ids=["bool", "string", "not-a-list"])
+    def test_expsum_non_number_entry_exit1(self, field, entries, tmp_path, capsys):
+        # np.asarray would read true as 1.0 and "1" as 1.0
+        spec = {"N": 2, "xi": [0.5, 1.0], "eta": [0.0, 0.5], "b": [1.0, 2.0]}
+        path = _write_json(tmp_path, spec | {field: entries})
+        err = _error_exit(["expsum", path, "--grid-budget", "1024"], capsys)
+        assert err == f"error: spec file {path}: {field} must be a list of numbers\n"
 
     def test_non_finite_envelope_exit1(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "count_fractions", lambda *a: math.inf)

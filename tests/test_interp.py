@@ -166,6 +166,16 @@ class TestUpgradeC2:
         assert sec_joint == pytest.approx(g.D, rel=1e-6)
         assert der_end == pytest.approx(der_joint + g.D * (3.0 - f2.x_max()))
 
+    def test_padding_needs_c2(self):
+        with pytest.raises(InterpolationError, match="C2"):
+            build_c1(quad_knots()).with_padding(3.0)
+
+    def test_upgrade_needs_c1(self):
+        f2 = upgrade_c2(build_c1(quad_knots()))
+        for f in (f2, f2.with_padding(3.0)):
+            with pytest.raises(InterpolationError, match="C1"):
+                upgrade_c2(f)
+
 
 class TestEval:
     def test_eval_many_matches_scalar(self):
@@ -277,16 +287,21 @@ class TestArrayKernel:
                 assert np.array_equal(a[idx == i], b)
 
     def test_pieces_survive_json(self, tmp_path):
-        f = upgrade_c2(build_c1(_random_knots(np.random.default_rng(14)))).with_padding(20.0)
-        path = tmp_path / "f.json"
-        f.dump_json(str(path))
-        g = ConvexInterpolant.load_json(str(path))
-        assert g.pieces == f.pieces and g.knots == f.knots
-        assert (g.mode, g.D, g.pad_end) == (f.mode, f.D, f.pad_end)
-        xs = np.concatenate([np.linspace(f.x_min(), f.x_max(), 301),
-                             [pc.x_lo for pc in f.pieces]])
-        for a, b in zip(f.eval_many(xs), g.eval_many(xs)):
-            assert np.array_equal(a, b)
+        # C1, unpadded C2 and padded C2: mode and pad_end come back from the
+        # angle row alone
+        f1 = build_c1(_random_knots(np.random.default_rng(14)))
+        f2 = upgrade_c2(f1)
+        cases = [(f1, "C1", None), (f2, "C2", None), (f2.with_padding(20.0), "C2", 20.0)]
+        for f, mode, pad_end in cases:
+            path = tmp_path / "f.json"
+            f.dump_json(str(path))
+            g = ConvexInterpolant.load_json(str(path))
+            assert g.pieces == f.pieces and g.knots == f.knots
+            assert (g.mode, g.D, g.pad_end) == (f.mode, f.D, f.pad_end) == (mode, f1.D, pad_end)
+            xs = np.concatenate([np.linspace(f.x_min(), f.x_max(), 301),
+                                 [pc.x_lo for pc in f.pieces]])
+            for a, b in zip(f.eval_many(xs), g.eval_many(xs)):
+                assert np.array_equal(a, b)
 
     def test_anchors_built_once_per_construction(self, monkeypatch):
         # build_c1 -> upgrade_c2 -> with_padding -> eval_many: only the

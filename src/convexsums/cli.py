@@ -120,12 +120,11 @@ def cmd_validate(args) -> int:
 def cmd_interp(args) -> int:
     if args.path:
         seq = ConvexSequence.from_csv(args.path)
+        args.N = args.alpha = None  # unused, so the envelope records null
     else:
         seq = construct(args.N, args.alpha)
-    f = upgrade_c2(build_c1(knots_from_sequence(seq)))
-    xs = np.array([k.x for k in f.knots])
-    ys = np.array([k.y for k in f.knots])
-    ps = np.array([k.p for k in f.knots])
+    f = upgrade_c2(build_c1(knots_from_sequence(seq.values)))
+    xs, ys, ps = np.array(f.knots).T
     vals, derivs, seconds = f.eval_many(xs)
     interp_err = float(max(np.abs(vals - ys).max(), np.abs(derivs - ps).max()))
     curv_err = float(np.abs(seconds / f.D - 1.0).max())

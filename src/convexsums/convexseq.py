@@ -433,7 +433,9 @@ def construct_small_alpha(N: int, alpha: float) -> ConvexSequence:
     chord slopes follow sqrt(s0^2 + 2cy), the slope profile of constant
     curvature c.  Gaps are forced strictly decreasing, so chords strictly
     increase and the knots are convex-interpolable; the stride makes the
-    natural decrement >= 1 so forcing never distorts the profile.
+    natural decrement >= 1 so forcing never distorts the profile.  A gap
+    never shrinks so fast that the discrete curvature between consecutive
+    chords exceeds c; where even a decrement of 1 would, the walk stops.
     """
     if N < 10:
         raise ValueError("need N >= 10")
@@ -460,7 +462,14 @@ def construct_small_alpha(N: int, alpha: float) -> ConvexSequence:
             break
         k = max(1, round(N * dy / min(s_mid, _WALK_S_MAX)))
         if gaps:
-            k = min(k, gaps[-1] - 1)
+            # raise k toward the last gap until the discrete curvature
+            # between their chords is at most _WALK_CURV, else stop
+            kp = gaps[-1]
+            k = min(k, kp - 1)
+            while 0 < k < kp and 2 * N**2 * dy * (1 / k - 1 / kp) / (kp + k) > _WALK_CURV:
+                k += 1
+            if k == kp:
+                break
         if k < 1 or (span + k) / N > _SPAN_CAP:
             break
         gaps.append(k)
@@ -471,20 +480,20 @@ def construct_small_alpha(N: int, alpha: float) -> ConvexSequence:
             f"no admissible gap at N={N}, alpha={alpha}; N too small"
         )
 
-    # chords c_j = dy/(k_j/N); knot slopes = midpoints of adjacent chords,
-    # ends extrapolated by half the neighboring chord increment
+    # chords c_j = dy/(k_j/N); a knot between gaps k-, k+ takes the slope of
+    # the parabola through its two chords, (k+ c- + k- c+)/(k- + k+), and the
+    # end slopes are extrapolated on the end parabolas (one gap: curvature c)
     chords = [dy * N / k for k in gaps]
-    P = len(gaps)
-    slopes = []
-    for i in range(P + 1):
-        if 0 < i < P:
-            slopes.append(0.5 * (chords[i - 1] + chords[i]))
-        elif i == 0:
-            d = (chords[1] - chords[0]) if P > 1 else _WALK_CURV * gaps[0] / N
-            slopes.append(chords[0] - 0.5 * d)
-        else:
-            d = (chords[-1] - chords[-2]) if P > 1 else _WALK_CURV * gaps[-1] / N
-            slopes.append(chords[-1] + 0.5 * d)
+    if len(gaps) == 1:
+        d = _WALK_CURV * gaps[0] / N
+        slopes = [chords[0] - 0.5 * d, chords[0] + 0.5 * d]
+    else:
+        pairs = list(zip(gaps, gaps[1:], chords, chords[1:]))
+        k0, k1, c0, c1 = pairs[0]
+        slopes = [c0 - (c1 - c0) * k0 / (k0 + k1)]
+        slopes += [(k1 * c0 + k0 * c1) / (k0 + k1) for k0, k1, c0, c1 in pairs]
+        k0, k1, c0, c1 = pairs[-1]
+        slopes.append(c1 + (c1 - c0) * k1 / (k0 + k1))
     if slopes[0] <= 0:
         raise ConstructionError("slope extrapolation fell below zero")
 

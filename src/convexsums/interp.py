@@ -43,7 +43,7 @@ import json
 import math
 from dataclasses import asdict, astuple, dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,8 +56,7 @@ class InterpolationError(ValueError):
     """Knot data violates the convex interpolation hypotheses."""
 
 
-@dataclass(frozen=True)
-class Knot:
+class Knot(NamedTuple):
     x: float
     y: float
     p: float  # prescribed derivative at x
@@ -158,55 +157,30 @@ def solve_x_cot_x(y):
     return float(x) if a.ndim == 0 else x
 
 
-def _anchors(cols: np.ndarray, knot_xy: np.ndarray) -> np.ndarray:
-    """f at each piece's x_lo, for pieces given as the rows of cols.
-
-    Piece boundaries at knots carry the knot's x float verbatim, so exact
-    lookup is safe; re-anchoring there keeps f(x_i) = y_i exact (of equal
-    knot x, the last knot's y counts).  A piece that starts off the knots
-    continues from its left neighbour, f + area; the loop runs once per
-    link of the longest such chain (once for build_c1's split nodes).
-    """
-    x_lo = cols[0]
-    order = np.argsort(knot_xy[0], kind="stable")
-    kx, ky = knot_xy[:, order]
-    pos = np.searchsorted(kx, x_lo, side="right") - 1
-    known = (pos >= 0) & (kx[pos] == x_lo)
-    anchors = np.where(known, ky[pos], knot_xy[1, 0])
-    known[0] = True  # an off-knot first piece starts at the first knot's y
-    area = _area(*cols[:4])
-    while not known.all():
-        i = np.flatnonzero(known[:-1] & ~known[1:])
-        anchors[i + 1] = anchors[i] + area[i]
-        known[i + 1] = True
-    return anchors
-
-
 class ConvexInterpolant:
-    """Piecewise representation of f' plus knot anchors for f itself.
-
-    f values are recovered from exact per-piece antiderivatives anchored at
-    the left knot of each pair, so f(x_i) = y_i to rounding error regardless
-    of how many pieces precede.
+    """Piecewise representation of f' plus its knots, which anchor f.
 
     The pieces live in the float64 rows x_lo, x_hi, p_lo, p_hi, angle of
     cols, and a NaN angle marks a linear piece: C1 pieces are all linear,
     C2 pieces all sinusoids but for a trailing padding piece, which ends
-    at pad_end (else None).  knot_xy holds the knots' x and y rows.  The
-    DerivativePiece list `pieces` and the anchors are built from them on
-    first use.
+    at pad_end (else None).  The DerivativePiece list `pieces` and the
+    anchors are built from them on first use.
+
+    Format invariant, kept by every constructor: knot pair i gives piece 2i,
+    from knot i to the pair's split node, and piece 2i+1, from there to knot
+    i+1; a padding piece starts at the last knot.  So f at x_lo is y_i for
+    piece 2i, y_i + area(piece 2i) for piece 2i+1 and the last y for the
+    padding: f(x_i) = y_i to rounding error however many pieces precede.
     """
 
     def __init__(
         self,
         knots: list[Knot],
-        knot_xy: np.ndarray,
         cols: np.ndarray,
         D: float,  # curvature floor (C2); in C1 mode the would-be floor
     ) -> None:
         self.knots = knots
         self.D = D
-        self._knot_xy = knot_xy
         self._cols = cols
         linear = np.isnan(cols[4])
         self.mode = "C1" if linear.all() else "C2"
@@ -221,7 +195,13 @@ class ConvexInterpolant:
 
     @cached_property
     def _f_lo(self) -> np.ndarray:
-        return _anchors(self._cols, self._knot_xy)
+        """f at each piece's x_lo, read off the piece layout."""
+        y = np.array(self.knots, dtype=float)[:, 1]
+        n = 2 * len(y) - 2  # pieces of the knot pairs
+        f_lo = np.full(self._cols.shape[1], y[-1])
+        f_lo[:n:2] = y[:-1]
+        f_lo[1:n:2] = y[:-1] + _area(*self._cols[:4, :n:2])
+        return f_lo
 
     def x_min(self) -> float:
         return float(self._cols[0, 0])
@@ -259,16 +239,14 @@ class ConvexInterpolant:
         x_lo = self.x_max()
         p_lo = self._cols[3, -1]
         pad = [x_lo, x_end, p_lo, p_lo + self.D * (x_end - x_lo), math.nan]
-        return ConvexInterpolant(
-            self.knots, self._knot_xy, np.column_stack((self._cols, pad)), self.D
-        )
+        return ConvexInterpolant(self.knots, np.column_stack((self._cols, pad)), self.D)
 
     def to_json_dict(self) -> dict:
         return {
             "mode": self.mode,
             "D": self.D,
             "pad_end": self.pad_end,
-            "knots": [asdict(k) for k in self.knots],
+            "knots": [k._asdict() for k in self.knots],
             "pieces": [asdict(p) for p in self.pieces],
         }
 
@@ -278,16 +256,11 @@ class ConvexInterpolant:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ConvexInterpolant":
-        knots = [Knot(**k) for k in d["knots"]]
         pieces = [DerivativePiece(**p) for p in d["pieces"]]
-        # astuple rows: (x, y, p) per knot, (kind, x_lo, ..., angle) per piece;
-        # a None angle becomes NaN in a float array, which marks a linear piece
-        return cls(
-            knots,
-            np.array([astuple(k)[:2] for k in knots], dtype=float).reshape(-1, 2).T,
-            np.array([astuple(p)[1:] for p in pieces], dtype=float).reshape(-1, 5).T,
-            d["D"],
-        )
+        # astuple rows (kind, x_lo, ..., angle): a None angle becomes NaN in
+        # a float array, which marks a linear piece
+        cols = np.array([astuple(p)[1:] for p in pieces], dtype=float).reshape(-1, 5).T
+        return cls([Knot(**k) for k in d["knots"]], cols, d["D"])
 
     @classmethod
     def load_json(cls, path: str) -> "ConvexInterpolant":
@@ -299,7 +272,7 @@ def _check_knots(knots: Sequence[Knot]) -> np.ndarray:
     """The rows x, y, p of the knots, once they are strictly increasing."""
     if len(knots) < 2:
         raise InterpolationError(f"need >= 2 knots, got {len(knots)}")
-    xyp = np.array([(k.x, k.y, k.p) for k in knots], dtype=float).T
+    xyp = np.array(knots, dtype=float).T
     rising = np.all(xyp[:, :-1] < xyp[:, 1:], axis=0)
     if not rising.all():
         i = int(np.argmin(rising))
@@ -319,7 +292,7 @@ def _isclose(a, b, rel_tol: float, abs_tol: float) -> np.ndarray:
 def build_c1(knots: Sequence[Knot]) -> ConvexInterpolant:
     """Convex C1 interpolant: f' piecewise linear, two pieces per knot pair."""
     knots = list(knots)
-    x, y, p = xyp = _check_knots(knots)
+    x, y, p = _check_knots(knots)
     x1, x2, p1, p2 = x[:-1], x[1:], p[:-1], p[1:]
     dx = x2 - x1
     s = (y[1:] - y[:-1]) / dx
@@ -349,7 +322,7 @@ def build_c1(knots: Sequence[Knot]) -> ConvexInterpolant:
     cols = np.stack([x1, x0, x0, x2, p1, p0, p0, p2, nan, nan])
     cols = cols.reshape(5, 2, -1).transpose(0, 2, 1).reshape(5, -1)
     D = (math.pi / 4.0) * float(_slope(*cols[:4]).min())
-    return ConvexInterpolant(knots, xyp[:2], cols, D)
+    return ConvexInterpolant(knots, cols, D)
 
 
 def upgrade_c2(interp: ConvexInterpolant) -> ConvexInterpolant:
@@ -363,25 +336,20 @@ def upgrade_c2(interp: ConvexInterpolant) -> ConvexInterpolant:
     D = interp.D
     cols = interp._cols.copy()
     cols[4] = solve_x_cot_x(D / _slope(*cols[:4]))
-    return ConvexInterpolant(interp.knots, interp._knot_xy, cols, D)
+    return ConvexInterpolant(interp.knots, cols, D)
 
 
-def knots_from_sequence(seq, N: int | None = None) -> list[Knot]:
+def knots_from_sequence(a) -> list[Knot]:
     """Knots (i/N, a_i, N*(a_{i+1}-a_{i-1})/2) for a uniformly convex sequence.
 
-    Accepts a sequence object with .values and .N, or a plain array plus N.
-    The sequence is extended by one term on each side with second difference
-    exactly 1/N^2, which keeps the chord/slope hypotheses valid at the ends:
-    the prescribed slope at i is the average of the two adjacent chord slopes,
-    and convexity makes chords strictly increasing.
+    a holds the N values a_1..a_N.  The sequence is extended by one term on
+    each side with second difference exactly 1/N^2, which keeps the
+    chord/slope hypotheses valid at the ends: the prescribed slope at i is
+    the average of the two adjacent chord slopes, and convexity makes chords
+    strictly increasing.
     """
-    if N is None:
-        a = np.asarray(seq.values, dtype=float)
-        N = seq.N
-    else:
-        a = np.asarray(seq, dtype=float)
-    if len(a) != N:
-        raise ValueError(f"expected {N} values, got {len(a)}")
+    a = np.asarray(a, dtype=float)
+    N = len(a)
     if N < 3:
         raise ValueError("need N >= 3")
     step = 1.0 / (N * N)

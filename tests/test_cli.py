@@ -232,7 +232,7 @@ class TestOtherCommands:
         (["construct", "--N", "128", "--alpha", "1", "--out", "B"],
          {"N": [128], "alpha": [1.0], "out": "B"}),
         (["validate", "seq.csv"], {}),
-        (["interp", "seq.csv"], {"N": [256], "alpha": [1.0]}),  # unused defaults
+        (["interp", "seq.csv"], {}),  # --N and --alpha are unused with a CSV
         (["farey", "--lo", "0", "--hi", "1", "--qmax", "3"], {}),
         (["expsum", "spec.json", "--threads", "2", "--grid-budget", "4096"],
          {"grid_budget": 4096, "threads": 2}),

@@ -1,11 +1,11 @@
 """Tests for the convex C1/C2 interpolation machinery."""
 
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
 
-from convexsums import interp
 from convexsums.convexseq import construct_dirichlet_like
 from convexsums.interp import (
     ConvexInterpolant,
@@ -302,13 +302,18 @@ class TestArrayKernel:
                                  [pc.x_lo for pc in f.pieces]])
             for a, b in zip(f.eval_many(xs), g.eval_many(xs)):
                 assert np.array_equal(a, b)
+            again = tmp_path / "g.json"
+            g.dump_json(str(again))
+            assert again.read_bytes() == path.read_bytes()
 
     def test_anchors_built_once_per_construction(self, monkeypatch):
         # build_c1 -> upgrade_c2 -> with_padding -> eval_many: only the
         # interpolant that is evaluated computes its anchors
         calls = []
-        real = interp._anchors
-        monkeypatch.setattr(interp, "_anchors", lambda *a: calls.append(1) or real(*a))
+        real = ConvexInterpolant._f_lo.func
+        spy = cached_property(lambda self: calls.append(1) or real(self))
+        spy.__set_name__(ConvexInterpolant, "_f_lo")
+        monkeypatch.setattr(ConvexInterpolant, "_f_lo", spy)
         construct_dirichlet_like(64, 1.0)
         assert len(calls) == 1
 
@@ -318,7 +323,7 @@ class TestKnotsFromSequence:
         N = 10
         n = np.arange(1, N + 1)
         a = n / (2 * N) + n**2 / (2 * N**2)
-        knots = knots_from_sequence(a, N)
+        knots = knots_from_sequence(a)
         assert len(knots) == N
         assert knots[0].x == pytest.approx(1 / N)
         assert knots[-1].x == pytest.approx(1.0)
@@ -335,4 +340,4 @@ class TestKnotsFromSequence:
         N = 5
         a = np.sqrt(np.arange(1, N + 1) / N)
         with pytest.raises(InterpolationError):
-            knots_from_sequence(a, N)
+            knots_from_sequence(a)

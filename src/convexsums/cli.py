@@ -124,7 +124,7 @@ def cmd_interp(args) -> int:
     else:
         seq = construct(args.N, args.alpha)
     f = upgrade_c2(build_c1(knots_from_sequence(seq.values)))
-    xs, ys, ps = np.array(f.knots).T
+    xs, ys, ps = np.array(list(zip(*f.knots)))
     vals, derivs, seconds = f.eval_many(xs)
     interp_err = float(max(np.abs(vals - ys).max(), np.abs(derivs - ps).max()))
     curv_err = float(np.abs(seconds / f.D - 1.0).max())

@@ -189,10 +189,9 @@ def _tightest_C(N: int, theta, d1_min, d1_max, d2_min, d2_max):
     """
     if d1_min <= 0 or d2_min <= 0:
         return math.inf
-    one = Q(1) if isinstance(d1_min, Q) else 1.0
     return max(
         N * d1_max,
-        one / (N * d1_min),
+        1 / (N * d1_min),
         N * N * d2_max / theta,
         theta / (N * N * d2_min),
     )
@@ -211,23 +210,14 @@ def validate(seq: ConvexSequence, theta: float | None = None) -> ConvexityReport
     th = seq.theta if theta is None else theta
     if not 0 < th < math.inf:
         raise ValueError(f"theta must be finite and > 0, got {th}")
-    if seq.exact_values is not None:
-        d1 = [b - a for a, b in zip(seq.exact_values, seq.exact_values[1:])]
-        d2 = [b - a for a, b in zip(d1, d1[1:])]
-        d1_min, d1_max = min(d1), max(d1)
-        d2_min, d2_max = min(d2), max(d2)
-        C = _tightest_C(seq.N, Q(th), d1_min, d1_max, d2_min, d2_max)
-    else:
-        d1 = np.diff(seq.values)
-        d2 = np.diff(seq.values, 2)
-        d1_min, d1_max = float(d1.min()), float(d1.max())
-        d2_min, d2_max = float(d2.min()), float(d2.max())
-        C = _tightest_C(seq.N, th, d1_min, d1_max, d2_min, d2_max)
+    exact = seq.exact_values is not None
+    d1 = np.diff(np.array(seq.exact_values, dtype=object) if exact else seq.values)
+    d2 = np.diff(d1)
+    # Python scalars, so Fractions stay exact and floats overflow to inf quietly
+    lims = np.array([d1.min(), d1.max(), d2.min(), d2.max()]).tolist()
+    C = _tightest_C(seq.N, Q(th) if exact else th, *lims)
     return ConvexityReport(
-        first_diff_min=float(d1_min),
-        first_diff_max=float(d1_max),
-        second_diff_min=float(d2_min),
-        second_diff_max=float(d2_max),
+        *map(float, lims),
         tightest_C=float(C),
         passed=bool(C <= 4),
         theta=th,

@@ -114,6 +114,8 @@ def iroot(n: int, k: int) -> int:
         raise ValueError("iroot needs n >= 0, k >= 1")
     if n < 2 or k == 1:
         return n
+    if k >= n.bit_length():  # n < 2^k, so the root is 1
+        return 1
     # 2^(e-1) <= root < 2^e; bisect until the bracket is within a factor
     # 1 + 1/k, since Newton from above only converges fast from there
     e = -(-n.bit_length() // k)
@@ -134,36 +136,21 @@ def iroot(n: int, k: int) -> int:
         x = y
 
 
-def _prime_exponents(n: int) -> dict[int, int]:
-    """{prime: exponent} of a positive integer, by trial division."""
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def power_exact(base: int, expo: Q) -> Q | None:
     """base**expo as an exact rational, or None when it is irrational.
 
-    base must be a positive integer.  With base = prod p_i^e_i and
-    expo = p/q in lowest terms, base**expo is rational iff q divides p*e_i
-    for every i; the value is then prod p_i^(p*e_i/q), found without forming
-    base**p.
+    base must be a positive integer.  With expo = p/q in lowest terms,
+    base**expo is rational iff base = r**q for an integer r; it is then r**p.
+    For if base**(|p|/q) is rational, it is an integer m, being a rational
+    whose q-th power base**|p| is an integer; and u*|p| + v*q = 1 gives
+    base = (m**u * base**v)**q, so r = m**u * base**v is an integer too.  One
+    integer root decides it, found without forming base**p.
     """
     if base < 1:
         raise ValueError("base must be a positive integer")
     p, q = expo.numerator, expo.denominator
-    exps = _prime_exponents(base)
-    if any(p * e % q for e in exps.values()):
-        return None
-    r = math.prod(prime ** (abs(p) * e // q) for prime, e in exps.items())
-    return Q(r) if p >= 0 else Q(1, r)
+    r = iroot(base, q)
+    return Q(r) ** p if r**q == base else None
 
 
 def power_floor(base: int, expo: Q) -> int:

@@ -59,14 +59,15 @@ class TestValidate:
             validate(ConvexSequence(N=2, values=np.array([0.1, 0.2])))
 
     def test_exact_verdict_at_boundary(self):
-        # second diffs exactly 1/(4N^2): tightest_C = 4 exactly, still a pass
-        N = 16
-        exact = [Q(n, 2 * N) + Q(n * n, 8 * N * N) for n in range(1, N + 1)]
-        seq = ConvexSequence(
-            N=N, values=np.array([float(v) for v in exact]), exact_values=exact
-        )
-        rep = validate(seq)
-        assert rep.passed and rep.tightest_C == pytest.approx(4.0)
+        # second diffs exactly 1/(4N^2): tightest_C = 4 exactly, still a pass;
+        # float differences read C above 4 at N = 10, 100 and 1000
+        for N in (10, 16, 100, 1000):
+            exact = [Q(n, 2 * N) + Q(n * n, 8 * N * N) for n in range(1, N + 1)]
+            seq = ConvexSequence(
+                N=N, values=np.array([float(v) for v in exact]), exact_values=exact
+            )
+            rep = validate(seq)
+            assert rep.passed and rep.tightest_C == 4.0, N
 
 
 class TestIntersectCount:
@@ -303,7 +304,7 @@ class TestConstruct:
     def test_small_alpha_walk_validates_at_256_quarter(self):
         assert validate(construct(256, 0.25)).passed
 
-    @given(N=st.integers(10, 4096), alpha=st.floats(0.5, 2.0))
+    @given(N=st.integers(10, 10**5), alpha=st.floats(0.5, 2.0))
     @settings(derandomize=True, max_examples=60, deadline=None)
     def test_mediant_construction_validates_or_refuses(self, N, alpha):
         try:
@@ -312,7 +313,7 @@ class TestConstruct:
             return
         assert validate(seq).passed
 
-    @given(N=st.integers(10, 4096), alpha=st.floats(0.0, 0.5, exclude_max=True))
+    @given(N=st.integers(10, 10**5), alpha=st.floats(0.0, 0.5, exclude_max=True))
     @settings(derandomize=True, max_examples=60, deadline=None)
     def test_small_alpha_construction_validates_or_refuses(self, N, alpha):
         try:

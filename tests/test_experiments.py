@@ -109,6 +109,14 @@ class TestExperimentB:
         assert a.checked_j != b.checked_j
         assert a.exact_identity_pass and b.exact_identity_pass
 
+    @pytest.mark.parametrize("N", [64, 128, 256])
+    def test_ratio_near_saturation(self, N):
+        # norm ~ ||b||_1 N^{1/2} with K ~ N^{1/2}: norm / (N^{3/4} ||b||_2)
+        # stays near K / N^{1/2}, 0.42-0.5 here; 5/8 drifted 0.77 -> 1.19
+        rep = experiment_B(N, seed=1)
+        assert rep.predicted_exponent == 0.75
+        assert 0.4 <= rep.ratio <= 0.6
+
     def test_deterministic_json(self):
         a = experiment_B(64, grid_budget=SMALL_BUDGET, seed=5, threads=1)
         b = experiment_B(64, grid_budget=SMALL_BUDGET, seed=5, threads=4)

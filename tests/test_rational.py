@@ -132,10 +132,13 @@ class TestEnumerate:
 
 class TestPower:
     def test_iroot_exact(self):
-        for n in range(0, 200):
-            for k in (1, 2, 3, 4):
+        # k from n.bit_length() on has root 1; a 7-digit k, as
+        # limit_denominator(10**6) of a float gives, must not form 2**k
+        assert iroot(10**5, 3_000_001) == 1
+        for n in [*range(0, 200), 2**17 - 1, 10**5, 2**64, 3**200]:
+            for k in range(1, n.bit_length() + 4):
                 r = iroot(n, k)
-                assert r**k <= n < (r + 1) ** k
+                assert r**k <= n < (r + 1) ** k, (n, k)
 
     @given(n=st.integers(0, 2**2000), k=st.integers(1, 300))
     @settings(max_examples=200)
@@ -163,9 +166,9 @@ class TestPower:
         assert power_exact(10, Q(0, 1)) == 1
 
     def test_power_exact_vs_root_oracle(self):
-        for base in range(1, 130):
-            for q in range(1, 7):
-                for p in range(-7, 8):
+        for base in range(1, 400):
+            for q in range(1, 13):
+                for p in range(-8, 9):
                     n = base ** abs(p)
                     r = iroot(n, q)
                     want = None if r**q != n else (Q(r) if p >= 0 else Q(1, r))

@@ -45,6 +45,12 @@ class TestValidate:
         assert rep.second_diff_max == pytest.approx(0.0, abs=1e-15)
         assert math.isinf(rep.tightest_C)
 
+    def test_huge_differences_overflow_quietly(self):
+        # N * 1e308 overflows; a RuntimeWarning (an error here) would mean
+        # the window arithmetic ran on NumPy scalars, not Python floats
+        rep = validate(ConvexSequence(N=4, values=np.array([0.0, 1.0, 3.0, 1e308])))
+        assert not rep.passed and math.isinf(rep.tightest_C)
+
     def test_pure_square_fails(self):
         N = 100
         n = np.arange(1, N + 1)

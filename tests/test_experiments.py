@@ -112,7 +112,7 @@ class TestExperimentB:
     @pytest.mark.parametrize("N", [64, 128, 256])
     def test_ratio_near_saturation(self, N):
         # norm ~ ||b||_1 N^{1/2} with K ~ N^{1/2}: norm / (N^{3/4} ||b||_2)
-        # stays near K / N^{1/2}, 0.42-0.5 here; 5/8 drifted 0.77 -> 1.19
+        # stays near (K / N^{1/2})^{1/2}, which is 0.42-0.5 at these N
         rep = experiment_B(N, seed=1)
         assert rep.predicted_exponent == 0.75
         assert 0.4 <= rep.ratio <= 0.6

@@ -151,10 +151,7 @@ def cmd_farey(args) -> int:
         result = {"count": count_fractions(args.lo, args.hi, args.qmax)}
     else:
         fracs = enumerate_fractions(args.lo, args.hi, args.qmax)
-        result = {
-            "count": len(fracs),
-            "fractions": [[f.numerator, f.denominator] for f in fracs],
-        }
+        result = {"count": len(fracs), "fractions": fracs}  # pairs print as lists
     _emit(args, result, args.out)
     return 0
 

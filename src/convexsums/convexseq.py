@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .interp import Knot, build_c1, upgrade_c2
-from .rational import Q, _farey_walk, power_floor, power_value
+from .rational import Q, enumerate_fractions, power_floor, power_value
 
 
 class ConstructionError(ValueError):
@@ -98,6 +98,9 @@ class ConvexSequence:
             raise ValueError(f"expected {self.N} values, got {len(self.values)}")
         if self.exact_values is not None and len(self.exact_values) != self.N:
             raise ValueError("exact_values length mismatch")
+        bad = np.flatnonzero(~np.isfinite(self.values))
+        if bad.size:
+            raise ValueError(f"a_{bad[0] + 1} is {self.values[bad[0]]}")
         self.values.setflags(write=False)
 
     def hit_indices(self) -> list[int]:
@@ -372,11 +375,11 @@ def construct_dirichlet_like(N: int, alpha: float) -> ConvexSequence:
     w, _ = power_value(N, aq - 1)
     lo, hi = w / 3, 2 * w / 3
     widened = False
-    terms = list(_farey_walk(lo, hi, qmax))  # (num, den) pairs: the pair step is in integers
+    terms = enumerate_fractions(lo, hi, qmax)  # (num, den) pairs: the pair step is in integers
     if len(terms) < 2:
         widened = True
         hi = 4 * w / 3
-        terms = list(_farey_walk(lo, hi, qmax))
+        terms = enumerate_fractions(lo, hi, qmax)
     if len(terms) < 2:
         raise ConstructionError(
             f"only {len(terms)} fractions with denominator <= {qmax} in the "

@@ -25,11 +25,11 @@ nodes of one period, and the P outer nodes over which the inner sup
 repeats, where P divides the outer node count (else every outer node).  A
 cell is finer than the named vectors: A at N = 64 repeats on one x-node and
 2048 t-nodes, and B at N = 128, with no named vector, on half of each x-row.
-The whole grid is swept when the inner period exceeds the inner node count,
-as for B at N = 512.  The norm is scaled by the number of outer cells
-(_sup_norm_L4), so the reported grid, norm and ratio are those of the whole
-grid to the last bits; argmax is the first maximum within the cell, and
-norm.swept_nodes counts the nodes evaluated.
+B at N = 512 sweeps its whole grid: m = 2048 is every x-node, and P = 2^49
+does not divide the 8192 t-nodes.  The norm is scaled by the number of
+outer cells (_sup_norm_L4), so the reported grid, norm and ratio are those
+of the whole grid to the last bits; argmax is the first maximum within
+the cell, and norm.swept_nodes counts the nodes evaluated.
 
 Reports hold no timing fields, so a fixed config and seed gives
 byte-identical JSON regardless of machine speed or thread count.

@@ -118,9 +118,6 @@ class ExpSumSpec:
         """Indices (0-based) of the nonzero coefficients."""
         return np.nonzero(self.b)[0]
 
-    def has_canonical_xi(self) -> bool:
-        return bool(np.array_equal(self.xi, np.arange(1, self.N + 1) / self.N))
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -216,11 +213,10 @@ def eval_point(
 
 
 def _fft_applies(spec: ExpSumSpec, grid: GridSpec) -> bool:
-    return (
-        spec.has_canonical_xi()
-        and grid.x_lo == 0.0
-        and grid.x_hi == float(spec.N)
-    )
+    """FFT rows need x over [0, N) and the canonical xi_n = n/N."""
+    N = spec.N
+    return (grid.x_lo == 0.0 and grid.x_hi == float(N)
+            and np.array_equal(spec.xi, np.arange(1, N + 1) / N))
 
 
 def _t_factors(spec: ExpSumSpec, grid: GridSpec) -> Callable[[int, int], np.ndarray]:

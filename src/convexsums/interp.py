@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, astuple, dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -99,8 +98,7 @@ def _eval_pieces(x, x_lo, x_hi, p_lo, p_hi, angle):
     return integral, deriv, second
 
 
-@dataclass(frozen=True)
-class DerivativePiece:
+class DerivativePiece(NamedTuple):
     """One piece of f' on [x_lo, x_hi] with endpoint slopes p_lo < p_hi.
 
     kind is "linear" (C1 mode and padding) or "sinusoid" (C2 mode).  For
@@ -117,21 +115,11 @@ class DerivativePiece:
     def slope(self) -> float:
         return _slope(self.x_lo, self.x_hi, self.p_lo, self.p_hi)
 
-    def _eval(self, x) -> tuple:
-        angle = math.nan if self.angle is None else self.angle
-        out = _eval_pieces(np.asarray(x, dtype=float), self.x_lo, self.x_hi,
-                           self.p_lo, self.p_hi, angle)
-        return tuple(a[()] for a in out)  # a scalar x gives numpy scalars
-
-    def deriv(self, x: np.ndarray) -> np.ndarray:
-        return self._eval(x)[1]
-
-    def second(self, x: np.ndarray) -> np.ndarray:
-        return self._eval(x)[2]
-
     def integral_from_lo(self, x: np.ndarray) -> np.ndarray:
         """Integral of f' from x_lo to x, closed form."""
-        return self._eval(x)[0]
+        angle = math.nan if self.angle is None else self.angle
+        integral, _, _ = _eval_pieces(np.asarray(x, dtype=float), *self[1:5], angle)
+        return integral[()]  # a scalar x gives a numpy scalar
 
 
 def solve_x_cot_x(y):
@@ -247,7 +235,7 @@ class ConvexInterpolant:
             "D": self.D,
             "pad_end": self.pad_end,
             "knots": [k._asdict() for k in self.knots],
-            "pieces": [asdict(p) for p in self.pieces],
+            "pieces": [p._asdict() for p in self.pieces],
         }
 
     def dump_json(self, path: str) -> None:
@@ -256,10 +244,10 @@ class ConvexInterpolant:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ConvexInterpolant":
-        pieces = [DerivativePiece(**p) for p in d["pieces"]]
-        # astuple rows (kind, x_lo, ..., angle): a None angle becomes NaN in
-        # a float array, which marks a linear piece
-        cols = np.array([astuple(p)[1:] for p in pieces], dtype=float).reshape(-1, 5).T
+        # rows x_lo, ..., angle: a None angle becomes NaN in a float array,
+        # which marks a linear piece
+        rows = [DerivativePiece(**p)[1:] for p in d["pieces"]]
+        cols = np.array(rows, dtype=float).reshape(-1, 5).T
         return cls([Knot(**k) for k in d["knots"]], cols, d["D"])
 
     @classmethod

@@ -1,11 +1,11 @@
 """Exact rational helpers: Farey enumeration and counts, exact powers, roots.
 
-Rationals are fractions.Fraction, the package's only rational type.
-Everything in this module is exact integer arithmetic, apart from the
-50-digit decimal that power_floor uses only where its error cannot move the
-answer.  Interval endpoints may be given as int, fractions.Fraction or a
-finite float; floats are converted to their exact binary value, so results
-stay deterministic.
+Rationals are fractions.Fraction, the package's only rational type; Farey
+terms are (num, den) integer pairs.  Everything in this module is exact
+integer arithmetic, apart from the 50-digit decimal that power_floor uses
+only where its error cannot move the answer.  Interval endpoints may be
+given as int, fractions.Fraction or a finite float; floats are converted to
+their exact binary value, so results stay deterministic.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import decimal
 import itertools
 import math
 from array import array
-from collections.abc import Iterator
 from fractions import Fraction as Q
 
 
@@ -37,10 +36,10 @@ def _window(lo: Endpoint, hi: Endpoint, qmax: int) -> tuple[tuple[int, int], tup
     return (lo_q.numerator, lo_q.denominator), (hi_q.numerator, hi_q.denominator)
 
 
-def _farey_walk(lo: Endpoint, hi: Endpoint, qmax: int) -> Iterator[tuple[int, int]]:
+def enumerate_fractions(lo: Endpoint, hi: Endpoint, qmax: int) -> list[tuple[int, int]]:
     """(num, den) of each rational in [lo, hi] with reduced denominator <= qmax.
 
-    Yields strictly increasing terms in lowest terms; endpoints included.
+    Returned strictly increasing, in lowest terms; endpoints included.
     Walks the Farey sequence of order qmax (Graham-Knuth-Patashnik, Concrete
     Mathematics 4.5): neighbours a/b < c/d satisfy bc - ad = 1, and the term
     after c/d is (kc - a)/(kd - b) with k = floor((qmax + b)/d).  Every
@@ -55,24 +54,17 @@ def _farey_walk(lo: Endpoint, hi: Endpoint, qmax: int) -> Iterator[tuple[int, in
         if p * b < a * q:
             a, b = p, q
     if a * hd > hn * b:
-        return
+        return []
     # its right neighbour: bc - ad = 1 with the largest d <= qmax
     d0 = -pow(a, -1, b) % b
     d = d0 + (qmax - d0) // b * b
     c = (1 + a * d) // b
-    yield a, b
+    terms = [(a, b)]
     while c * hd <= hn * d:
-        yield c, d
+        terms.append((c, d))
         k = (qmax + b) // d
         a, b, c, d = c, d, k * c - a, k * d - b
-
-
-def enumerate_fractions(lo: Endpoint, hi: Endpoint, qmax: int) -> list[Q]:
-    """All distinct rationals in [lo, hi] with reduced denominator <= qmax.
-
-    Returned strictly increasing, as fractions.Fraction; endpoints included.
-    """
-    return [Q(n, d) for n, d in _farey_walk(lo, hi, qmax)]
+    return terms
 
 
 def _mertens(n: int) -> array:

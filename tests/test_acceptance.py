@@ -231,7 +231,7 @@ def test_criterion_4_farey_oracle():
         expect = _brute_fractions(lo, hi, qmax)
         assert len(got) == expect, f"({lo}, {hi}, {qmax}): {len(got)} != {expect}"
         # strictly increasing: sorted and distinct, with no hashing
-        assert all(a < b for a, b in zip(got, got[1:]))
+        assert all(a * d < c * b for (a, b), (c, d) in zip(got, got[1:]))
         if length * qmax >= 100:
             density_cases += 1
             dens = len(got) / (length * qmax**2)

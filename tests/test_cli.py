@@ -128,6 +128,10 @@ class TestOtherCommands:
         doc = json.loads(out)["result"]
         assert code == 0
         assert len(doc["fractions"]) == doc["count"]
+        # the float 0.2 lies just above 1/5, so 1/5 is out and 4/5 is in
+        assert doc["fractions"] == [
+            [1, 4], [1, 3], [2, 5], [1, 2], [3, 5], [2, 3], [3, 4], [4, 5]
+        ]
 
     @pytest.mark.parametrize("lo,hi", [("0", "inf"), ("nan", "1")])
     def test_farey_non_finite_endpoint_exit1(self, lo, hi, capsys):

@@ -64,6 +64,15 @@ class TestValidate:
         with pytest.raises(ValueError):
             validate(ConvexSequence(N=2, values=np.array([0.1, 0.2])))
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [([0.0, 1.0, math.inf, math.inf], "a_3 is inf"), ([0.0, 1.0, 3.0, math.nan], "a_4 is nan")],
+    )
+    def test_non_finite_values_rejected(self, values, message):
+        # one line naming the first bad term, as from_csv names the bad row
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ConvexSequence(N=4, values=np.array(values))
+
     def test_exact_verdict_at_boundary(self):
         # second diffs exactly 1/(4N^2): tightest_C = 4 exactly, still a pass;
         # float differences read C above 4 at N = 10, 100 and 1000

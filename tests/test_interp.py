@@ -11,6 +11,7 @@ from convexsums.interp import (
     ConvexInterpolant,
     InterpolationError,
     Knot,
+    _eval_pieces,
     build_c1,
     knots_from_sequence,
     solve_x_cot_x,
@@ -266,13 +267,14 @@ class TestArrayKernel:
         for _ in range(10):
             for f in self._interpolants(rng):
                 for pc in f.pieces:
+                    fields = (*pc[1:5], math.nan if pc.angle is None else pc.angle)
                     x = np.linspace(pc.x_lo, pc.x_hi, 7)
-                    got = np.column_stack(
-                        [pc.integral_from_lo(x), pc.deriv(x), pc.second(x)]
-                    )
+                    got = np.column_stack(_eval_pieces(x, *fields))
                     want = np.array([_reference_piece(pc, v) for v in x.tolist()])
                     assert np.array_equal(got, want)
-                    assert pc.deriv(pc.x_hi) == want[-1, 1]
+                    assert np.array_equal(pc.integral_from_lo(x), want[:, 0])
+                    assert _eval_pieces(pc.x_hi, *fields)[1] == want[-1, 1]
+                    assert pc.integral_from_lo(pc.x_hi) == want[-1, 0]
 
     def test_mixed_pieces_equal_each_piece_alone(self):
         rng = np.random.default_rng(13)

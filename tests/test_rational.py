@@ -34,9 +34,7 @@ def oracle_enumerate(lo, hi, qmax):
 
 class TestEnumerate:
     def test_unit_interval_qmax3(self):
-        got = enumerate_fractions(Q(1, 3), Q(2, 3), 3)
-        assert [(r.numerator, r.denominator) for r in got] == [(1, 3), (1, 2), (2, 3)]
-        assert all(type(r) is fractions.Fraction for r in got)
+        assert enumerate_fractions(Q(1, 3), Q(2, 3), 3) == [(1, 3), (1, 2), (2, 3)]
 
     def test_count_1_2_qmax3(self):
         assert count_fractions(1, 2, 3) == 5  # 1, 4/3, 3/2, 5/3, 2
@@ -56,7 +54,7 @@ class TestEnumerate:
             (Q(3, 7), Q(5, 7), 12),
             (Q(99, 10), Q(101, 10), 4),
         ]:
-            got = enumerate_fractions(lo, hi, qmax)
+            got = [Q(n, d) for n, d in enumerate_fractions(lo, hi, qmax)]
             want = oracle_enumerate(lo, hi, qmax)
             assert got == want
             assert count_fractions(lo, hi, qmax) == len(want)
@@ -117,17 +115,17 @@ class TestEnumerate:
     @settings(max_examples=150)
     def test_oracle_property(self, lo, width, qmax):
         hi = lo + width
-        got = enumerate_fractions(lo, hi, qmax)
-        assert got == oracle_enumerate(lo, hi, qmax)
-        assert count_fractions(lo, hi, qmax) == len(got)
+        pairs = enumerate_fractions(lo, hi, qmax)
+        assert [Q(n, d) for n, d in pairs] == oracle_enumerate(lo, hi, qmax)
+        assert count_fractions(lo, hi, qmax) == len(pairs)
         # output invariants: reduced, bounded denominator, in the window,
         # and consecutive terms are Farey neighbours (hence strictly sorted)
-        for r in got:
-            assert math.gcd(r.numerator, r.denominator) == 1
-            assert 1 <= r.denominator <= qmax
-            assert lo <= r <= hi
-        for r1, r2 in zip(got, got[1:]):
-            assert r1.denominator * r2.numerator - r1.numerator * r2.denominator == 1
+        for n, d in pairs:
+            assert math.gcd(n, d) == 1
+            assert 1 <= d <= qmax
+            assert lo <= Q(n, d) <= hi
+        for (n1, d1), (n2, d2) in zip(pairs, pairs[1:]):
+            assert d1 * n2 - n1 * d2 == 1
 
 
 class TestPower:

@@ -25,12 +25,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .convexseq import (
-    ConstructionError,
-    ConvexSequence,
-    construct,
-    validate,
-)
+from .convexseq import ConvexSequence, construct, validate
 from .expsum import (
     DEFAULT_BUDGET,
     ExpSumSpec,
@@ -259,7 +254,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_expsum)
 
     p = sub.add_parser("experiment", help="run witness experiment A, B, or C")
-    p.add_argument("which", choices=["A", "B", "C"])
+    p.add_argument("which", choices=list(EXPERIMENTS))
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid-budget", type=int, default=DEFAULT_BUDGET)
@@ -285,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConstructionError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -103,9 +103,6 @@ class ConvexSequence:
             raise ValueError(f"a_{bad[0] + 1} is {self.values[bad[0]]}")
         self.values.setflags(write=False)
 
-    def hit_indices(self) -> list[int]:
-        return [h.n for h in (self.hits or [])]
-
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -136,16 +133,20 @@ class ConvexSequence:
                 where = f"{path}: row {len(values) + 1}"
                 try:
                     v = float(row["a_n"])
+                    if not math.isfinite(v):
+                        raise ValueError(f"a_n is {v}")
                     if exact is not None and row.get("exact_num"):
-                        exact.append(Q(int(row["exact_num"]), int(row.get("exact_den"))))
+                        q = Q(int(row["exact_num"]), int(row.get("exact_den")))
+                        # validate reads q and interp reads v: they must agree
+                        if float(q) != v:
+                            raise ValueError(f"a_n = {v!r} is not the float of {q}")
+                        exact.append(q)
                     else:
                         exact = None
                 except ZeroDivisionError:
                     raise ValueError(f"{where}: exact_den is 0") from None
-                except (TypeError, ValueError) as exc:
+                except (TypeError, ValueError, OverflowError) as exc:
                     raise ValueError(f"{where}: {exc}") from None
-                if not math.isfinite(v):
-                    raise ValueError(f"{where}: a_n is {v}")
                 values.append(v)
         hits = None
         if hits_path is not None:
@@ -543,8 +544,10 @@ def restrict_rescale(seq: ConvexSequence, beta: float) -> ConvexSequence:
     The result has length parameter Ntil = ceil(N^beta) and second-difference
     parameter theta = N^{beta-1}: first differences stay in [1/(4*Ntil),
     4/Ntil] while second differences move to [theta/(4*Ntil^2),
-    4*theta/Ntil^2].  Hits survive (indices <= Ntil) with the same multiplier
-    at lattice level alpha~ = (alpha + beta - 1)/beta.
+    4*theta/Ntil^2].  When N^beta is an integer, hits survive (indices <=
+    Ntil) with the same multiplier at lattice level alpha~ = (alpha + beta -
+    1)/beta, since then Ntil^{-alpha~} = N^{1-alpha-beta}.  Otherwise that
+    identity fails and hits is None.
     """
     if not 0.0 < beta <= 1.0:
         raise ValueError("beta must lie in (0, 1]")
@@ -555,7 +558,8 @@ def restrict_rescale(seq: ConvexSequence, beta: float) -> ConvexSequence:
     if beta * float(nb) < 3:
         raise ValueError(f"beta*N^beta = {beta * float(nb):.3g} < 3: output too short")
     n_til = power_floor(seq.N, bq)
-    if not (nb_exact and nb.denominator == 1 and nb == n_til):
+    integral = nb_exact and nb.denominator == 1 and nb == n_til
+    if not integral:
         n_til += 1  # ceil
     factor_q, factor_exact = power_value(seq.N, 1 - bq)
     factor = float(factor_q)
@@ -567,7 +571,7 @@ def restrict_rescale(seq: ConvexSequence, beta: float) -> ConvexSequence:
         exact = None
         values = seq.values[:n_til] * factor
     hits = None
-    if seq.hits is not None:
+    if seq.hits is not None and integral:
         hits = [
             replace(h, alpha=(h.alpha + beta - 1) / beta)
             for h in seq.hits

@@ -144,12 +144,6 @@ class GridSpec:
     def dt(self) -> float:
         return (self.t_hi - self.t_lo) / self.Mt
 
-    def x_nodes(self) -> np.ndarray:
-        return self.x_lo + np.arange(self.Mx) * self.dx
-
-    def t_nodes(self) -> np.ndarray:
-        return self.t_lo + np.arange(self.Mt) * self.dt
-
     def to_json_dict(self) -> dict:
         return asdict(self)
 

@@ -197,13 +197,6 @@ class ConvexInterpolant:
     def x_max(self) -> float:
         return float(self._cols[1, -1])
 
-    def min_segment_slope(self) -> float:
-        return float(_slope(*self._cols[:4]).min())
-
-    def eval(self, x: float) -> tuple[float, float, float]:
-        f, fp, fpp = self.eval_many(np.asarray([x]))
-        return float(f[0]), float(fp[0]), float(fpp[0])
-
     def eval_many(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized (f, f', f'') at the given points.
 
@@ -241,19 +234,6 @@ class ConvexInterpolant:
     def dump_json(self, path: str) -> None:
         with open(path, "w") as fh:
             json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ConvexInterpolant":
-        # rows x_lo, ..., angle: a None angle becomes NaN in a float array,
-        # which marks a linear piece
-        rows = [DerivativePiece(**p)[1:] for p in d["pieces"]]
-        cols = np.array(rows, dtype=float).reshape(-1, 5).T
-        return cls([Knot(**k) for k in d["knots"]], cols, d["D"])
-
-    @classmethod
-    def load_json(cls, path: str) -> "ConvexInterpolant":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 def _check_knots(knots: Sequence[Knot]) -> np.ndarray:

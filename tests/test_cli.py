@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import convexsums
 from convexsums import cli, experiments, expsum
 from convexsums.cli import main
+from convexsums.convexseq import construct
 from convexsums.expsum import (
     DEFAULT_BUDGET,
     ExpSumSpec,
@@ -26,7 +27,7 @@ from convexsums.expsum import (
     level_set_projection,
     sup_norm_Lp,
 )
-from convexsums.interp import ConvexInterpolant
+from convexsums.interp import build_c1, knots_from_sequence, upgrade_c2
 
 
 def run_cli(args, capsys):
@@ -101,6 +102,17 @@ class TestConstructValidate:
         assert err.startswith("error:") and "row 3" in err
         assert len(err.splitlines()) == 1
 
+    def test_validate_a_n_off_its_exact_value_exit1(self, tmp_path, capsys):
+        # validate would read the exact column (linear) and interp the a_n
+        # floats (convex with C = 1.6): such a file is refused
+        p = tmp_path / "off.csv"
+        p.write_text("n,a_n,exact_num,exact_den\n1,0.1,1,4\n2,0.3,1,2\n3,0.6,3,4\n4,1.0,1,1\n")
+        code, out, err = run_cli(["validate", str(p)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "row 1" in err
+        assert len(err.splitlines()) == 1
+
     def test_construct_large_exponent_alpha(self, tmp_path, capsys):
         # alpha = 777/1000 makes N**p too large for a float: this once
         # raised OverflowError out of main
@@ -157,8 +169,11 @@ class TestOtherCommands:
         assert code == 0
         r = json.loads(out)["result"]
         assert r["interpolant"] == path
-        f = ConvexInterpolant.load_json(path)
-        assert (len(f.knots), f.D) == (r["knots"], r["D"])
+        f = upgrade_c2(build_c1(knots_from_sequence(construct(64, 1.0).values)))
+        doc = json.loads(Path(path).read_text())
+        assert doc == json.loads(json.dumps(f.to_json_dict()))
+        assert set(doc) == {"mode", "D", "pad_end", "knots", "pieces"}
+        assert (len(doc["knots"]), doc["D"]) == (r["knots"], r["D"])
 
     def test_out_file_holds_the_envelope(self, tmp_path, capsys):
         path = str(tmp_path / "farey.json")

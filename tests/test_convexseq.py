@@ -232,7 +232,7 @@ class TestDirichletLike:
         for alpha, N in [(1.0, 256), (1.5, 256), (2.0, 256), (0.5, 1024)]:
             seq = construct_dirichlet_like(N, alpha)
             count, idx = intersect_count(seq, alpha)
-            assert set(seq.hit_indices()) <= set(idx)
+            assert {h.n for h in seq.hits} <= set(idx)
             assert count >= len(seq.hits)
 
     def test_count_lower_bound_alpha1(self):
@@ -296,7 +296,7 @@ class TestSmallAlpha:
         for N in (256, 1024):
             seq = construct_small_alpha(N, 0.25)
             count, idx = intersect_count(seq, 0.25)
-            assert set(seq.hit_indices()) <= set(idx)
+            assert {h.n for h in seq.hits} <= set(idx)
 
     def test_domain_rejected(self):
         with pytest.raises(ValueError):
@@ -391,6 +391,20 @@ class TestRestrictRescale:
             # value = multiplier * Ntil^{-alpha~} with Ntil = 64
             assert out.values[h.n - 1] == pytest.approx(h.num / 64, rel=1e-12)
 
+    @pytest.mark.parametrize("N, kept", [(4096, 3), (1000, None)])
+    def test_hits_kept_only_at_integer_N_beta(self, tmp_path, N, kept):
+        # 1000^0.5 is no integer: Ntil = 32, and 32^{-alpha~} is not
+        # 1000^{1-alpha-beta}, so a kept hit would certify a wrong value
+        out = restrict_rescale(construct(N, 1.5), 0.5)
+        if kept is None:
+            assert out.hits is None
+            return
+        assert len(out.hits) == kept
+        p, h = tmp_path / "r.csv", tmp_path / "r.hits.json"
+        out.to_csv(str(p))
+        out.hits_to_json(str(h))
+        assert ConvexSequence.from_csv(str(p), hits_path=str(h)).hits == out.hits
+
     def test_too_short_rejected(self):
         seq = quadratic_example(64)
         with pytest.raises(ValueError):
@@ -426,6 +440,16 @@ class TestSerialization:
         assert back.N == 12
         assert np.array_equal(back.values, seq.values)
         assert back.exact_values == seq.exact_values
+
+    def test_csv_exact_rows_load(self, tmp_path):
+        # each a_n that to_csv writes is the float of its exact value
+        seq = quadratic_example(1000)
+        for s in (seq, shear(seq, 0.3)):
+            p = tmp_path / "seq.csv"
+            s.to_csv(str(p))
+            back = ConvexSequence.from_csv(str(p))
+            assert np.array_equal(back.values, s.values)
+            assert back.exact_values == s.exact_values
 
     def test_csv_and_hits_roundtrip(self, tmp_path):
         seq = construct_dirichlet_like(128, 1.0)

@@ -228,8 +228,9 @@ class TestEvalGrid:
         grid = GridSpec(0.0, float(N), Mx, 3.0, 3.0 + N * N, 40)
         forbid_rows(monkeypatch, "_rows_naive")
         m = eval_grid(spec, grid)
-        for l, t in enumerate(grid.t_nodes()):
-            for k, x in enumerate(grid.x_nodes()):
+        ts = grid.t_lo + np.arange(grid.Mt) * grid.dt
+        for l, t in enumerate(ts):
+            for k, x in enumerate(grid.x_lo + np.arange(grid.Mx) * grid.dx):
                 assert abs(m[l, k] - eval_point(spec, x, t)) <= 1e-9 * spec.norm_b1()
 
     def test_incompatible_grid_falls_back(self, monkeypatch):
@@ -237,8 +238,9 @@ class TestEvalGrid:
         grid = GridSpec(0.0, 32.0, 64, 0.0, 10.0, 4)  # x range is not [0, N)
         forbid_rows(monkeypatch, "_rows_fast")
         m = eval_grid(spec, grid)
-        for l, t in enumerate(grid.t_nodes()):
-            for k, x in enumerate(grid.x_nodes()):
+        ts = grid.t_lo + np.arange(grid.Mt) * grid.dt
+        for l, t in enumerate(ts):
+            for k, x in enumerate(grid.x_lo + np.arange(grid.Mx) * grid.dx):
                 assert abs(m[l, k] - eval_point(spec, x, t)) <= 1e-9 * spec.norm_b1()
 
     def test_grid_parseval(self):
@@ -576,5 +578,5 @@ class TestGridSpec:
 
     def test_right_open_nodes(self):
         g = GridSpec(0.0, 4.0, 4, 0.0, 2.0, 2)
-        assert np.array_equal(g.x_nodes(), [0.0, 1.0, 2.0, 3.0])
-        assert np.array_equal(g.t_nodes(), [0.0, 1.0])
+        assert np.array_equal(g.x_lo + np.arange(g.Mx) * g.dx, [0.0, 1.0, 2.0, 3.0])
+        assert np.array_equal(g.t_lo + np.arange(g.Mt) * g.dt, [0.0, 1.0])

@@ -228,9 +228,10 @@ class TestEvalGrid:
         grid = GridSpec(0.0, float(N), Mx, 3.0, 3.0 + N * N, 40)
         forbid_rows(monkeypatch, "_rows_naive")
         m = eval_grid(spec, grid)
+        xs = grid.x_lo + np.arange(grid.Mx) * grid.dx
         ts = grid.t_lo + np.arange(grid.Mt) * grid.dt
         for l, t in enumerate(ts):
-            for k, x in enumerate(grid.x_lo + np.arange(grid.Mx) * grid.dx):
+            for k, x in enumerate(xs):
                 assert abs(m[l, k] - eval_point(spec, x, t)) <= 1e-9 * spec.norm_b1()
 
     def test_incompatible_grid_falls_back(self, monkeypatch):
@@ -238,9 +239,10 @@ class TestEvalGrid:
         grid = GridSpec(0.0, 32.0, 64, 0.0, 10.0, 4)  # x range is not [0, N)
         forbid_rows(monkeypatch, "_rows_fast")
         m = eval_grid(spec, grid)
+        xs = grid.x_lo + np.arange(grid.Mx) * grid.dx
         ts = grid.t_lo + np.arange(grid.Mt) * grid.dt
         for l, t in enumerate(ts):
-            for k, x in enumerate(grid.x_lo + np.arange(grid.Mx) * grid.dx):
+            for k, x in enumerate(xs):
                 assert abs(m[l, k] - eval_point(spec, x, t)) <= 1e-9 * spec.norm_b1()
 
     def test_grid_parseval(self):

@@ -13,13 +13,14 @@ cost of a longdouble floor.
 
 Both grid-row paths start from the t-factors b_n e(t_l eta_n) of a block of
 rows (_t_factors).  Row l = qH + j is the anchor b_n e(t_{qH} eta_n) times
-the offset e(j dt eta_n), H = _ANCHOR_ROWS: K exponentials per anchor and
-one H x K offset table per sweep in place of one exponential per row and
-term.  The product rounds twice more than the direct exponential of t_l
-eta_n, a few ulp of |b_n|; the anchor and offset phases carry fewer bits
-than t_l eta_n, so where that product overflows the longdouble mantissa
-(power-of-two dt, rows l >= 2^11) the factored phases are the more accurate
-ones.
+the offset e(j dt eta_n), H = _ANCHOR_ROWS: one anchor column and one H x K
+offset table per sweep in place of one exponential per row and term.  The
+product rounds twice more than the direct exponential of t_l eta_n, a few
+ulp of |b_n|; the anchor and offset phases carry fewer bits than t_l eta_n,
+so where that product overflows the longdouble mantissa (power-of-two dt,
+rows l >= 2^11) the factored phases are the more accurate ones.  When the
+anchors repeat bit for bit every Q anchors (_period_rows), row l is row
+l mod R, R = QH, to the last bit, and a sweep evaluates rows [0, R) only.
 
 Grid rows come from one of two paths, chosen from the spec and the grid
 alone.  When xi_n = n/N and the x-grid is the uniform right-open grid on
@@ -32,11 +33,14 @@ e(x xi_n) e(t eta_n), and a block of rows is one matrix product of the
 t-factors and the x-factors, restricted to the nonzero coefficients.
 
 A sweep streams the t-rows in blocks of at most _BLOCK_NODES nodes, so that
-a block's arrays stay cache-sized.  Each worker thread allocates its block
-arrays (the complex rows, |f| and the reduction scratch) once per sweep and
-reuses them for every block it takes, and the arrays of the spec (support,
-frequencies, folds, x-factors and the offset table) are built once per
-sweep.  A grid of at most _BLOCK_NODES nodes runs in the calling thread.
+a block's arrays stay cache-sized.  A separable block of K terms holds at
+most max(2, (2^16 - 1) // (K Mx)) rows: OpenBLAS hands a complex product of
+m n k >= 2^16 to a helper thread, which spins on after the call; a product
+with K Mx >= 2^15 reaches that size at 2 rows and is left to it.  Each
+worker thread allocates its block arrays (the complex rows, |f| and the
+reduction scratch) once per sweep and reuses them for every block it takes,
+and the arrays of the spec (support, frequencies, folds, x-factors, anchors
+and offsets) are built once per sweep.
 
 One sweep over the grid serves both the sup-then-L^p norm and the level
 sets: each block of rows is reduced once, from one |f| matrix, to its
@@ -61,7 +65,7 @@ import numpy as np
 
 DEFAULT_BUDGET = 2**24  # max total grid nodes Mx * Mt
 _BLOCK_NODES = 2**17  # grid nodes per row block: a thread's block arrays stay cache-sized
-_BLOCK_ROWS = 256  # at 2048 rows OpenBLAS splits a separable block over its own threads
+_BLOCK_ROWS = 256  # row cap at small Mx; OpenBLAS threads by m n k, see _block_rows
 _ANCHOR_ROWS = 64  # t-rows per anchor exponential; 128 moves levels-A's top dyadic band
 _LEVELS = 40  # rungs below the top one in a level report
 
@@ -213,36 +217,48 @@ def _fft_applies(spec: ExpSumSpec, grid: GridSpec) -> bool:
             and np.array_equal(spec.xi, np.arange(1, N + 1) / N))
 
 
+def _e(eta: np.ndarray, t: np.ndarray) -> np.ndarray:  # e(t_i eta_n), t longdouble, by _frac
+    vals = 2j * math.pi * _frac(t[:, None] * eta.astype(np.longdouble)).astype(float)
+    return np.exp(vals, out=vals)
+
+
+def _anchors(spec: ExpSumSpec, grid: GridSpec, idx: np.ndarray) -> np.ndarray:
+    """The anchors b_n e(t_{qH} eta_n), q = 0 ... ceil(Mt / H) - 1, for n in idx."""
+    t = grid.t_lo + np.arange(0, grid.Mt, _ANCHOR_ROWS) * np.longdouble(grid.dt)
+    a = _e(spec.eta[idx], t)
+    return np.multiply(spec.b[idx], a, out=a)
+
+
+def _period_rows(spec: ExpSumSpec, grid: GridSpec) -> int:
+    """R = min(Mt, Q H): row l of the t-factors is row l mod R to the bit, Q >= 1
+    the least shift with anchor_q == anchor_{q-Q} bit for bit for every q (else
+    R = Mt), tried where anchor_Q == anchor_0, if the first term's ever does."""
+    for idx in (spec.support()[:1], spec.support()):  # the first term, then all
+        a = _anchors(spec, grid, idx).view(np.int64)
+        shifts = np.flatnonzero((a[1:] == a[0]).all(axis=1)) + 1
+        if not len(shifts):
+            return grid.Mt
+    return next((min(grid.Mt, int(Q) * _ANCHOR_ROWS) for Q in shifts
+                 if np.array_equal(a[Q:], a[:-Q])), grid.Mt)
+
+
 def _t_factors(spec: ExpSumSpec, grid: GridSpec) -> Callable[[int, int], np.ndarray]:
     """factors(s, r): the (r x K) matrix b_n e(t_l eta_n), rows l = s ... s + r - 1.
 
     Columns run over the support.  Row l = q H + j, H = _ANCHOR_ROWS, is the
-    product of the anchor b_n e(t_{qH} eta_n), made per call, and the offset
-    e(j dt eta_n), from a table built once; anchors sit at fixed multiples of
-    H, so a row's bits do not depend on the rows asked for with it.  Every
-    phase is reduced by _frac.
+    product of the anchor b_n e(t_{qH} eta_n) and the offset e(j dt eta_n),
+    both from tables built once; anchors sit at fixed multiples of H, so a
+    row's bits do not depend on the rows asked for with it.
     """
-    idx = spec.support()
-    b = spec.b[idx]
-    eta = spec.eta[idx].astype(np.longdouble)
-    dt = np.longdouble(grid.dt)
-
-    def e(t: np.ndarray) -> np.ndarray:  # e(t_i eta_n) for the longdouble nodes t
-        vals = 2j * math.pi * _frac(t[:, None] * eta[None, :]).astype(float)
-        return np.exp(vals, out=vals)
-
-    H = _ANCHOR_ROWS
-    offsets = e(np.arange(min(H, grid.Mt)).astype(np.longdouble) * dt)
+    idx, H = spec.support(), _ANCHOR_ROWS
+    anchors = _anchors(spec, grid, idx)
+    offsets = _e(spec.eta[idx], np.arange(min(H, grid.Mt)) * np.longdouble(grid.dt))
 
     def factors(s: int, r: int) -> np.ndarray:
-        q = s // H
-        anchors = e(grid.t_lo + np.arange(q * H, s + r, H).astype(np.longdouble) * dt)
-        np.multiply(b, anchors, out=anchors)
         out = np.empty((r, len(idx)), dtype=complex)
-        for a in anchors:
+        for q in range(s // H, (s + r - 1) // H + 1):
             lo, hi = max(s, q * H), min(s + r, q * H + H)
-            np.multiply(a, offsets[lo - q * H:hi - q * H], out=out[lo - s:hi - s])
-            q += 1
+            np.multiply(anchors[q], offsets[lo - q * H:hi - q * H], out=out[lo - s:hi - s])
         return out
 
     return factors
@@ -300,9 +316,11 @@ def _rows_naive(spec: ExpSumSpec, grid: GridSpec) -> _Rows:
     return rows
 
 
-def _block_rows(Mx: int) -> int:
-    """Rows per block: at most _BLOCK_NODES nodes and at most _BLOCK_ROWS rows."""
-    return min(_BLOCK_ROWS, max(1, _BLOCK_NODES // Mx))
+def _block_rows(Mx: int, K: int | None = None) -> int:
+    """Rows per block: at most _BLOCK_NODES nodes and _BLOCK_ROWS rows, and for a
+    separable product over K terms at most max(2, (2^16 - 1) // (K Mx)) rows."""
+    h = min(_BLOCK_ROWS, max(1, _BLOCK_NODES // Mx))
+    return h if K is None else min(h, max(2, (2**16 - 1) // (K * Mx)))
 
 
 def _map_blocks(
@@ -313,29 +331,32 @@ def _map_blocks(
 ) -> list[object]:
     """Reduce each block of t-rows in a worker thread; results in block order.
 
-    The blocks hold h = _block_rows(Mx) rows each, the last one fewer: a
-    partition fixed by Mx, never by the thread count, so any order-sensitive
-    combination downstream stays deterministic.  worker(rows, h) runs once in
-    each thread that takes blocks.  It allocates that thread's arrays, sized
-    to one block, and returns block(s, r), which reduces the r rows from row
-    s; rows(s, out) writes those rows into the (r x Mx) complex array out and
-    returns it.  rows, with its arrays of the spec, is built once per call.
+    The blocks cover rows [0, R), R = _period_rows(spec, grid), with h =
+    _block_rows(Mx, K) rows each (K only for separable rows), the last one
+    fewer: a partition fixed by the spec and grid, never by the thread count,
+    so any order-sensitive combination downstream stays deterministic.
+    worker(rows, h) runs once in each thread that takes blocks.  It allocates
+    that thread's arrays, sized to one block, and returns block(s, r), which
+    reduces the r rows from row s; rows(s, out), built once per call, writes
+    those rows into the (r x Mx) complex array out and returns it.
 
-    A grid of at most _BLOCK_NODES nodes runs in the calling thread: a pool
+    A sweep of at most _BLOCK_NODES nodes runs in the calling thread: a pool
     costs more than it saves there.
     """
-    rows = (_rows_fast if _fft_applies(spec, grid) else _rows_naive)(spec, grid)
-    h = min(grid.Mt, _block_rows(grid.Mx))
+    fft = _fft_applies(spec, grid)
+    rows = (_rows_fast if fft else _rows_naive)(spec, grid)
+    R = grid.Mt if grid.Mt <= _ANCHOR_ROWS else _period_rows(spec, grid)  # one anchor: no test
+    h = min(R, _block_rows(grid.Mx, None if fft else len(spec.support())))
     local = threading.local()
 
     def run(s: int):
         if not hasattr(local, "block"):
             local.block = worker(rows, h)
-        return local.block(s, min(h, grid.Mt - s))
+        return local.block(s, min(h, R - s))
 
-    starts = range(0, grid.Mt, h)
+    starts = range(0, R, h)
     nt = _threads(threads)
-    if nt == 1 or grid.Mx * grid.Mt <= _BLOCK_NODES:
+    if nt == 1 or grid.Mx * R <= _BLOCK_NODES:
         return [run(s) for s in starts]
     with ThreadPoolExecutor(max_workers=min(nt, len(starts))) as ex:
         return list(ex.map(run, starts))
@@ -352,7 +373,9 @@ def eval_grid(
     rows instead of materializing this.
     """
     f = np.empty((grid.Mt, grid.Mx), dtype=complex)
-    _map_blocks(spec, grid, threads, lambda rows, h: lambda s, r: rows(s, f[s:s + r]))
+    R = sum(_map_blocks(spec, grid, threads,
+                        lambda rows, h: lambda s, r: len(rows(s, f[s:s + r]))))
+    f[R:] = np.resize(f[:R], (grid.Mt - R, grid.Mx))  # rows [0, R) swept; row l is row l mod R
     return f
 
 
@@ -437,11 +460,9 @@ def _sweep(
             sup = np.maximum(sup, mx)
         if anchor is not None:
             rungs = np.bitwise_or.reduce([om for _, _, om in partials])
-    else:
-        sup = np.concatenate([mx for mx, _, _ in partials])
-        arg = np.concatenate([am for _, am, _ in partials])
-        if anchor is not None:
-            rungs = np.concatenate([om for _, _, om in partials])
+    else:  # row l is row l mod R: the R swept rows, tiled to Mt
+        sup, arg, rungs = (None if c[0] is None else np.resize(np.concatenate(c), grid.Mt)
+                           for c in zip(*partials))
     return sup, arg, rungs
 
 
@@ -469,9 +490,8 @@ def sup_norm_Lp(
     sup, arg, rungs = _sweep(spec, grid, sup_direction, threads, anchor)
     cell = grid.dx if sup_direction == "t" else grid.dt
     try:
-        with np.errstate(over="ignore"):
-            value = math.fsum(v**p for v in sup) * cell
-    except OverflowError:  # fsum's partial sums left the float range
+        value = math.fsum(v**p for v in sup.tolist()) * cell
+    except OverflowError:  # a power or fsum's partial sums left the float range
         value = math.inf
     if value == math.inf or (value == 0 and sup.max() > 0):
         raise ValueError(

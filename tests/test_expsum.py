@@ -312,16 +312,72 @@ class TestTFactors:
         assert sum(phases) <= (math.ceil(grid.Mt / H) + 2 * blocks + H) * K < grid.Mt * K
 
 
+class TestPeriodRows:
+    """A sweep evaluates rows [0, R), R = _period_rows, and reuses row l mod R
+    for every row l >= R."""
+
+    @staticmethod
+    def results(spec, grid, threads):
+        # eval_grid on the same t-nodes with 64 x-nodes keeps the matrix small
+        narrow = GridSpec(0.0, float(spec.N), 64, grid.t_lo, grid.t_hi, grid.Mt)
+        out = [eval_grid(spec, narrow, threads).tobytes()]
+        for d in ("t", "x"):
+            norm, levels = sup_norm_Lp(spec, grid, d, 4.0, threads, with_levels=True)
+            out.append(json.dumps([norm.to_json_dict(), levels.to_json_dict()]))
+            out.append(repr(level_set_projection(spec, grid, spec.norm_b1() / 2, d, threads)))
+        return out
+
+    @pytest.mark.parametrize("N, R", [(64, 2048), (256, 8192)])
+    def test_period_sweep_is_the_whole_grid_sweep(self, monkeypatch, sheared_A, N, R):
+        # the levels-A specs: the anchors repeat bit for bit after R rows
+        spec, grid = sheared_A(N), canonical_grid(N)
+        assert expsum._period_rows(spec, grid) == R < grid.Mt
+        got = [self.results(spec, grid, threads) for threads in (1, 2)]
+        monkeypatch.setattr(expsum, "_period_rows", lambda spec, grid: grid.Mt)
+        want = self.results(spec, grid, 1)
+        assert got == [want, want]
+
+    def test_no_period_sweeps_every_row(self, sheared_A):
+        for spec, grid in [(sheared_A(128), canonical_grid(128)),
+                           (random_spec(N=64, seed=3), canonical_grid(64))]:
+            assert expsum._period_rows(spec, grid) == grid.Mt
+
+    def test_rows_repeat_their_period(self, sheared_A):
+        spec, grid = sheared_A(64), canonical_grid(64)
+        factors = expsum._t_factors(spec, grid)(0, grid.Mt).view(np.int64)
+        R = expsum._period_rows(spec, grid)
+        assert np.array_equal(factors, np.resize(factors[:R], factors.shape))
+
+
 class TestBlocks:
     def test_block_rows(self):
         heights = [expsum._block_rows(Mx) for Mx in (4, 512, 1024, 4096, 2**17, 2**18)]
         assert heights == [256, 256, 128, 32, 1, 1]
 
+    def test_separable_products_stay_off_blas_threads(self, monkeypatch):
+        # OpenBLAS threads a complex product of m n k >= 2^16: at K = 2 and
+        # Mx = 256 a separable block holds 127 rows, not 256
+        spec = random_spec(N=64, seed=5, canonical=False, support=[3, 40])
+        grid = GridSpec(0.0, 64.0, 256, 0.0, 4096.0, 1000)
+        sizes, matmul = [], np.matmul
+
+        def spy(a, b, *args, **kwargs):
+            sizes.append(a.shape[0] * a.shape[1] * b.shape[1])
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        for d in ("t", "x"):
+            sup_norm_Lp(spec, grid, d, 4.0, threads=2, with_levels=True)
+        assert max(sizes) == 127 * 2 * 256 < 2**16
+        assert [expsum._block_rows(Mx, K) for Mx, K in [(256, 2), (4, 8), (128, 32), (4096, 8),
+                                                         (2**18, 2)]] == [127, 256, 15, 2, 1]
+
     @pytest.mark.parametrize("canonical", [True, False], ids=["fft", "separable"])
     def test_partition_does_not_change_results(self, monkeypatch, pools, canonical):
-        # _BLOCK_NODES = 2**10, 2**17, 2**24 make blocks of 8, 256, 256 rows
-        # at Mx = 128 (Mt = 1030: the last block 6 rows) and of 1, 109, 110
-        # rows at Mx = 1200 (Mt = 110: the last block 1 row at 2**17); both
+        # _BLOCK_NODES = 2**10, 2**17, 2**24 make FFT blocks of 8, 256, 256
+        # rows at Mx = 128 (Mt = 1030: the last block 6 rows) and of 1, 109,
+        # 110 rows at Mx = 1200 (Mt = 110: the last block 1 row at 2**17);
+        # separable blocks (K = 32) hold 8, 15, 15 and 1, 2, 2 rows; both
         # grids hold more than 2**17 nodes, so two threads start a pool
         # unless _BLOCK_NODES is 2**24
         spec = random_spec(N=32, seed=43, canonical=canonical)

@@ -224,7 +224,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check convexity windows of a CSV sequence")
     p.add_argument("path")
     p.add_argument("--hits", help="hits JSON to attach")
-    p.add_argument("--theta", type=float, default=None)
+    p.add_argument("--theta", type=float, default=1.0)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_validate)
 

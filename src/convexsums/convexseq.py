@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,7 +89,6 @@ class ConvexSequence:
     values: np.ndarray
     exact_values: list[Q] | None = None
     hits: list[LatticeHit] | None = None
-    theta: float = 1.0
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -201,30 +200,28 @@ def _tightest_C(N: int, theta, d1_min, d1_max, d2_min, d2_max):
     )
 
 
-def validate(seq: ConvexSequence, theta: float | None = None) -> ConvexityReport:
+def validate(seq: ConvexSequence, theta: float = 1.0) -> ConvexityReport:
     """Check the uniform-convexity windows and report the tightest constant.
 
-    theta rescales the second-difference window to [th/(CN^2), C*th/N^2]
-    (the generalized form used after restrict_rescale); default is the
-    sequence's own theta.  Exact values are used when available, so the
-    pass/fail verdict does not hinge on float rounding.
+    theta rescales the second-difference window to [theta/(CN^2), C theta/N^2];
+    the default 1 is the uniformly convex class.  Exact values are used when
+    available, so the pass/fail verdict does not hinge on float rounding.
     """
     if seq.N < 3:
         raise ValueError("need N >= 3 for second differences")
-    th = seq.theta if theta is None else theta
-    if not 0 < th < math.inf:
-        raise ValueError(f"theta must be finite and > 0, got {th}")
+    if not 0 < theta < math.inf:
+        raise ValueError(f"theta must be finite and > 0, got {theta}")
     exact = seq.exact_values is not None
     d1 = np.diff(np.array(seq.exact_values, dtype=object) if exact else seq.values)
     d2 = np.diff(d1)
     # Python scalars, so Fractions stay exact and floats overflow to inf quietly
     lims = np.array([d1.min(), d1.max(), d2.min(), d2.max()]).tolist()
-    C = _tightest_C(seq.N, Q(th) if exact else th, *lims)
+    C = _tightest_C(seq.N, Q(theta) if exact else theta, *lims)
     return ConvexityReport(
         *map(float, lims),
         tightest_C=float(C),
         passed=bool(C <= 4),
-        theta=th,
+        theta=theta,
     )
 
 
@@ -534,59 +531,5 @@ def shear(seq: ConvexSequence, lam: float) -> ConvexSequence:
         values = seq.values + lam * n
     meta = dict(seq.meta, shear=seq.meta.get("shear", 0.0) + lam)
     return ConvexSequence(
-        N=seq.N, values=values, exact_values=exact, hits=None, theta=seq.theta, meta=meta
-    )
-
-
-def restrict_rescale(seq: ConvexSequence, beta: float) -> ConvexSequence:
-    """First ceil(N^beta) terms scaled by N^{1-beta}.
-
-    The result has length parameter Ntil = ceil(N^beta) and second-difference
-    parameter theta = N^{beta-1}: first differences stay in [1/(4*Ntil),
-    4/Ntil] while second differences move to [theta/(4*Ntil^2),
-    4*theta/Ntil^2].  When N^beta is an integer, hits survive (indices <=
-    Ntil) with the same multiplier at lattice level alpha~ = (alpha + beta -
-    1)/beta, since then Ntil^{-alpha~} = N^{1-alpha-beta}.  Otherwise that
-    identity fails and hits is None.
-    """
-    if not 0.0 < beta <= 1.0:
-        raise ValueError("beta must lie in (0, 1]")
-    if not validate(seq).passed:
-        raise ValueError("restrict_rescale needs a uniformly convex input")
-    bq = Q(beta).limit_denominator(10**6)
-    nb, nb_exact = power_value(seq.N, bq)
-    if beta * float(nb) < 3:
-        raise ValueError(f"beta*N^beta = {beta * float(nb):.3g} < 3: output too short")
-    n_til = power_floor(seq.N, bq)
-    integral = nb_exact and nb.denominator == 1 and nb == n_til
-    if not integral:
-        n_til += 1  # ceil
-    factor_q, factor_exact = power_value(seq.N, 1 - bq)
-    factor = float(factor_q)
-    theta = 1.0 / factor
-    if seq.exact_values is not None and factor_exact:
-        exact = [v * factor_q for v in seq.exact_values[:n_til]]
-        values = np.asarray([float(v) for v in exact])
-    else:
-        exact = None
-        values = seq.values[:n_til] * factor
-    hits = None
-    if seq.hits is not None and integral:
-        hits = [
-            replace(h, alpha=(h.alpha + beta - 1) / beta)
-            for h in seq.hits
-            if h.n <= n_til
-        ]
-    meta = dict(seq.meta, restricted_beta=beta, parent_N=seq.N)
-    return ConvexSequence(
-        N=n_til, values=values, exact_values=exact, hits=hits, theta=theta, meta=meta
-    )
-
-
-def quadratic_example(N: int) -> ConvexSequence:
-    """The model sequence a_n = n/(2N) + n^2/(2N^2), kept exact."""
-    exact = [Q(n, 2 * N) + Q(n * n, 2 * N * N) for n in range(1, N + 1)]
-    values = np.asarray([float(v) for v in exact])
-    return ConvexSequence(
-        N=N, values=values, exact_values=exact, meta={"construction": "quadratic"}
+        N=seq.N, values=values, exact_values=exact, hits=None, meta=meta
     )

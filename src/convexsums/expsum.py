@@ -37,23 +37,26 @@ a block's arrays stay cache-sized.  A separable block of K terms holds at
 most max(2, (2^16 - 1) // (K Mx)) rows: OpenBLAS hands a complex product of
 m n k >= 2^16 to a helper thread, which spins on after the call; a product
 with K Mx >= 2^15 reaches that size at 2 rows and is left to it.  Each
-worker thread allocates its block arrays (the complex rows, |f| and the
-reduction scratch) once per sweep and reuses them for every block it takes,
-and the arrays of the spec (support, frequencies, folds, x-factors, anchors
-and offsets) are built once per sweep.
+worker thread allocates its block arrays (the complex rows and |f|) once per
+sweep and reuses them for every block it takes, and the arrays of the spec
+(support, frequencies, folds, x-factors, anchors and offsets) are built once
+per sweep: _t_factors and _period_rows share one anchor column.
 
 One sweep over the grid serves both the sup-then-L^p norm and the level
 sets: each block of rows is reduced once, from one |f| matrix, to its
-per-outer-node max, argmax and bitmask of observed rungs of a ladder anchored
-at a float A, rung j holding |f| in [A 2^-j-1, A 2^-j).  A rung is read off
-the IEEE-754 bit patterns of A and |f| with one integer subtract and shift.
-The reductions are exact (max, first argmax, bitwise-or) and combined in
-block order, and a row's bits do not depend on the block that holds it, so
-results are independent of the thread count and of the block partition.
+per-outer-node max, its first maximum (outer node first, then inner) and
+the bitmask of observed rungs of a ladder anchored at a float A, rung j
+holding |f| in [A 2^-j-1, A 2^-j).  A rung is read off the IEEE-754 bit
+patterns of A and |f| with one integer subtract and shift, in |f|'s own
+memory once the maxima are read.  The reductions are exact (max, first
+argmax, bitwise-or) and combined in block order, and a row's bits do not
+depend on the block that holds it, so results are independent of the thread
+count and of the block partition.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -222,22 +225,36 @@ def _e(eta: np.ndarray, t: np.ndarray) -> np.ndarray:  # e(t_i eta_n), t longdou
     return np.exp(vals, out=vals)
 
 
-def _anchors(spec: ExpSumSpec, grid: GridSpec, idx: np.ndarray) -> np.ndarray:
-    """The anchors b_n e(t_{qH} eta_n), q = 0 ... ceil(Mt / H) - 1, for n in idx."""
+def _anchors(spec: ExpSumSpec, grid: GridSpec) -> np.ndarray:
+    """The anchors b_n e(t_{qH} eta_n), q = 0 ... ceil(Mt / H) - 1, over the support."""
+    idx = spec.support()
     t = grid.t_lo + np.arange(0, grid.Mt, _ANCHOR_ROWS) * np.longdouble(grid.dt)
     a = _e(spec.eta[idx], t)
     return np.multiply(spec.b[idx], a, out=a)
 
 
+_last_column: tuple = (None, None, None)  # (spec, grid, anchors) of the last _anchor_column
+
+
+def _anchor_column(spec: ExpSumSpec, grid: GridSpec) -> np.ndarray:
+    """_anchors(spec, grid), built once for the last (spec, grid) asked for: a
+    sweep's _t_factors and _period_rows share one column."""
+    global _last_column
+    last_spec, last_grid, a = _last_column
+    if last_spec is not spec or last_grid != grid:
+        _last_column = None, None, None  # free the last column before the next
+        a = _anchors(spec, grid)
+        a.setflags(write=False)
+        _last_column = spec, grid, a
+    return a
+
+
 def _period_rows(spec: ExpSumSpec, grid: GridSpec) -> int:
     """R = min(Mt, Q H): row l of the t-factors is row l mod R to the bit, Q >= 1
     the least shift with anchor_q == anchor_{q-Q} bit for bit for every q (else
-    R = Mt), tried where anchor_Q == anchor_0, if the first term's ever does."""
-    for idx in (spec.support()[:1], spec.support()):  # the first term, then all
-        a = _anchors(spec, grid, idx).view(np.int64)
-        shifts = np.flatnonzero((a[1:] == a[0]).all(axis=1)) + 1
-        if not len(shifts):
-            return grid.Mt
+    R = Mt), tried where anchor_Q == anchor_0."""
+    a = _anchor_column(spec, grid).view(np.int64)
+    shifts = np.flatnonzero((a[1:] == a[0]).all(axis=1)) + 1
     return next((min(grid.Mt, int(Q) * _ANCHOR_ROWS) for Q in shifts
                  if np.array_equal(a[Q:], a[:-Q])), grid.Mt)
 
@@ -251,7 +268,7 @@ def _t_factors(spec: ExpSumSpec, grid: GridSpec) -> Callable[[int, int], np.ndar
     row's bits do not depend on the rows asked for with it.
     """
     idx, H = spec.support(), _ANCHOR_ROWS
-    anchors = _anchors(spec, grid, idx)
+    anchors = _anchor_column(spec, grid)
     offsets = _e(spec.eta[idx], np.arange(min(H, grid.Mt)) * np.longdouble(grid.dt))
 
     def factors(s: int, r: int) -> np.ndarray:
@@ -405,18 +422,24 @@ def _sweep(
     direction: str,
     threads: int | None,
     anchor: float | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, tuple[int, int], np.ndarray | None]:
     """One streaming pass: per outer node, the sup of |f| over the inner variable.
 
-    direction names the inner variable.  Returns (sup, arg, rungs): arg[node]
-    is the inner index attaining sup[node]; with an anchor A, bit j < 63 of
-    rungs[node] is set when some inner node there has |f| in [A 2^-j-1,
-    A 2^-j) (else rungs is None).  The rung of |f| is (bits(A) - 1 -
-    bits(|f|)) >> 52, bits(.) the IEEE-754 pattern as int64, exact for normal
-    |f|; as uint64 capped at 63 it puts |f| >= A and rungs past 62 in bit 63,
-    which no reader reads.  Zero and subnormal |f| rank past rung 0 for
-    A >= 2^-1021 and in bit 63 at every anchor _level_report accepts.  Each
-    block's |f| is formed once and reduced to all of these.
+    direction names the inner variable.  Returns (sup, (outer, inner), rungs):
+    outer = argmax(sup) and inner is the first inner index where |f| reaches
+    sup[outer].  Each block reports its own first maximum (lowest outer node,
+    then lowest inner), and (outer, inner) is that of the first block whose
+    maximum is sup[outer] at outer: sup is at least a block's max at each
+    outer node that reaches it, so no such node comes before outer.
+
+    With an anchor A, bit j < 63 of rungs[node] is set when some inner node
+    there has |f| in [A 2^-j-1, A 2^-j) (else rungs is None).  The rung of |f|
+    is (bits(A) - 1 - bits(|f|)) >> 52, bits(.) the IEEE-754 pattern as int64,
+    exact for normal |f|; as uint64 capped at 63 it puts |f| >= A and rungs
+    past 62 in bit 63, which no reader reads.  Zero and subnormal |f| rank
+    past rung 0 for A >= 2^-1021 and in bit 63 at every anchor _level_report
+    accepts.  Each block's |f| is formed once, reduced to its maxima, then
+    overwritten by its rung bits.
     """
     if direction not in ("t", "x"):
         raise ValueError("direction must be 't' or 'x'")
@@ -426,44 +449,34 @@ def _sweep(
 
     def worker(rows: _Rows, h: int):
         c_h, a_h = np.empty((h, grid.Mx), dtype=complex), np.empty((h, grid.Mx))
-        mask_h = np.empty((h, grid.Mx), dtype=bool)
-        rung_h = np.empty((h, grid.Mx), dtype=np.int64)
 
         def block(s: int, r: int):
             a = np.abs(rows(s, c_h[:r]), out=a_h[:r])
-            if axis == 0:
-                # argmax along axis 0 copies its input to make that axis
-                # contiguous; the bool matrix a == max is an eighth of the copy
-                mx = a.max(axis=0)
-                am = np.equal(a, mx, out=mask_h[:r]).argmax(axis=0) + s
-            else:
-                am = a.argmax(axis=1)
-                mx = np.take_along_axis(a, am[:, None], axis=1)[:, 0]
+            mx = a.max(axis=axis)
+            o = int(mx.argmax())
+            i = int((a[:, o] if axis == 0 else a[o]).argmax())
+            first = (o, i + s, mx[o]) if axis == 0 else (o + s, i, mx[o])
             if anchor is None:
-                return mx, am, None
-            rung = np.subtract(top, a.view(np.int64), out=rung_h[:r])
-            rung >>= 52
-            bits = rung.view(np.uint64)
+                return mx, first, None
+            bits = np.subtract(top, a.view(np.int64), out=a.view(np.int64))
+            bits >>= 52
+            bits = bits.view(np.uint64)
             np.minimum(bits, np.uint64(63), out=bits)
             np.left_shift(np.uint64(1), bits, out=bits)
-            return mx, am, np.bitwise_or.reduce(bits, axis=axis)
+            return mx, first, np.bitwise_or.reduce(bits, axis=axis)
 
         return block
 
-    partials = _map_blocks(spec, grid, threads, worker)
-    rungs = None
+    mx, firsts, bits = zip(*_map_blocks(spec, grid, threads, worker))
     if direction == "t":
-        sup = np.zeros(grid.Mx)
-        arg = np.zeros(grid.Mx, dtype=np.int64)
-        for mx, am, _ in partials:
-            arg = np.where(mx > sup, am, arg)
-            sup = np.maximum(sup, mx)
-        if anchor is not None:
-            rungs = np.bitwise_or.reduce([om for _, _, om in partials])
+        sup = functools.reduce(np.maximum, mx)
+        rungs = None if anchor is None else np.bitwise_or.reduce(bits)
     else:  # row l is row l mod R: the R swept rows, tiled to Mt
-        sup, arg, rungs = (None if c[0] is None else np.resize(np.concatenate(c), grid.Mt)
-                           for c in zip(*partials))
-    return sup, arg, rungs
+        sup = np.resize(np.concatenate(mx), grid.Mt)
+        rungs = None if anchor is None else np.resize(np.concatenate(bits), grid.Mt)
+    outer = int(np.argmax(sup))
+    inner = next(i for o, i, v in firsts if (o, v) == (outer, sup[outer]))
+    return sup, (outer, inner), rungs
 
 
 def sup_norm_Lp(
@@ -487,7 +500,7 @@ def sup_norm_Lp(
         raise ValueError(f"p must be finite and >= 1, got {p}")
 
     anchor = _dyadic_anchor(spec) if with_levels else None
-    sup, arg, rungs = _sweep(spec, grid, sup_direction, threads, anchor)
+    sup, (outer, inner), rungs = _sweep(spec, grid, sup_direction, threads, anchor)
     cell = grid.dx if sup_direction == "t" else grid.dt
     try:
         value = math.fsum(v**p for v in sup.tolist()) * cell
@@ -498,8 +511,6 @@ def sup_norm_Lp(
             f"(sup |f|)^p summed over the grid is {value} in floats at p = {p} "
             f"(max |f| = {sup.max()})"
         )
-    outer = int(np.argmax(sup))
-    inner = int(arg[outer])
     k_star, l_star = (outer, inner) if sup_direction == "t" else (inner, outer)
     norm = NormResult(
         value=float(value ** (1.0 / p)),

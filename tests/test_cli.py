@@ -734,3 +734,12 @@ class TestExperimentDeterminism:
         code, out, _ = _fresh_cli(["--version"], tmp_path)
         assert code == 0
         assert out.strip() == "0.1.0"
+
+
+def test_package_exports_resolve():
+    # a star import binds every name in __all__, each to the package's object
+    namespace = {}
+    exec("from convexsums import *", namespace)
+    assert len(set(convexsums.__all__)) == len(convexsums.__all__)
+    for name in convexsums.__all__:
+        assert namespace[name] is getattr(convexsums, name)

@@ -18,13 +18,20 @@ from convexsums.convexseq import (
     construct_dirichlet_like,
     construct_small_alpha,
     intersect_count,
-    quadratic_example,
-    restrict_rescale,
     shear,
     validate,
 )
 from convexsums.interp import build_c1, knots_from_sequence
 from convexsums.rational import Q, power_value
+
+
+def quadratic_example(N: int) -> ConvexSequence:
+    """The model sequence a_n = n/(2N) + n^2/(2N^2), kept exact."""
+    exact = [Q(n, 2 * N) + Q(n * n, 2 * N * N) for n in range(1, N + 1)]
+    values = np.asarray([float(v) for v in exact])
+    return ConvexSequence(
+        N=N, values=values, exact_values=exact, meta={"construction": "quadratic"}
+    )
 
 
 class TestValidate:
@@ -360,58 +367,6 @@ class TestShear:
     def test_hits_dropped(self):
         seq = construct_dirichlet_like(128, 1.0)
         assert shear(seq, 0.5).hits is None
-
-
-class TestRestrictRescale:
-    def test_beta_one_identity(self):
-        seq = quadratic_example(64)
-        out = restrict_rescale(seq, 1.0)
-        assert out.N == seq.N
-        assert np.allclose(out.values, seq.values, atol=0)
-        assert out.theta == pytest.approx(1.0)
-
-    def test_generalized_validator(self):
-        seq = construct_dirichlet_like(4096, 1.0)
-        out = restrict_rescale(seq, 0.5)
-        assert out.N == 64
-        assert out.theta == pytest.approx(4096 ** (-0.5))
-        rep = validate(out)
-        assert rep.theta == pytest.approx(1 / 64)
-        assert rep.passed
-
-    def test_hits_survive_with_shifted_level(self):
-        seq = construct_dirichlet_like(4096, 1.0)
-        out = restrict_rescale(seq, 0.5)
-        kept = [h for h in seq.hits if h.n <= 64]
-        assert len(out.hits) == len(kept)
-        for h, orig in zip(out.hits, kept):
-            # alpha~ = (alpha + beta - 1)/beta = 1 here for alpha=1, beta=1/2
-            assert h.alpha == pytest.approx(1.0)
-            assert h.num == orig.num
-            # value = multiplier * Ntil^{-alpha~} with Ntil = 64
-            assert out.values[h.n - 1] == pytest.approx(h.num / 64, rel=1e-12)
-
-    def test_hits_kept_only_at_integer_N_beta(self, tmp_path):
-        # 1000^0.5 is no integer: Ntil = 32, and 32^{-alpha~} is not
-        # 1000^{1-alpha-beta}, so a kept hit would certify a wrong value
-        assert restrict_rescale(construct(1000, 1.5), 0.5).hits is None
-        out = restrict_rescale(construct(4096, 1.5), 0.5)
-        assert len(out.hits) == 3
-        p, h = tmp_path / "r.csv", tmp_path / "r.hits.json"
-        out.to_csv(str(p))
-        out.hits_to_json(str(h))
-        assert ConvexSequence.from_csv(str(p), hits_path=str(h)).hits == out.hits
-
-    def test_too_short_rejected(self):
-        seq = quadratic_example(64)
-        with pytest.raises(ValueError):
-            restrict_rescale(seq, 0.2)  # beta*N^beta = 0.2*2.3 < 3
-
-    def test_non_convex_rejected(self):
-        N = 64
-        seq = ConvexSequence(N=N, values=np.arange(1, N + 1) / N)
-        with pytest.raises(ValueError):
-            restrict_rescale(seq, 0.5)
 
 
 class TestUpperBoundInvariant:

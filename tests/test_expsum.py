@@ -348,6 +348,25 @@ class TestPeriodRows:
         R = expsum._period_rows(spec, grid)
         assert np.array_equal(factors, np.resize(factors[:R], factors.shape))
 
+    def test_one_anchor_column_per_sweep(self, monkeypatch):
+        # eta_1 = 0 repeats the first term's anchors, so _period_rows reads the
+        # whole column, which _t_factors reads too: one build serves both
+        rng = np.random.default_rng(5)
+        eta = np.r_[0.0, rng.uniform(0, 4, 63)]
+        spec = ExpSumSpec(N=64, xi=np.arange(1, 65) / 64, eta=eta, b=rng.normal(size=64))
+        grid = canonical_grid(64, budget=2**18)
+        real, widths = expsum._anchors, []
+
+        def counting(spec, grid, *idx):
+            a = real(spec, grid, *idx)
+            widths.append(a.shape[1])
+            return a
+
+        monkeypatch.setattr(expsum, "_anchors", counting)
+        sup_norm_Lp(spec, grid, "t", 4.0, threads=1)
+        assert widths.count(64) == 1
+        assert expsum._period_rows(spec, grid) == grid.Mt
+
 
 class TestBlocks:
     def test_block_rows(self):
@@ -474,6 +493,64 @@ class TestSupNorm:
         res = sup_norm_Lp(spec, grid, direction, 4.0)
         assert res.max_abs == 2.0
         assert (res.argmax_x, res.argmax_t) == (2.0, 0.0)
+
+    @staticmethod
+    def first_max(spec, grid, direction):
+        """(argmax_x, argmax_t, max_abs) of the first maximum of |eval_grid|,
+        outer node first, then inner."""
+        a = np.abs(eval_grid(spec, grid, threads=1))
+        by_outer = a.T if direction == "t" else a
+        outer = int(np.argmax(by_outer.max(axis=1)))
+        inner = int(np.argmax(by_outer[outer]))
+        k, l = (outer, inner) if direction == "t" else (inner, outer)
+        return grid.x_lo + k * grid.dx, grid.t_lo + l * grid.dt, float(a[l, k])
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("direction", ["t", "x"])
+    @pytest.mark.parametrize("canonical", [True, False], ids=["fft", "separable"])
+    def test_argmax_is_the_first_grid_maximum(self, monkeypatch, pools, canonical,
+                                              direction, threads):
+        # 19 blocks of 16 rows; the maximum lies past block 0, whose own
+        # maximum is lower
+        spec = random_spec(N=32, seed=41, canonical=canonical)
+        grid = GridSpec(0.0, 32.0, 128, 0.0, 1024.0, 300)
+        monkeypatch.setattr(expsum, "_BLOCK_NODES", 16 * grid.Mx)
+        a = np.abs(eval_grid(spec, grid, threads=1))
+        assert a[:16].max() < a.max()
+        res = sup_norm_Lp(spec, grid, direction, 4.0, threads)
+        assert pools == [2] * (threads - 1)
+        assert (res.argmax_x, res.argmax_t, res.max_abs) == self.first_max(spec, grid, direction)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("direction", ["t", "x"])
+    def test_argmax_merges_tied_blocks(self, monkeypatch, pools, direction, threads):
+        # 8 blocks of 8 rows written from a fixed |f|: block 0's maximum is 4;
+        # 5 is reached in block 1 at x-node 6 (row 10, and x-node 7 too), then
+        # at x-node 1 in block 3 (rows 28 and 30) and in block 5 (row 45).  The
+        # first maximum is x-node 1 at row 28 with t inner, row 10 at x-node 6
+        # with x inner.  A merge that takes the last block, or the first node
+        # of the first block at the maximum, reads another node
+        f = np.zeros((64, 8), dtype=complex)
+        f[:8] = 1.0
+        f[3, 2] = 4.0
+        f[10, 6] = f[10, 7] = f[28, 1] = f[30, 1] = f[45, 1] = 5.0
+        spec = random_spec(N=8, seed=1)
+        grid = GridSpec(0.0, 8.0, 8, 0.0, 64.0, 64)
+
+        def writer(spec, grid):
+            def rows(s, out):
+                out[:] = f[s:s + len(out)]
+                return out
+            return rows
+
+        for name in ("_rows_fast", "_rows_naive"):
+            monkeypatch.setattr(expsum, name, writer)
+        monkeypatch.setattr(expsum, "_BLOCK_NODES", 8 * grid.Mx)
+        res = sup_norm_Lp(spec, grid, direction, 4.0, threads)
+        assert pools == [2] * (threads - 1)
+        want = (1.0, 28.0, 5.0) if direction == "t" else (6.0, 10.0, 5.0)
+        assert (res.argmax_x, res.argmax_t, res.max_abs) == want
+        assert self.first_max(spec, grid, direction) == want
 
     def test_p_below_one_rejected(self):
         spec = constant_spec()

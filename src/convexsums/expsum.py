@@ -36,11 +36,9 @@ A sweep streams the t-rows in blocks of at most _BLOCK_NODES nodes, so that
 a block's arrays stay cache-sized.  A separable block of K terms holds at
 most max(2, (2^16 - 1) // (K Mx)) rows: OpenBLAS hands a complex product of
 m n k >= 2^16 to a helper thread, which spins on after the call; a product
-with K Mx >= 2^15 reaches that size at 2 rows and is left to it.  Each
-worker thread allocates its block arrays (the complex rows and |f|) once per
-sweep and reuses them for every block it takes, and the arrays of the spec
-(support, frequencies, folds, x-factors, anchors and offsets) are built once
-per sweep: _t_factors and _period_rows share one anchor column.
+with K Mx >= 2^15 reaches that size at 2 rows and is left to it.  The
+arrays of the spec (support, frequencies, folds, x-factors, anchors and
+offsets) are built once per sweep.
 
 One sweep over the grid serves both the sup-then-L^p norm and the level
 sets: each block of rows is reduced once, from one |f| matrix, to its
@@ -59,7 +57,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable
@@ -67,7 +64,7 @@ from typing import Callable
 import numpy as np
 
 DEFAULT_BUDGET = 2**24  # max total grid nodes Mx * Mt
-_BLOCK_NODES = 2**17  # grid nodes per row block: a thread's block arrays stay cache-sized
+_BLOCK_NODES = 2**17  # grid nodes per row block: a block's arrays stay cache-sized
 _BLOCK_ROWS = 256  # row cap at small Mx; OpenBLAS threads by m n k, see _block_rows
 _ANCHOR_ROWS = 64  # t-rows per anchor exponential; 128 moves levels-A's top dyadic band
 _LEVELS = 40  # rungs below the top one in a level report
@@ -85,9 +82,9 @@ def _frac(a: np.ndarray) -> np.ndarray:
     return f
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExpSumSpec:
-    """Frequencies and coefficients of one exponential sum."""
+    """Frequencies and coefficients of one exponential sum; == and hash by identity."""
 
     N: int
     xi: np.ndarray
@@ -233,42 +230,27 @@ def _anchors(spec: ExpSumSpec, grid: GridSpec) -> np.ndarray:
     return np.multiply(spec.b[idx], a, out=a)
 
 
-_last_column: tuple = (None, None, None)  # (spec, grid, anchors) of the last _anchor_column
-
-
-def _anchor_column(spec: ExpSumSpec, grid: GridSpec) -> np.ndarray:
-    """_anchors(spec, grid), built once for the last (spec, grid) asked for: a
-    sweep's _t_factors and _period_rows share one column."""
-    global _last_column
-    last_spec, last_grid, a = _last_column
-    if last_spec is not spec or last_grid != grid:
-        _last_column = None, None, None  # free the last column before the next
-        a = _anchors(spec, grid)
-        a.setflags(write=False)
-        _last_column = spec, grid, a
-    return a
-
-
-def _period_rows(spec: ExpSumSpec, grid: GridSpec) -> int:
+def _period_rows(anchors: np.ndarray, Mt: int) -> int:
     """R = min(Mt, Q H): row l of the t-factors is row l mod R to the bit, Q >= 1
-    the least shift with anchor_q == anchor_{q-Q} bit for bit for every q (else
-    R = Mt), tried where anchor_Q == anchor_0."""
-    a = _anchor_column(spec, grid).view(np.int64)
+    the least shift with anchors[q] == anchors[q-Q] bit for bit for every q (else
+    R = Mt), tried where anchors[Q] == anchors[0].  One anchor has no shift: R = Mt."""
+    a = anchors.view(np.int64)
     shifts = np.flatnonzero((a[1:] == a[0]).all(axis=1)) + 1
-    return next((min(grid.Mt, int(Q) * _ANCHOR_ROWS) for Q in shifts
-                 if np.array_equal(a[Q:], a[:-Q])), grid.Mt)
+    return next((min(Mt, int(Q) * _ANCHOR_ROWS) for Q in shifts
+                 if np.array_equal(a[Q:], a[:-Q])), Mt)
 
 
-def _t_factors(spec: ExpSumSpec, grid: GridSpec) -> Callable[[int, int], np.ndarray]:
+def _t_factors(
+    spec: ExpSumSpec, grid: GridSpec, anchors: np.ndarray
+) -> Callable[[int, int], np.ndarray]:
     """factors(s, r): the (r x K) matrix b_n e(t_l eta_n), rows l = s ... s + r - 1.
 
     Columns run over the support.  Row l = q H + j, H = _ANCHOR_ROWS, is the
-    product of the anchor b_n e(t_{qH} eta_n) and the offset e(j dt eta_n),
-    both from tables built once; anchors sit at fixed multiples of H, so a
-    row's bits do not depend on the rows asked for with it.
+    product of anchors[q] = b_n e(t_{qH} eta_n), from _anchors, and the offset
+    e(j dt eta_n), from a table built once; anchors sit at fixed multiples of
+    H, so a row's bits do not depend on the rows asked for with it.
     """
     idx, H = spec.support(), _ANCHOR_ROWS
-    anchors = _anchor_column(spec, grid)
     offsets = _e(spec.eta[idx], np.arange(min(H, grid.Mt)) * np.longdouble(grid.dt))
 
     def factors(s: int, r: int) -> np.ndarray:
@@ -284,7 +266,7 @@ def _t_factors(spec: ExpSumSpec, grid: GridSpec) -> Callable[[int, int], np.ndar
 _Rows = Callable[[int, np.ndarray], np.ndarray]  # rows(s, out): t-rows s, s + 1, ... into out
 
 
-def _rows_fast(spec: ExpSumSpec, grid: GridSpec) -> _Rows:
+def _rows_fast(spec: ExpSumSpec, grid: GridSpec, anchors: np.ndarray) -> _Rows:
     """Row writer via the unnormalised inverse DFT of the folded coefficients.
 
     Returns rows(s, out), which writes the t-rows s, s + 1, ... into the
@@ -295,7 +277,7 @@ def _rows_fast(spec: ExpSumSpec, grid: GridSpec) -> _Rows:
     """
     idx = spec.support()
     fold = (idx + 1) % grid.Mx
-    factors = _t_factors(spec, grid)
+    factors = _t_factors(spec, grid, anchors)
 
     def rows(s: int, out: np.ndarray) -> np.ndarray:
         r = len(out)
@@ -308,7 +290,7 @@ def _rows_fast(spec: ExpSumSpec, grid: GridSpec) -> _Rows:
     return rows
 
 
-def _rows_naive(spec: ExpSumSpec, grid: GridSpec) -> _Rows:
+def _rows_naive(spec: ExpSumSpec, grid: GridSpec, anchors: np.ndarray) -> _Rows:
     """Row writer for the product E_t @ E_x of the separable factors of each term.
 
     E_t[r, k] = b_k e(t_r eta_k), from _t_factors, and E_x[k, c] = e(xi_k x_c),
@@ -319,7 +301,7 @@ def _rows_naive(spec: ExpSumSpec, grid: GridSpec) -> _Rows:
     xi = spec.xi[idx].astype(np.longdouble)
     x = grid.x_lo + np.arange(grid.Mx) * np.longdouble(grid.dx)
     e_x = np.exp(2j * math.pi * _frac(xi[:, None] * x[None, :]).astype(float))
-    factors = _t_factors(spec, grid)
+    factors = _t_factors(spec, grid, anchors)
 
     def rows(s: int, out: np.ndarray) -> np.ndarray:
         e_t = factors(s, len(out))
@@ -344,32 +326,28 @@ def _map_blocks(
     spec: ExpSumSpec,
     grid: GridSpec,
     threads: int | None,
-    worker: Callable[[_Rows, int], Callable[[int, int], object]],
+    block: Callable[[_Rows, int, int], object],
 ) -> list[object]:
-    """Reduce each block of t-rows in a worker thread; results in block order.
+    """block(rows, s, r) for each block of t-rows, in a pool; results in block order.
 
-    The blocks cover rows [0, R), R = _period_rows(spec, grid), with h =
-    _block_rows(Mx, K) rows each (K only for separable rows), the last one
+    The blocks cover rows [0, R), R = _period_rows of the anchor column, with
+    h = _block_rows(Mx, K) rows each (K only for separable rows), the last one
     fewer: a partition fixed by the spec and grid, never by the thread count,
     so any order-sensitive combination downstream stays deterministic.
-    worker(rows, h) runs once in each thread that takes blocks.  It allocates
-    that thread's arrays, sized to one block, and returns block(s, r), which
-    reduces the r rows from row s; rows(s, out), built once per call, writes
-    those rows into the (r x Mx) complex array out and returns it.
+    block reduces the r rows from row s; rows(s, out), built once per call,
+    writes those rows into the (r x Mx) complex array out and returns it.
 
     A sweep of at most _BLOCK_NODES nodes runs in the calling thread: a pool
     costs more than it saves there.
     """
     fft = _fft_applies(spec, grid)
-    rows = (_rows_fast if fft else _rows_naive)(spec, grid)
-    R = grid.Mt if grid.Mt <= _ANCHOR_ROWS else _period_rows(spec, grid)  # one anchor: no test
+    anchors = _anchors(spec, grid)
+    rows = (_rows_fast if fft else _rows_naive)(spec, grid, anchors)
+    R = _period_rows(anchors, grid.Mt)
     h = min(R, _block_rows(grid.Mx, None if fft else len(spec.support())))
-    local = threading.local()
 
     def run(s: int):
-        if not hasattr(local, "block"):
-            local.block = worker(rows, h)
-        return local.block(s, min(h, R - s))
+        return block(rows, s, min(h, R - s))
 
     starts = range(0, R, h)
     nt = _threads(threads)
@@ -391,7 +369,7 @@ def eval_grid(
     """
     f = np.empty((grid.Mt, grid.Mx), dtype=complex)
     R = sum(_map_blocks(spec, grid, threads,
-                        lambda rows, h: lambda s, r: len(rows(s, f[s:s + r]))))
+                        lambda rows, s, r: len(rows(s, f[s:s + r]))))
     f[R:] = np.resize(f[:R], (grid.Mt - R, grid.Mx))  # rows [0, R) swept; row l is row l mod R
     return f
 
@@ -447,27 +425,22 @@ def _sweep(
     if anchor is not None:
         top = np.float64(anchor).view(np.int64) - 1
 
-    def worker(rows: _Rows, h: int):
-        c_h, a_h = np.empty((h, grid.Mx), dtype=complex), np.empty((h, grid.Mx))
+    def block(rows: _Rows, s: int, r: int):
+        a = np.abs(rows(s, np.empty((r, grid.Mx), dtype=complex)))
+        mx = a.max(axis=axis)
+        o = int(mx.argmax())
+        i = int((a[:, o] if axis == 0 else a[o]).argmax())
+        first = (o, i + s, mx[o]) if axis == 0 else (o + s, i, mx[o])
+        if anchor is None:
+            return mx, first, None
+        bits = np.subtract(top, a.view(np.int64), out=a.view(np.int64))
+        bits >>= 52
+        bits = bits.view(np.uint64)
+        np.minimum(bits, np.uint64(63), out=bits)
+        np.left_shift(np.uint64(1), bits, out=bits)
+        return mx, first, np.bitwise_or.reduce(bits, axis=axis)
 
-        def block(s: int, r: int):
-            a = np.abs(rows(s, c_h[:r]), out=a_h[:r])
-            mx = a.max(axis=axis)
-            o = int(mx.argmax())
-            i = int((a[:, o] if axis == 0 else a[o]).argmax())
-            first = (o, i + s, mx[o]) if axis == 0 else (o + s, i, mx[o])
-            if anchor is None:
-                return mx, first, None
-            bits = np.subtract(top, a.view(np.int64), out=a.view(np.int64))
-            bits >>= 52
-            bits = bits.view(np.uint64)
-            np.minimum(bits, np.uint64(63), out=bits)
-            np.left_shift(np.uint64(1), bits, out=bits)
-            return mx, first, np.bitwise_or.reduce(bits, axis=axis)
-
-        return block
-
-    mx, firsts, bits = zip(*_map_blocks(spec, grid, threads, worker))
+    mx, firsts, bits = zip(*_map_blocks(spec, grid, threads, block))
     if direction == "t":
         sup = functools.reduce(np.maximum, mx)
         rungs = None if anchor is None else np.bitwise_or.reduce(bits)

@@ -674,8 +674,8 @@ class TestExpsumSingleSweep:
         name = "_rows_fast" if canonical else "_rows_naive"
         make_rows, blocks = getattr(expsum, name), []
 
-        def counting(spec, grid):
-            rows = make_rows(spec, grid)
+        def counting(spec, grid, anchors):
+            rows = make_rows(spec, grid, anchors)
 
             def counted(s, out):
                 blocks.append((s, len(out)))

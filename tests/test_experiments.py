@@ -365,7 +365,7 @@ class TestClosingGrids:
             spec, grid = _swept_spec_and_grid(experiment_C, 64, monkeypatch)
         else:
             spec, grid = sheared_A(64), canonical_grid(64)
-        factors = expsum._t_factors(spec, grid)
+        factors = expsum._t_factors(spec, grid, expsum._anchors(spec, grid))
         got = factors(0, grid.Mt)
         want = direct_factors(spec, grid, 0, grid.Mt)
         b = np.abs(spec.b[spec.support()])

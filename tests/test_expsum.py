@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -48,6 +49,16 @@ def zero_spec():
 def bits(v: complex) -> tuple[str, str]:
     """The exact bits of a complex, signed zeros included."""
     return v.real.hex(), v.imag.hex()
+
+
+def t_factors(spec, grid):
+    """The sweep's t-factors, factors(s, r), off a fresh anchor column."""
+    return expsum._t_factors(spec, grid, expsum._anchors(spec, grid))
+
+
+def period_rows(spec, grid):
+    """The sweep's R for spec and grid."""
+    return expsum._period_rows(expsum._anchors(spec, grid), grid.Mt)
 
 
 def forbid_rows(monkeypatch, name):
@@ -213,12 +224,12 @@ class TestEvalGrid:
         grid = GridSpec(0.0, float(N), Mx, 0.0, float(N * N), 300)
         t_index = np.arange(37, 293)
         idx = spec.support()
-        vals = expsum._t_factors(spec, grid)(37, len(t_index))
+        vals = t_factors(spec, grid)(37, len(t_index))
         c = np.zeros((len(t_index), Mx), dtype=complex)
         np.add.at(c, (np.arange(len(t_index))[:, None], (idx + 1)[None, :] % Mx), vals)
         want = Mx * np.fft.ifft(c, axis=1)
         out = np.full((len(t_index), Mx), np.nan, dtype=complex)  # every entry is written
-        assert expsum._rows_fast(spec, grid)(37, out) is out
+        assert expsum._rows_fast(spec, grid, expsum._anchors(spec, grid))(37, out) is out
         assert np.array_equal(out, want)
 
     @pytest.mark.parametrize("N, Mx", [(64, 16), (100, 7), (256, 60)])
@@ -275,18 +286,19 @@ class TestTFactors:
         assert self.GRID.Mt == 512
         # the levels-A grid at N = 64 puts every phase on the lattice 1/Mt
         for spec, grid in [(self.SPEC, self.GRID), (sheared_A(64), canonical_grid(64))]:
-            got = expsum._t_factors(spec, grid)(0, grid.Mt)
+            got = t_factors(spec, grid)(0, grid.Mt)
             want = direct_factors(spec, grid, 0, grid.Mt)
             b = np.abs(spec.b[spec.support()])
             assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * b)
         spec, grid = self.SPEC, self.GRID
         f = eval_grid(spec, grid)
         monkeypatch.setattr(expsum, "_t_factors",
-                            lambda spec, grid: functools.partial(direct_factors, spec, grid))
+                            lambda spec, grid, anchors:
+                            functools.partial(direct_factors, spec, grid))
         assert np.max(np.abs(f - eval_grid(spec, grid))) <= 2 * np.spacing(spec.norm_b1())
 
     def test_rows_do_not_depend_on_the_block(self):
-        factors = expsum._t_factors(self.SPEC, self.GRID)
+        factors = t_factors(self.SPEC, self.GRID)
         whole = factors(0, self.GRID.Mt)
         for s, r in [(0, 1), (63, 2), (64, 64), (100, 200), (511, 1)]:
             assert np.array_equal(factors(s, r), whole[s:s + r])
@@ -331,21 +343,24 @@ class TestPeriodRows:
     def test_period_sweep_is_the_whole_grid_sweep(self, monkeypatch, sheared_A, N, R):
         # the levels-A specs: the anchors repeat bit for bit after R rows
         spec, grid = sheared_A(N), canonical_grid(N)
-        assert expsum._period_rows(spec, grid) == R < grid.Mt
+        assert period_rows(spec, grid) == R < grid.Mt
         got = [self.results(spec, grid, threads) for threads in (1, 2)]
-        monkeypatch.setattr(expsum, "_period_rows", lambda spec, grid: grid.Mt)
+        monkeypatch.setattr(expsum, "_period_rows", lambda anchors, Mt: Mt)
         want = self.results(spec, grid, 1)
         assert got == [want, want]
 
     def test_no_period_sweeps_every_row(self, sheared_A):
+        # Mt <= H: one anchor, no shift to test
         for spec, grid in [(sheared_A(128), canonical_grid(128)),
-                           (random_spec(N=64, seed=3), canonical_grid(64))]:
-            assert expsum._period_rows(spec, grid) == grid.Mt
+                           (random_spec(N=64, seed=3), canonical_grid(64)),
+                           (sheared_A(64), GridSpec(0.0, 64.0, 256, 0.0, 4096.0, 1)),
+                           (sheared_A(64), GridSpec(0.0, 64.0, 256, 0.0, 4096.0, 64))]:
+            assert period_rows(spec, grid) == grid.Mt
 
     def test_rows_repeat_their_period(self, sheared_A):
         spec, grid = sheared_A(64), canonical_grid(64)
-        factors = expsum._t_factors(spec, grid)(0, grid.Mt).view(np.int64)
-        R = expsum._period_rows(spec, grid)
+        factors = t_factors(spec, grid)(0, grid.Mt).view(np.int64)
+        R = period_rows(spec, grid)
         assert np.array_equal(factors, np.resize(factors[:R], factors.shape))
 
     def test_one_anchor_column_per_sweep(self, monkeypatch):
@@ -365,7 +380,7 @@ class TestPeriodRows:
         monkeypatch.setattr(expsum, "_anchors", counting)
         sup_norm_Lp(spec, grid, "t", 4.0, threads=1)
         assert widths.count(64) == 1
-        assert expsum._period_rows(spec, grid) == grid.Mt
+        assert period_rows(spec, grid) == grid.Mt
 
 
 class TestBlocks:
@@ -443,6 +458,24 @@ class TestThreads:
         monkeypatch.delattr(expsum.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(expsum.os, "cpu_count", lambda: 5)
         assert expsum._threads(None) == 5
+
+    def test_caller_threads_sweep_at_once(self):
+        # a sweep keeps its tables to itself: two callers, one on FFT rows and
+        # one on separable rows, each sweeping in a pool, get the bits of the
+        # same calls made one after another
+        jobs = [(random_spec(N=64, seed=5), canonical_grid(64, budget=2**18)),
+                (random_spec(N=32, seed=6, canonical=False),
+                 GridSpec(0.0, 32.0, 128, 0.0, 1024.0, 1100))]
+
+        def sweeps(spec, grid, repeats):
+            return [json.dumps([r.to_json_dict() for r in
+                                sup_norm_Lp(spec, grid, d, 4.0, 2, with_levels=True)])
+                    for _ in range(repeats) for d in ("t", "x")]
+
+        want = [sweeps(spec, grid, 4) for spec, grid in jobs]
+        with ThreadPoolExecutor(2) as ex:
+            got = list(ex.map(lambda job: sweeps(*job, 4), jobs))
+        assert got == want
 
 
 class TestSupNorm:
@@ -537,7 +570,7 @@ class TestSupNorm:
         spec = random_spec(N=8, seed=1)
         grid = GridSpec(0.0, 8.0, 8, 0.0, 64.0, 64)
 
-        def writer(spec, grid):
+        def writer(spec, grid, anchors):
             def rows(s, out):
                 out[:] = f[s:s + len(out)]
                 return out
@@ -691,6 +724,17 @@ class TestExpSumSpec:
         fields[name] = fields[name][:3]
         with pytest.raises(ValueError, match="length N"):
             ExpSumSpec(N=4, **fields)
+
+    def test_equality_and_hash_are_identity(self):
+        # array fields: a field-wise == or hash would raise for N >= 2
+        def spec():
+            return ExpSumSpec(N=2, xi=np.array([0.5, 1.0]), eta=np.zeros(2), b=np.ones(2))
+
+        a, b = spec(), spec()
+        assert a == a and not (a != a)
+        assert a != b and not (a == b)
+        assert hash(a) == hash(a)
+        assert {a: "a", b: "b"}[b] == "b"
 
     def test_non_1d_rejected(self):
         # length N along the first axis: the length check alone lets it through

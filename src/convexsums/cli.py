@@ -68,7 +68,10 @@ def _float_list(s: str) -> list[float]:
 
 def _load_spec(path: str) -> ExpSumSpec:
     with open(path) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:  # JSON syntax, or bytes not UTF-8
+            raise ValueError(f"spec file {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"spec file {path}: not a JSON object")
     for field in ("N", "xi", "eta", "b"):
@@ -180,7 +183,10 @@ def cmd_scan(args) -> int:
 
 def cmd_regress(args) -> int:
     with open(args.points) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:  # JSON syntax, or bytes not UTF-8
+            raise ValueError(f"{args.points}: {exc}") from None
     if not isinstance(raw, list):
         raise ValueError(f"{args.points}: not a JSON list of [N, value] pairs")
     pts = []

@@ -78,7 +78,7 @@ def _checked_hit(
 
 @dataclass
 class ConvexSequence:
-    """Immutable value sequence a_1..a_N with optional exact data.
+    """Immutable copy of a value sequence a_1..a_N with optional exact data.
 
     exact_values, when present, are the rationals the floats came from; hits
     are exact lattice-membership certificates at their indices.  meta records
@@ -92,7 +92,7 @@ class ConvexSequence:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
+        self.values = np.array(self.values, dtype=float)
         if len(self.values) != self.N:
             raise ValueError(f"expected {self.N} values, got {len(self.values)}")
         if self.exact_values is not None and len(self.exact_values) != self.N:
@@ -150,14 +150,17 @@ class ConvexSequence:
         hits = None
         if hits_path is not None:
             with open(hits_path) as fh:
-                raw = json.load(fh)
+                try:
+                    raw = json.load(fh)
+                except ValueError as exc:  # JSON syntax, or bytes not UTF-8
+                    raise ValueError(f"{hits_path}: {exc}") from None
             hits = []
             try:
                 for h in raw:
                     hits.append(_checked_hit(LatticeHit(**h), values, exact))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{hits_path}: hit {len(hits) + 1}: {exc}") from None
-        return cls(N=len(values), values=np.asarray(values), exact_values=exact, hits=hits)
+        return cls(N=len(values), values=values, exact_values=exact, hits=hits)
 
 
 @dataclass(frozen=True)
@@ -230,41 +233,23 @@ def _lattice_step(N: int, alpha: float) -> tuple[Q, bool]:
     return power_value(N, -Q(alpha).limit_denominator(10**6))
 
 
-def intersect_count(
-    seq: ConvexSequence, alpha: float, tol: float | None = None
-) -> tuple[int, list[int]]:
-    """Count indices n with distance(a_n, N^{-alpha} Z) <= tol.
+def intersect_count(seq: ConvexSequence, alpha: float) -> tuple[int, list[int]]:
+    """Count indices n with a_n on the lattice N^{-alpha} Z.
 
-    tol=None uses the float-mode default 1e-9 * N^{-alpha}.  tol=0 demands an
-    exact answer: exact_values must be present and N^{-alpha} must be a
-    rational number, else membership cannot be decided.
-    Returns (count, 1-based hit indices).
+    Exact when the sequence carries exact_values and N^{-alpha} is rational,
+    so a value a hair off the lattice does not count.  Otherwise a_n counts
+    within 1e-9 * N^{-alpha} of the lattice.  Returns (count, 1-based indices).
     """
     if not 0.0 <= alpha <= 2.0:
         raise ValueError("alpha must lie in [0, 2]")
-    if tol is not None and tol < 0:
-        raise ValueError("tol must be nonnegative")
     step_q, step_exact = _lattice_step(seq.N, alpha)
-    if tol == 0:
-        if seq.exact_values is None:
-            raise ValueError("tol=0 requires exact_values")
-        if not step_exact:
-            raise ValueError(
-                f"tol=0 needs a rational lattice step; N^-alpha for N={seq.N}, "
-                f"alpha={alpha} is irrational"
-            )
-        idx = [
-            i + 1
-            for i, v in enumerate(seq.exact_values)
-            if (v / step_q).denominator == 1
-        ]
-        return len(idx), idx
-    step = float(step_q)
-    if tol is None:
-        tol = 1e-9 * step
-    m = np.round(seq.values / step)
-    dist = np.abs(seq.values - m * step)
-    idx = [int(i) + 1 for i in np.nonzero(dist <= tol)[0]]
+    if seq.exact_values is not None and step_exact:
+        on = [(v / step_q).denominator == 1 for v in seq.exact_values]
+    else:
+        step = float(step_q)
+        m = np.round(seq.values / step)
+        on = np.abs(seq.values - m * step) <= 1e-9 * step
+    idx = [int(i) + 1 for i in np.flatnonzero(on)]
     return len(idx), idx
 
 

@@ -92,9 +92,10 @@ class ExpSumSpec:
     b: np.ndarray
 
     def __post_init__(self) -> None:
-        xi = np.asarray(self.xi, dtype=float)
-        eta = np.asarray(self.eta, dtype=float)
-        b = np.asarray(self.b, dtype=complex)
+        # copies, so freezing them leaves the caller's arrays writable
+        xi = np.array(self.xi, dtype=float)
+        eta = np.array(self.eta, dtype=float)
+        b = np.array(self.b, dtype=complex)
         for name, arr in (("xi", xi), ("eta", eta), ("b", b)):
             if arr.ndim != 1:
                 raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")

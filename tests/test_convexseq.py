@@ -80,6 +80,13 @@ class TestValidate:
         with pytest.raises(ValueError, match=f"^{message}$"):
             ConvexSequence(N=4, values=np.array(values))
 
+    def test_caller_values_stay_writable(self):
+        values = np.array([0.1, 0.3, 0.6])
+        seq = ConvexSequence(N=3, values=values)
+        assert values.flags.writeable
+        values[0] = 7.0
+        assert seq.values[0] == 0.1 and not seq.values.flags.writeable
+
     def test_exact_verdict_at_boundary(self):
         # second diffs exactly 1/(4N^2): tightest_C = 4 exactly, still a pass;
         # float differences read C above 4 at N = 10, 100 and 1000
@@ -95,7 +102,7 @@ class TestValidate:
 class TestIntersectCount:
     def test_quadratic_exact(self):
         seq = quadratic_example(10)
-        count, idx = intersect_count(seq, 1.0, tol=0)
+        count, idx = intersect_count(seq, 1.0)
         assert (count, idx) == (1, [10])
 
     def test_alpha_zero_non_integers(self):
@@ -104,23 +111,33 @@ class TestIntersectCount:
         seq = ConvexSequence(
             N=10, values=np.array([float(v) for v in exact]), exact_values=exact
         )
-        count, _ = intersect_count(seq, 0.0, tol=0)
+        count, _ = intersect_count(seq, 0.0)
         assert count == 0
 
     def test_exact_needs_exact_values(self):
+        # a float-only copy takes the float rule, which finds the same hit
         seq = ConvexSequence(N=10, values=quadratic_example(10).values)
-        with pytest.raises(ValueError):
-            intersect_count(seq, 1.0, tol=0)
+        assert intersect_count(seq, 1.0) == (1, [10])
 
     def test_exact_needs_rational_step(self):
+        # 10^{-1/2} is irrational: the exact values fall back to the float rule
         seq = quadratic_example(10)
-        # 10^{-1/2} is irrational
-        with pytest.raises(ValueError):
-            intersect_count(seq, 0.5, tol=0)
+        assert intersect_count(seq, 0.5)[0] == 0
 
     def test_float_matches_exact_on_quadratic(self):
         seq = quadratic_example(10)
-        assert intersect_count(seq, 1.0)[0] == 1
+        floats = ConvexSequence(N=10, values=seq.values)
+        assert intersect_count(floats, 1.0) == intersect_count(seq, 1.0)
+
+    def test_exact_rejects_values_within_float_tolerance(self):
+        # a_3 = 3/10 + 10^-13 is off the lattice, but within 1e-9 * N^-1 of it
+        exact = [Q(n, 10) for n in range(1, 11)]
+        exact[2] += Q(1, 10**13)
+        values = np.array([float(v) for v in exact])
+        seq = ConvexSequence(N=10, values=values, exact_values=exact)
+        floats = ConvexSequence(N=10, values=values)
+        assert intersect_count(seq, 1.0) == (9, [1, 2, 4, 5, 6, 7, 8, 9, 10])
+        assert intersect_count(floats, 1.0) == (10, list(range(1, 11)))
 
     def test_shift_invariance(self):
         # adding a lattice constant to all values preserves the exact count
@@ -131,7 +148,7 @@ class TestIntersectCount:
             values=np.array([float(v + shift) for v in seq.exact_values]),
             exact_values=[v + shift for v in seq.exact_values],
         )
-        assert intersect_count(seq, 1.0, tol=0) == intersect_count(shifted, 1.0, tol=0)
+        assert intersect_count(seq, 1.0) == intersect_count(shifted, 1.0)
 
 
 class TestMediantStep:

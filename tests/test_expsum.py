@@ -736,6 +736,15 @@ class TestExpSumSpec:
         assert hash(a) == hash(a)
         assert {a: "a", b: "b"}[b] == "b"
 
+    def test_caller_arrays_stay_writable(self):
+        xi, eta, b = np.array([0.5, 1.0]), np.zeros(2), np.ones(2, dtype=complex)
+        spec = ExpSumSpec(N=2, xi=xi, eta=eta, b=b)
+        for name, arr in (("xi", xi), ("eta", eta), ("b", b)):
+            assert arr.flags.writeable, name
+            arr[0] = 7
+            assert getattr(spec, name)[0] != 7, name
+            assert not getattr(spec, name).flags.writeable, name
+
     def test_non_1d_rejected(self):
         # length N along the first axis: the length check alone lets it through
         with pytest.raises(ValueError, match="xi must be 1-D"):

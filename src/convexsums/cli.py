@@ -70,7 +70,7 @@ def _load_spec(path: str) -> ExpSumSpec:
     with open(path) as fh:
         try:
             raw = json.load(fh)
-        except ValueError as exc:  # JSON syntax, or bytes not UTF-8
+        except (ValueError, RecursionError) as exc:  # syntax, nesting, not UTF-8
             raise ValueError(f"spec file {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"spec file {path}: not a JSON object")
@@ -185,7 +185,7 @@ def cmd_regress(args) -> int:
     with open(args.points) as fh:
         try:
             raw = json.load(fh)
-        except ValueError as exc:  # JSON syntax, or bytes not UTF-8
+        except (ValueError, RecursionError) as exc:  # syntax, nesting, not UTF-8
             raise ValueError(f"{args.points}: {exc}") from None
     if not isinstance(raw, list):
         raise ValueError(f"{args.points}: not a JSON list of [N, value] pairs")

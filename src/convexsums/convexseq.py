@@ -152,7 +152,7 @@ class ConvexSequence:
             with open(hits_path) as fh:
                 try:
                     raw = json.load(fh)
-                except ValueError as exc:  # JSON syntax, or bytes not UTF-8
+                except (ValueError, RecursionError) as exc:  # syntax, nesting, not UTF-8
                     raise ValueError(f"{hits_path}: {exc}") from None
             hits = []
             try:

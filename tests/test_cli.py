@@ -483,15 +483,20 @@ class TestBadInput:
         err = _error_exit(["validate", csv_path, "--hits", path], capsys)
         assert path in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("[1,\n", "Expecting value: line 2 column 1 (char 4)"),
+        ("[" * 100_000, "maximum recursion depth exceeded"),
+    ], ids=["syntax", "nesting"])
     @pytest.mark.parametrize("reader", ["spec", "regress", "hits"])
-    def test_json_syntax_error_names_file_exit1(self, reader, tmp_path, capsys):
+    def test_json_syntax_error_names_file_exit1(self, reader, text, message, tmp_path,
+                                                 capsys):
         path = tmp_path / "bad.json"
-        path.write_text("[1,\n")
+        path.write_text(text)
         argv = {"spec": ["expsum", str(path)], "regress": ["regress", str(path)],
                 "hits": ["validate", str(_quadratic_csv(tmp_path)), "--hits", str(path)]}
         prefix = "spec file " if reader == "spec" else ""
         err = _error_exit(argv[reader], capsys)
-        assert err == f"error: {prefix}{path}: Expecting value: line 2 column 1 (char 4)\n"
+        assert err.startswith(f"error: {prefix}{path}: {message}")
 
     @staticmethod
     def _constructed(tmp_path, capsys):

@@ -103,50 +103,60 @@ class ConvexSequence:
         self.values.setflags(write=False)
 
     def to_csv(self, path: str) -> None:
+        """Write CRLF rows n,a_n,exact_num,exact_den: a_n is the float's repr, and
+        the exact columns are empty when the sequence has no exact values."""
+        ratios = ([q.as_integer_ratio() for q in self.exact_values]
+                  if self.exact_values is not None else [("", "")] * self.N)
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["n", "a_n", "exact_num", "exact_den"])
-            for i in range(self.N):
-                if self.exact_values is not None:
-                    q = self.exact_values[i]
-                    w.writerow(
-                        [i + 1, repr(float(self.values[i])), q.numerator, q.denominator]
-                    )
-                else:
-                    w.writerow([i + 1, repr(float(self.values[i])), "", ""])
+            w.writerows(zip(range(1, self.N + 1), map(repr, self.values.tolist()), *zip(*ratios)))
 
     def hits_to_json(self, path: str) -> None:
-        hits = [vars(h) for h in self.hits or []]
+        """Write json.dumps([vars(h) for h in hits], indent=2, sort_keys=True) for hits
+        with int n, num, den and int or float alpha, without json's slow encoder."""
+        body = ",\n".join(
+            '  {\n    "alpha": %s,\n    "den": %s,\n    "n": %s,\n    "num": %s\n  }' % (
+                float.__repr__(h.alpha) if isinstance(h.alpha, float) else h.alpha,  # as json
+                h.den, h.n, h.num) for h in self.hits or [])
         with open(path, "w") as fh:
-            fh.write(json.dumps(hits, indent=2, sort_keys=True))
+            fh.write(f"[\n{body}\n]" if body else "[]")
 
     @classmethod
     def from_csv(cls, path: str, hits_path: str | None = None) -> "ConvexSequence":
+        """Read rows as csv.DictReader does: the first line names the columns (the last of
+        a name counts), blank lines are skipped, missing fields are None, extras ignored."""
         values = []
         exact: list[Q] | None = []
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if "a_n" not in (reader.fieldnames or ()):
-                raise ValueError(f"{path}: no a_n column")
-            for row in reader:
-                where = f"{path}: row {len(values) + 1}"
-                try:
-                    v = float(row["a_n"])
-                    if not math.isfinite(v):
-                        raise ValueError(f"a_n is {v}")
-                    if exact is not None and row.get("exact_num"):
-                        q = Q(int(row["exact_num"]), int(row.get("exact_den")))
-                        # validate reads q and interp reads v: they must agree
-                        if float(q) != v:
-                            raise ValueError(f"a_n = {v!r} is not the float of {q}")
-                        exact.append(q)
-                    else:
-                        exact = None
-                except ZeroDivisionError:
-                    raise ValueError(f"{where}: exact_den is 0") from None
-                except (TypeError, ValueError, OverflowError) as exc:
-                    raise ValueError(f"{where}: {exc}") from None
-                values.append(v)
+        try:
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+        except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, field too long
+            raise ValueError(f"{path}: {exc}") from None
+        header = rows[0] if rows else []
+        col = {name: i for i, name in enumerate(header)}
+        if "a_n" not in col:
+            raise ValueError(f"{path}: no a_n column")
+        a, num, den = col["a_n"], col.get("exact_num"), col.get("exact_den")
+        for row in filter(None, rows[1:]):  # blank lines are empty rows
+            row += [None] * (len(header) - len(row))  # a missing field reads as None
+            try:
+                v = float(row[a])
+                if not math.isfinite(v):
+                    raise ValueError(f"a_n is {v}")
+                if exact is not None and num is not None and row[num]:
+                    q = Q(int(row[num]), int(None if den is None else row[den]))
+                    # validate reads q and interp reads v: they must agree
+                    if float(q) != v:
+                        raise ValueError(f"a_n = {v!r} is not the float of {q}")
+                    exact.append(q)
+                else:
+                    exact = None
+            except ZeroDivisionError:
+                raise ValueError(f"{path}: row {len(values) + 1}: exact_den is 0") from None
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{path}: row {len(values) + 1}: {exc}") from None
+            values.append(v)
         hits = None
         if hits_path is not None:
             with open(hits_path) as fh:

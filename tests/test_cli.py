@@ -475,6 +475,23 @@ class TestBadInput:
         err = _error_exit(["validate", str(p)], capsys)
         assert str(p) in err and "row 2" in err and "exact_den" in err
 
+    @pytest.mark.parametrize("cmd", ["validate", "interp"])
+    def test_csv_not_utf8_names_file_exit1(self, cmd, tmp_path, capsys):
+        # the message used to name neither the file nor the row: the rows
+        # were decoded outside the reader's per-row error handling
+        p = tmp_path / "latin.csv"
+        p.write_bytes(b"n,a_n,exact_num,exact_den\n1,0.1,,\n\xff\xfe,0.2,,\n")
+        err = _error_exit([cmd, str(p)], capsys)
+        assert err == (f"error: {p}: 'utf-8' codec can't decode byte 0xff in position 34:"
+                       " invalid start byte\n")
+
+    def test_csv_field_past_csv_limit_exit1(self, tmp_path, capsys):
+        # csv.Error is no ValueError, so this used to end in a traceback
+        p = tmp_path / "long.csv"
+        p.write_text("n,a_n\n1," + "1" * 200_000 + "\n")
+        err = _error_exit(["validate", str(p)], capsys)
+        assert err == f"error: {p}: field larger than field limit (131072)\n"
+
     @pytest.mark.parametrize("hits", [[[24, 1.0, 10, 1]], {"n": 24}, 5],
                              ids=["list-of-lists", "object", "number"])
     def test_hits_not_list_of_objects_exit1(self, hits, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Tests for sequence validation, constructions, and lattice intersection."""
 
+import csv
 import json
 import math
 from dataclasses import asdict
@@ -400,6 +401,65 @@ class TestUpperBoundInvariant:
                 assert count <= bound
 
 
+def _per_row_csv(seq: ConvexSequence, path) -> None:
+    """The earlier to_csv: one writerow per row, float() of each NumPy scalar."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["n", "a_n", "exact_num", "exact_den"])
+        for i in range(seq.N):
+            if seq.exact_values is not None:
+                q = seq.exact_values[i]
+                w.writerow([i + 1, repr(float(seq.values[i])), q.numerator, q.denominator])
+            else:
+                w.writerow([i + 1, repr(float(seq.values[i])), "", ""])
+
+
+def _dictreader_rows(path):
+    """(values, exact values) as the earlier from_csv read them: one
+    csv.DictReader dict per row, raising the same ValueError messages."""
+    values = []
+    exact = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if "a_n" not in (reader.fieldnames or ()):
+            raise ValueError(f"{path}: no a_n column")
+        for row in reader:
+            where = f"{path}: row {len(values) + 1}"
+            try:
+                v = float(row["a_n"])
+                if not math.isfinite(v):
+                    raise ValueError(f"a_n is {v}")
+                if exact is not None and row.get("exact_num"):
+                    q = Q(int(row["exact_num"]), int(row.get("exact_den")))
+                    if float(q) != v:
+                        raise ValueError(f"a_n = {v!r} is not the float of {q}")
+                    exact.append(q)
+                else:
+                    exact = None
+            except ZeroDivisionError:
+                raise ValueError(f"{where}: exact_den is 0") from None
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            values.append(v)
+    return values, exact
+
+
+def _bulk_rows(path):
+    seq = ConvexSequence.from_csv(path)
+    return seq.values.tolist(), seq.exact_values
+
+
+def _read_or_error(read, path):
+    """read(path), or the message of the ValueError it raised."""
+    try:
+        return read(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+HEADER = "n,a_n,exact_num,exact_den\n"
+
+
 class TestSerialization:
     def test_csv_roundtrip_exact(self, tmp_path):
         seq = quadratic_example(12)
@@ -433,10 +493,70 @@ class TestSerialization:
         data = json.loads(h.read_text())
         assert all(set(d) == {"n", "alpha", "num", "den"} for d in data)
 
-    @pytest.mark.parametrize("N, alpha", [(4096, 2.0), (256, 0.25), (1000, 0.5)])
+    @pytest.mark.parametrize("make", [
+        lambda: construct(4096, 2),
+        lambda: construct(256, 0.25),
+        lambda: quadratic_example(1000),
+        lambda: shear(quadratic_example(1000), 0.3),
+    ], ids=["4096-2", "256-0.25", "quadratic-exact", "quadratic-sheared"])
+    def test_csv_bytes_match_per_row_writer(self, tmp_path, make):
+        # the earlier to_csv wrote each row with its own writerow call
+        seq = make()
+        seq.to_csv(str(tmp_path / "bulk.csv"))
+        _per_row_csv(seq, tmp_path / "per_row.csv")
+        want = (tmp_path / "per_row.csv").read_bytes()
+        assert (tmp_path / "bulk.csv").read_bytes() == want
+
+    @pytest.mark.parametrize("text, accepted", [
+        (HEADER + "\n1,0.5,1,2\n\n\n2,1.0,1,1\n\n", True),
+        (HEADER + "1,0.5,1,2\n2,1.0\n", True),
+        (HEADER + "1,0.5,1,2\n2\n", False),
+        (HEADER + "1,0.5,1,2,9\n2,1.0,1,1,x,y\n", True),
+        ("n,a_n,exact_num,exact_den,a_n\n1,9.0,1,2,0.5\n", True),
+        ("n,a_n,exact_num,exact_den,a_n\n1,0.5,1,2\n", False),
+        (HEADER + "1,0.5,,\n2,1.0,,\n", True),
+        ("n,a_n,exact_num\n1,0.5,1\n", False),
+        ("n,a_n,exact_num\n1,0.5,\n", True),
+        (HEADER + "1,0.5,1,2\n2,1.0,1,0\n", False),
+        (HEADER + "1,0.5,1,2\n2,abc,,\n", False),
+        (HEADER + "1,inf,,\n", False),
+        ("", False),
+        ("\nn,a_n\n1,0.5\n", False),
+        ("n,value\n1,0.5\n", False),
+    ], ids=["blank-lines", "short-row", "short-row-no-a_n", "extra-fields",
+            "duplicate-a_n", "duplicate-a_n-short", "empty-exact", "no-exact_den",
+            "no-exact_den-empty-num", "exact_den-0", "a_n-not-float", "a_n-inf",
+            "empty-file", "blank-header", "no-a_n"])
+    def test_csv_reads_as_dictreader(self, tmp_path, text, accepted):
+        # the earlier from_csv read each row through csv.DictReader
+        path = tmp_path / "seq.csv"
+        path.write_text(text)
+        want = _read_or_error(_dictreader_rows, str(path))
+        got = _read_or_error(_bulk_rows, str(path))
+        assert got == want
+        assert isinstance(want, tuple) == accepted
+
+    @pytest.mark.parametrize("N, alpha", [
+        (4096, 2.0), (256, 0.25), (1000, 0.5),
+        pytest.param(256, "int", id="256-int-alpha-read-back"),
+        pytest.param(256, np.float64(2.0), id="256-float64-alpha"),
+        pytest.param(12, None, id="no-hits"),
+    ])
     def test_hits_json_bytes_match_asdict_encoding(self, tmp_path, N, alpha):
-        seq = construct(N, alpha)
+        # the earlier hits_to_json called json.dumps(..., indent=2, sort_keys=True);
+        # json writes an np.float64 alpha as 2.0 and a JSON integer alpha as 2
         h = tmp_path / "seq.hits.json"
+        if alpha is None:
+            seq = ConvexSequence(N=N, values=quadratic_example(N).values, hits=[])
+        elif alpha == "int":
+            csv_path = str(tmp_path / "seq.csv")
+            construct(N, 2.0).to_csv(csv_path)
+            construct(N, 2.0).hits_to_json(str(h))
+            h.write_text(h.read_text().replace('"alpha": 2.0', '"alpha": 2'))
+            seq = ConvexSequence.from_csv(csv_path, hits_path=str(h))
+            assert seq.hits and all(type(x.alpha) is int for x in seq.hits)
+        else:
+            seq = construct(N, alpha)
         seq.hits_to_json(str(h))
         want = json.dumps([asdict(x) for x in seq.hits], indent=2, sort_keys=True)
         assert h.read_text() == want

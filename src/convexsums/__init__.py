@@ -7,7 +7,6 @@ from .interp import (
     ConvexInterpolant,
     DerivativePiece,
     InterpolationError,
-    Knot,
     build_c1,
     knots_from_sequence,
     solve_x_cot_x,
@@ -52,7 +51,6 @@ __all__ = [
     "ConvexInterpolant",
     "DerivativePiece",
     "InterpolationError",
-    "Knot",
     "build_c1",
     "knots_from_sequence",
     "solve_x_cot_x",

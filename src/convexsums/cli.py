@@ -122,7 +122,7 @@ def cmd_interp(args) -> int:
     else:
         seq = construct(args.N, args.alpha)
     f = upgrade_c2(build_c1(knots_from_sequence(seq.values)))
-    xs, ys, ps = np.array(list(zip(*f.knots)))
+    xs, ys, ps = f.knots.T
     vals, derivs, seconds = f.eval_many(xs)
     interp_err = float(max(np.abs(vals - ys).max(), np.abs(derivs - ps).max()))
     curv_err = float(np.abs(seconds / f.D - 1.0).max())

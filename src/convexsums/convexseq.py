@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .interp import Knot, build_c1, upgrade_c2
+from .interp import build_c1, upgrade_c2
 from .rational import Q, enumerate_fractions, power_floor, power_value
 
 
@@ -293,7 +293,7 @@ def _auto_scale(values: np.ndarray, N: int) -> tuple[int, float]:
 def _finalize(
     N: int,
     alpha: float,
-    knots: list[Knot],
+    knots: list[tuple[float, float, float]],
     hit_data: list[tuple[int, int]],
     step_f: float,
     meta: dict,
@@ -385,7 +385,7 @@ def construct_dirichlet_like(N: int, alpha: float) -> ConvexSequence:
 
     sn, sd = scale2.numerator, scale2.denominator
     n0, d0 = terms[0]
-    knots = [Knot(x=0.0, y=0.0, p=n0 / d0 * slope_f)]
+    knots = [(0.0, 0.0, n0 / d0 * slope_f)]  # (x, y, p)
     hit_data: list[tuple[int, int]] = []
     X = Y = 0  # cumulative integer sums of k_j and M_j
     trimmed = 0
@@ -396,7 +396,7 @@ def construct_dirichlet_like(N: int, alpha: float) -> ConvexSequence:
             break
         X += k
         Y += M
-        knots.append(Knot(x=X / N, y=Y * step_f, p=n2 / d2 * slope_f))
+        knots.append((X / N, Y * step_f, n2 / d2 * slope_f))
         hit_data.append((X, Y))
     if len(knots) < 2:
         raise ConstructionError("fewer than 2 knots remain after trimming")
@@ -483,12 +483,12 @@ def construct_small_alpha(N: int, alpha: float) -> ConvexSequence:
     if slopes[0] <= 0:
         raise ConstructionError("slope extrapolation fell below zero")
 
-    knots = [Knot(x=1 / N, y=0.0, p=slopes[0])]
+    knots = [(1 / N, 0.0, slopes[0])]  # (x, y, p)
     hit_data = [(1, 0)]
     n_idx = 1
     for i, k in enumerate(gaps):
         n_idx += k
-        knots.append(Knot(x=n_idx / N, y=(i + 1) * dy, p=slopes[i + 1]))
+        knots.append((n_idx / N, (i + 1) * dy, slopes[i + 1]))
         hit_data.append((n_idx, (i + 1) * ell))
     meta = {
         "construction": "small_alpha",

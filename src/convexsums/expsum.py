@@ -180,12 +180,13 @@ def canonical_grid(N: int, budget: int = DEFAULT_BUDGET) -> GridSpec:
 
 
 def _threads(threads: int | None) -> int:
-    """threads, or by default the CPUs this process may run on, at most 8."""
-    if threads is not None:
-        return max(1, threads)
+    """threads, at most the CPUs this process may run on; by default those
+    CPUs, at most 8.  So no thread count starts more workers than can run."""
     if hasattr(os, "sched_getaffinity"):
-        return min(8, len(os.sched_getaffinity(0)))
-    return min(8, os.cpu_count() or 1)
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(8, cpus) if threads is None else max(1, min(threads, cpus))
 
 
 def eval_point(

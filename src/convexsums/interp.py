@@ -42,7 +42,7 @@ from __future__ import annotations
 import json
 import math
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,12 +53,6 @@ C_RATIO_MAX = 1e6
 
 class InterpolationError(ValueError):
     """Knot data violates the convex interpolation hypotheses."""
-
-
-class Knot(NamedTuple):
-    x: float
-    y: float
-    p: float  # prescribed derivative at x
 
 
 def _slope(x_lo, x_hi, p_lo, p_hi):
@@ -148,11 +142,12 @@ def solve_x_cot_x(y):
 class ConvexInterpolant:
     """Piecewise representation of f' plus its knots, which anchor f.
 
-    The pieces live in the float64 rows x_lo, x_hi, p_lo, p_hi, angle of
-    cols, and a NaN angle marks a linear piece: C1 pieces are all linear,
-    C2 pieces all sinusoids but for a trailing padding piece, which ends
-    at pad_end (else None).  The DerivativePiece list `pieces` and the
-    anchors are built from them on first use.
+    The knots are an (n, 3) float64 array, one row x, y, p per knot.  The
+    pieces live in the float64 rows x_lo, x_hi, p_lo, p_hi, angle of cols,
+    and a NaN angle marks a linear piece: C1 pieces are all linear, C2
+    pieces all sinusoids but for a trailing padding piece, which ends at
+    pad_end (else None).  The DerivativePiece list `pieces` and _f_lo, f at
+    each piece's x_lo, are built from them on first use.
 
     Format invariant, kept by every constructor: knot pair i gives piece 2i,
     from knot i to the pair's split node, and piece 2i+1, from there to knot
@@ -163,7 +158,7 @@ class ConvexInterpolant:
 
     def __init__(
         self,
-        knots: list[Knot],
+        knots: np.ndarray,
         cols: np.ndarray,
         D: float,  # curvature floor (C2); in C1 mode the would-be floor
     ) -> None:
@@ -184,7 +179,7 @@ class ConvexInterpolant:
     @cached_property
     def _f_lo(self) -> np.ndarray:
         """f at each piece's x_lo, read off the piece layout."""
-        _, y, _ = np.array(list(zip(*self.knots)), dtype=float)
+        y = self.knots[:, 1]
         n = 2 * len(y) - 2  # pieces of the knot pairs
         f_lo = np.full(self._cols.shape[1], y[-1])
         f_lo[:n:2] = y[:-1]
@@ -227,7 +222,7 @@ class ConvexInterpolant:
             "mode": self.mode,
             "D": self.D,
             "pad_end": self.pad_end,
-            "knots": [k._asdict() for k in self.knots],
+            "knots": [dict(zip("xyp", k)) for k in self.knots.tolist()],
             "pieces": [p._asdict() for p in self.pieces],
         }
 
@@ -236,13 +231,12 @@ class ConvexInterpolant:
             json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
 
 
-def _check_knots(knots: Sequence[Knot]) -> np.ndarray:
-    """The rows x, y, p of the knots, once they are strictly increasing."""
-    if len(knots) < 2:
-        raise InterpolationError(f"need >= 2 knots, got {len(knots)}")
-    # np.array reads zip's plain tuples several times faster than Knots
-    xyp = np.array(list(zip(*knots)), dtype=float)
-    rising = np.all(xyp[:, :-1] < xyp[:, 1:], axis=0)
+def _check_knots(knots) -> np.ndarray:
+    """The knots as an (n, 3) array of rows x, y, p, once they are strictly increasing."""
+    xyp = np.array(knots, dtype=float)
+    if xyp.ndim != 2 or xyp.shape[1] != 3 or len(xyp) < 2:
+        raise InterpolationError(f"need >= 2 knots (x, y, p), got shape {xyp.shape}")
+    rising = np.all(xyp[:-1] < xyp[1:], axis=1)
     if not rising.all():
         i = int(np.argmin(rising))
         raise InterpolationError(
@@ -258,10 +252,13 @@ def _isclose(a, b, rel_tol: float, abs_tol: float) -> np.ndarray:
     return (a == b) | (near & ~np.isinf(a) & ~np.isinf(b))
 
 
-def build_c1(knots: Sequence[Knot]) -> ConvexInterpolant:
-    """Convex C1 interpolant: f' piecewise linear, two pieces per knot pair."""
-    knots = list(knots)
-    x, y, p = _check_knots(knots)
+def build_c1(knots) -> ConvexInterpolant:
+    """Convex C1 interpolant through an (n, 3) array or n (x, y, p) triples of knots.
+
+    f' is piecewise linear, two pieces per knot pair.
+    """
+    knots = _check_knots(knots)
+    x, y, p = knots.T
     x1, x2, p1, p2 = x[:-1], x[1:], p[:-1], p[1:]
     dx = x2 - x1
     s = (y[1:] - y[:-1]) / dx
@@ -308,14 +305,14 @@ def upgrade_c2(interp: ConvexInterpolant) -> ConvexInterpolant:
     return ConvexInterpolant(interp.knots, cols, D)
 
 
-def knots_from_sequence(a) -> list[Knot]:
+def knots_from_sequence(a) -> np.ndarray:
     """Knots (i/N, a_i, N*(a_{i+1}-a_{i-1})/2) for a uniformly convex sequence.
 
-    a holds the N values a_1..a_N.  The sequence is extended by one term on
-    each side with second difference exactly 1/N^2, which keeps the
-    chord/slope hypotheses valid at the ends: the prescribed slope at i is
-    the average of the two adjacent chord slopes, and convexity makes chords
-    strictly increasing.
+    a holds the N values a_1..a_N, and the knots are the rows of the (N, 3)
+    array returned.  The sequence is extended by one term on each side with
+    second difference exactly 1/N^2, which keeps the chord/slope hypotheses
+    valid at the ends: the prescribed slope at i is the average of the two
+    adjacent chord slopes, and convexity makes chords strictly increasing.
     """
     a = np.asarray(a, dtype=float)
     N = len(a)
@@ -329,4 +326,4 @@ def knots_from_sequence(a) -> list[Knot]:
         raise InterpolationError("sequence is not strictly convex after extension")
     x = np.arange(1, N + 1) / N
     p = 0.5 * N * (ext[2:] - ext[:-2])
-    return list(map(Knot, x.tolist(), ext[1:-1].tolist(), p.tolist()))
+    return np.column_stack([x, ext[1:-1], p])

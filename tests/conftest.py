@@ -12,8 +12,11 @@ from convexsums.experiments import _hit_coefficients
 
 @pytest.fixture
 def pools(monkeypatch):
-    """The max_workers of each thread pool that expsum starts during the test."""
+    """The max_workers of each thread pool that expsum starts during the test,
+    which runs as on 64 CPUs so that thread counts are not clamped by the host."""
     made = []
+    monkeypatch.setattr(expsum.os, "sched_getaffinity", lambda pid: set(range(64)),
+                        raising=False)
     real = expsum.ThreadPoolExecutor
 
     def spy(max_workers):

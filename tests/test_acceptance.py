@@ -45,7 +45,7 @@ from convexsums.experiments import (
     intersection_scan,
     regress,
 )
-from convexsums.interp import Knot, build_c1, upgrade_c2
+from convexsums.interp import build_c1, upgrade_c2
 from convexsums.rational import enumerate_fractions, power_value
 
 SEED = 20260822
@@ -141,7 +141,8 @@ def test_criterion_2_convexity_and_hits():
     assert ok
 
 
-def _random_knots(rng) -> list[Knot]:
+def _random_knots(rng) -> np.ndarray:
+    """2 to 8 random convex-interpolable knots, the rows x, y, p of an array."""
     n = int(rng.integers(2, 9))
     x = np.cumsum(rng.uniform(0.2, 1.0, size=n))
     p = 0.1 + np.cumsum(rng.uniform(0.1, 0.8, size=n))
@@ -150,30 +151,30 @@ def _random_knots(rng) -> list[Knot]:
         u = rng.uniform(0.05, 0.95)
         chord = p[i] + u * (p[i + 1] - p[i])
         y.append(y[-1] + chord * (x[i + 1] - x[i]))
-    return [Knot(float(xi), float(yi), float(pi)) for xi, yi, pi in zip(x, y, p)]
+    return np.column_stack([x, y, p])
 
 
 def test_criterion_3_interpolation_suite():
     t0 = time.perf_counter()
     rng = np.random.default_rng(SEED)
     cases = [_random_knots(rng) for _ in range(100)]
-    cases.append([Knot(0, 0, 0), Knot(1, 0.5, 1)])
-    cases.append([Knot(0, 0, 0), Knot(1, 1 / 3, 1)])
+    cases.append(np.array([(0, 0, 0), (1, 0.5, 1)], dtype=float))
+    cases.append(np.array([(0, 0, 0), (1, 1 / 3, 1)], dtype=float))
     worst_area = worst_interp = worst_curv = worst_root = 0.0
     for knots in cases:
         f = upgrade_c2(build_c1(knots))
+        x, y, p = knots.T
         # area: true closed-form integral over each segment equals dy
         pieces = f.pieces
         for i in range(len(knots) - 1):
             lo, hi = pieces[2 * i], pieces[2 * i + 1]
             area = lo.integral_from_lo(lo.x_hi) + hi.integral_from_lo(hi.x_hi)
-            worst_area = max(worst_area, abs(area - (knots[i + 1].y - knots[i].y)))
-        xs = np.array([k.x for k in knots])
-        vals, ders, secs = f.eval_many(xs)
+            worst_area = max(worst_area, abs(area - (y[i + 1] - y[i])))
+        vals, ders, secs = f.eval_many(x)
         worst_interp = max(
             worst_interp,
-            np.abs(vals - [k.y for k in knots]).max(),
-            np.abs(ders - [k.p for k in knots]).max(),
+            np.abs(vals - y).max(),
+            np.abs(ders - p).max(),
         )
         worst_curv = max(worst_curv, np.abs(secs / f.D - 1.0).max())
         grid = np.linspace(f.x_min(), f.x_max(), 10_000)

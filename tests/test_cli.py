@@ -169,9 +169,11 @@ class TestOtherCommands:
         assert code == 0
         r = json.loads(out)["result"]
         assert r["interpolant"] == path
-        f = upgrade_c2(build_c1(knots_from_sequence(construct(64, 1.0).values)))
+        knots = knots_from_sequence(construct(64, 1.0).values)
+        f = upgrade_c2(build_c1(knots))
         doc = json.loads(Path(path).read_text())
         assert doc == json.loads(json.dumps(f.to_json_dict()))
+        assert [[k["x"], k["y"], k["p"]] for k in doc["knots"]] == knots.tolist()
         assert set(doc) == {"mode", "D", "pad_end", "knots", "pieces"}
         assert (len(doc["knots"]), doc["D"]) == (r["knots"], r["D"])
 

@@ -436,12 +436,17 @@ class TestBlocks:
                     assert results(grid, threads) == want
                     assert (len(pools) > started) == (threads == 2 and nodes < 2**24)
 
-    def test_at_most_one_worker_per_block(self, pools):
-        # 4 blocks of 256 rows: a huge thread count starts 4 workers
+    def test_at_most_one_worker_per_block(self, monkeypatch, pools):
+        # 4 blocks of 256 rows: a huge thread count starts 4 workers on 64
+        # CPUs (the pools fixture), and 2 on 2 CPUs
         spec = random_spec(N=64, seed=17, support=[3, 10, 40])
         grid = canonical_grid(64, budget=2**18)
-        assert np.array_equal(eval_grid(spec, grid, threads=10**6), eval_grid(spec, grid, 1))
+        want = eval_grid(spec, grid, 1)
+        assert np.array_equal(eval_grid(spec, grid, threads=10**6), want)
         assert pools == [4]
+        monkeypatch.setattr(expsum.os, "sched_getaffinity", lambda pid: {0, 1})
+        assert np.array_equal(eval_grid(spec, grid, threads=10**6), want)
+        assert pools == [4, 2]
 
 
 class TestThreads:
@@ -450,7 +455,8 @@ class TestThreads:
         monkeypatch.setattr(expsum.os, "sched_getaffinity", lambda pid: {0, 3, 5},
                             raising=False)
         assert expsum._threads(None) == 3
-        assert expsum._threads(5) == 5
+        assert expsum._threads(5) == 3  # an explicit count is clamped too
+        assert expsum._threads(2) == 2
         monkeypatch.setattr(expsum.os, "sched_getaffinity", lambda pid: set(range(12)))
         assert expsum._threads(None) == 8
 

@@ -12,7 +12,6 @@ from convexsums.interp import (
     ConvexInterpolant,
     DerivativePiece,
     InterpolationError,
-    Knot,
     _eval_pieces,
     build_c1,
     knots_from_sequence,
@@ -23,11 +22,9 @@ from test_acceptance import _random_knots
 
 
 def quad_knots(n=5, a=0.7, b=0.3):
-    """Knots sampled from f(x) = a*x^2/2 + b*x^3/3 on [1, 2], exact slopes."""
-    xs = np.linspace(1.0, 2.0, n)
-    return [
-        Knot(x=x, y=a * x**2 / 2 + b * x**3 / 3, p=a * x + b * x**2) for x in xs
-    ]
+    """(x, y, p) knots sampled from f(x) = a*x^2/2 + b*x^3/3 on [1, 2], exact slopes."""
+    xs = np.linspace(1.0, 2.0, n).tolist()
+    return [(x, a * x**2 / 2 + b * x**3 / 3, a * x + b * x**2) for x in xs]
 
 
 def _at(f, x):
@@ -90,7 +87,7 @@ class TestSolveXCotX:
 
 class TestBuildC1:
     def test_symmetric_pair(self):
-        f = build_c1([Knot(0, 0, 0), Knot(1, 0.5, 1)])
+        f = build_c1([(0, 0, 0), (1, 0.5, 1)])
         left, right = f.pieces
         assert left.x_hi == pytest.approx(0.5)  # split node x0
         assert left.p_hi == pytest.approx(0.5)  # slope there
@@ -99,7 +96,7 @@ class TestBuildC1:
         assert der == pytest.approx(0.5)
 
     def test_asymmetric_pair(self):
-        f = build_c1([Knot(0, 0, 0), Knot(1, 1 / 3, 1)])
+        f = build_c1([(0, 0, 0), (1, 1 / 3, 1)])
         left, _ = f.pieces
         # chord 1/3, split ratio 1/2, interior node at 2/3 with slope 1/3
         assert left.x_hi == pytest.approx(2 / 3)
@@ -108,10 +105,10 @@ class TestBuildC1:
     def test_interpolates(self):
         knots = quad_knots()
         f = build_c1(knots)
-        for k in knots:
-            val, der, _ = _at(f, k.x)
-            assert val == pytest.approx(k.y, abs=1e-14)
-            assert der == pytest.approx(k.p, abs=1e-14)
+        for x, y, p in knots:
+            val, der, _ = _at(f, x)
+            assert val == pytest.approx(y, abs=1e-14)
+            assert der == pytest.approx(p, abs=1e-14)
 
     def test_derivative_nondecreasing(self):
         f = build_c1(quad_knots(n=8))
@@ -122,13 +119,33 @@ class TestBuildC1:
     def test_rejects_bad_chord(self):
         # chord slope equals the left prescribed slope: not strictly between
         with pytest.raises(InterpolationError):
-            build_c1([Knot(0, 0, 1), Knot(1, 1, 2)])
+            build_c1([(0, 0, 1), (1, 1, 2)])
 
     def test_rejects_nonincreasing(self):
         with pytest.raises(InterpolationError):
-            build_c1([Knot(0, 0, 1), Knot(1, 1, 1)])
+            build_c1([(0, 0, 1), (1, 1, 1)])
         with pytest.raises(InterpolationError):
-            build_c1([Knot(0, 0, 0)])
+            build_c1([(0, 0, 0)])
+
+    @pytest.mark.parametrize("n", [2, 3, 64])  # n = 3: the knot array is square
+    def test_triples_and_array_give_the_same_bits(self, n):
+        triples = quad_knots(n)
+        rows = np.array(triples)
+        f, g = build_c1(triples), build_c1(rows)
+        assert f.knots.shape == g.knots.shape == (n, 3)
+        assert f.knots[:, 0].tolist() == [x for x, _, _ in triples]
+        for a, b in [(f, g), (upgrade_c2(f), upgrade_c2(g))]:
+            assert a._cols.tobytes() == b._cols.tobytes()
+            assert a.knots.tobytes() == b.knots.tobytes()
+            assert a.D == b.D
+        rows[:] = 0.0  # the interpolant holds its own copy
+        assert g.knots.tobytes() == f.knots.tobytes()
+
+    @pytest.mark.parametrize("knots", [(0, 0, 0), [(0, 0), (1, 1)], np.zeros((3, 4))],
+                             ids=["one-triple", "pairs", "four-columns"])
+    def test_rejects_knots_not_n_by_3(self, knots):
+        with pytest.raises(InterpolationError, match="shape"):
+            build_c1(knots)
 
 
 class TestUpgradeC2:
@@ -150,10 +167,10 @@ class TestUpgradeC2:
     def test_still_interpolates(self):
         knots = quad_knots(n=7)
         f2 = upgrade_c2(build_c1(knots))
-        for k in knots:
-            val, der, _ = _at(f2, k.x)
-            assert val == pytest.approx(k.y, abs=1e-13)
-            assert der == pytest.approx(k.p, abs=1e-13)
+        for x, y, p in knots:
+            val, der, _ = _at(f2, x)
+            assert val == pytest.approx(y, abs=1e-13)
+            assert der == pytest.approx(p, abs=1e-13)
 
     def test_derivative_continuous(self):
         f2 = upgrade_c2(build_c1(quad_knots(n=6)))
@@ -237,8 +254,9 @@ def _reference_eval(f: ConvexInterpolant, x: float) -> tuple[float, float, float
     """
     pieces = f.pieces
     i = max([j for j, pc in enumerate(pieces) if pc.x_lo <= x] or [0])
-    y_at = {k.x: k.y for k in f.knots}
-    anchor = f.knots[0].y
+    x_k, y_k, _ = f.knots.T.tolist()
+    y_at = dict(zip(x_k, y_k))
+    anchor = y_k[0]
     for pc in pieces[:i]:
         anchor = y_at.get(pc.x_lo, anchor) + 0.5 * (pc.p_lo + pc.p_hi) * (pc.x_hi - pc.x_lo)
     anchor = y_at.get(pieces[i].x_lo, anchor)
@@ -262,7 +280,7 @@ class TestArrayKernel:
                 xs = np.concatenate([
                     np.linspace(f.x_min(), f.x_max(), 41),
                     [pc.x_lo for pc in f.pieces],
-                    [k.x for k in f.knots],
+                    f.knots[:, 0],
                 ])
                 got = np.column_stack(f.eval_many(xs))
                 want = np.array([_reference_eval(f, x) for x in xs.tolist()])
@@ -306,7 +324,8 @@ class TestArrayKernel:
             doc = json.loads(path.read_text())
             assert doc == json.loads(json.dumps(f.to_json_dict()))
             assert [DerivativePiece(**p) for p in doc["pieces"]] == f.pieces
-            assert [Knot(**k) for k in doc["knots"]] == f.knots
+            assert all(k.keys() == {"x", "y", "p"} for k in doc["knots"])
+            assert np.array_equal([[k["x"], k["y"], k["p"]] for k in doc["knots"]], f.knots)
             assert (doc["mode"], doc["D"], doc["pad_end"]) == (mode, f1.D, pad_end)
 
     def test_anchors_built_once_per_construction(self, monkeypatch):
@@ -327,13 +346,14 @@ class TestKnotsFromSequence:
         n = np.arange(1, N + 1)
         a = n / (2 * N) + n**2 / (2 * N**2)
         knots = knots_from_sequence(a)
+        assert knots.shape == (N, 3) and knots.dtype == np.float64
         assert len(knots) == N
-        assert knots[0].x == pytest.approx(1 / N)
-        assert knots[-1].x == pytest.approx(1.0)
+        assert knots[0, 0] == pytest.approx(1 / N)
+        assert knots[-1, 0] == pytest.approx(1.0)
         # slope at i is the exact derivative midpoint for a quadratic
-        for i, k in enumerate(knots, start=1):
-            assert k.y == pytest.approx(a[i - 1])
-            assert k.p == pytest.approx(N * (1 / (2 * N) + i / N**2))
+        for i, (x, y, p) in enumerate(knots.tolist(), start=1):
+            assert y == pytest.approx(a[i - 1])
+            assert p == pytest.approx(N * (1 / (2 * N) + i / N**2))
         f = upgrade_c2(build_c1(knots))
         x = np.linspace(f.x_min(), f.x_max(), 1000)
         _, _, fpp = f.eval_many(x)

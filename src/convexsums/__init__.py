@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .rational import count_fractions, enumerate_fractions
 from .interp import (
     ConvexInterpolant,
-    DerivativePiece,
     InterpolationError,
     build_c1,
     knots_from_sequence,
@@ -49,7 +48,6 @@ __all__ = [
     "count_fractions",
     "enumerate_fractions",
     "ConvexInterpolant",
-    "DerivativePiece",
     "InterpolationError",
     "build_c1",
     "knots_from_sequence",

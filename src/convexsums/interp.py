@@ -42,7 +42,6 @@ from __future__ import annotations
 import json
 import math
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -92,30 +91,6 @@ def _eval_pieces(x, x_lo, x_hi, p_lo, p_hi, angle):
     return integral, deriv, second
 
 
-class DerivativePiece(NamedTuple):
-    """One piece of f' on [x_lo, x_hi] with endpoint slopes p_lo < p_hi.
-
-    kind is "linear" (C1 mode and padding) or "sinusoid" (C2 mode).  For
-    sinusoids, angle is the parameter A above; for linear pieces it is None.
-    """
-
-    kind: str
-    x_lo: float
-    x_hi: float
-    p_lo: float
-    p_hi: float
-    angle: float | None = None
-
-    def slope(self) -> float:
-        return _slope(self.x_lo, self.x_hi, self.p_lo, self.p_hi)
-
-    def integral_from_lo(self, x: np.ndarray) -> np.ndarray:
-        """Integral of f' from x_lo to x, closed form."""
-        angle = math.nan if self.angle is None else self.angle
-        integral, _, _ = _eval_pieces(np.asarray(x, dtype=float), *self[1:5], angle)
-        return integral[()]  # a scalar x gives a numpy scalar
-
-
 def solve_x_cot_x(y):
     """Solve x*cot(x) = y for x in [pi/4, pi/2] by Newton's method.
 
@@ -146,8 +121,8 @@ class ConvexInterpolant:
     pieces live in the float64 rows x_lo, x_hi, p_lo, p_hi, angle of cols,
     and a NaN angle marks a linear piece: C1 pieces are all linear, C2
     pieces all sinusoids but for a trailing padding piece, which ends at
-    pad_end (else None).  The DerivativePiece list `pieces` and _f_lo, f at
-    each piece's x_lo, are built from them on first use.
+    pad_end (else None).  `pieces`, their JSON view with one dict per
+    column, and _f_lo, f at each piece's x_lo, are built on first use.
 
     Format invariant, kept by every constructor: knot pair i gives piece 2i,
     from knot i to the pair's split node, and piece 2i+1, from there to knot
@@ -170,11 +145,12 @@ class ConvexInterpolant:
         self.pad_end = self.x_max() if self.mode == "C2" and linear[-1] else None
 
     @cached_property
-    def pieces(self) -> list[DerivativePiece]:
-        sinusoid = ~np.isnan(self._cols[4])
-        kinds = np.where(sinusoid, "sinusoid", "linear").tolist()
-        angles = np.where(sinusoid, self._cols[4], None).tolist()
-        return list(map(DerivativePiece, kinds, *self._cols[:4].tolist(), angles))
+    def pieces(self) -> list[dict]:
+        return [
+            {"kind": "linear" if math.isnan(a) else "sinusoid", "x_lo": x_lo, "x_hi": x_hi,
+             "p_lo": p_lo, "p_hi": p_hi, "angle": None if math.isnan(a) else a}
+            for x_lo, x_hi, p_lo, p_hi, a in self._cols.T.tolist()
+        ]
 
     @cached_property
     def _f_lo(self) -> np.ndarray:
@@ -207,15 +183,15 @@ class ConvexInterpolant:
         return self._f_lo[idx] + integral, fp, fpp
 
     def with_padding(self, x_end: float) -> "ConvexInterpolant":
-        """Extend past the last knot with constant curvature D up to x_end."""
+        """Extend from the last knot to x_end with constant curvature D, replacing any padding."""
         if self.mode != "C2":
             raise InterpolationError("padding is defined for C2 interpolants")
         if x_end <= self.x_max():
             return self
-        x_lo = self.x_max()
-        p_lo = self._cols[3, -1]
+        cols = self._cols[:, : 2 * len(self.knots) - 2]  # the knot pairs' pieces
+        x_lo, p_lo = cols[1, -1], cols[3, -1]
         pad = [x_lo, x_end, p_lo, p_lo + self.D * (x_end - x_lo), math.nan]
-        return ConvexInterpolant(self.knots, np.column_stack((self._cols, pad)), self.D)
+        return ConvexInterpolant(self.knots, np.column_stack((cols, pad)), self.D)
 
     def to_json_dict(self) -> dict:
         return {
@@ -223,7 +199,7 @@ class ConvexInterpolant:
             "D": self.D,
             "pad_end": self.pad_end,
             "knots": [dict(zip("xyp", k)) for k in self.knots.tolist()],
-            "pieces": [p._asdict() for p in self.pieces],
+            "pieces": self.pieces,
         }
 
     def dump_json(self, path: str) -> None:

@@ -45,7 +45,7 @@ from convexsums.experiments import (
     intersection_scan,
     regress,
 )
-from convexsums.interp import build_c1, upgrade_c2
+from convexsums.interp import _eval_pieces, _slope, build_c1, upgrade_c2
 from convexsums.rational import enumerate_fractions, power_value
 
 SEED = 20260822
@@ -165,11 +165,9 @@ def test_criterion_3_interpolation_suite():
         f = upgrade_c2(build_c1(knots))
         x, y, p = knots.T
         # area: true closed-form integral over each segment equals dy
-        pieces = f.pieces
-        for i in range(len(knots) - 1):
-            lo, hi = pieces[2 * i], pieces[2 * i + 1]
-            area = lo.integral_from_lo(lo.x_hi) + hi.integral_from_lo(hi.x_hi)
-            worst_area = max(worst_area, abs(area - (y[i + 1] - y[i])))
+        to_hi, _, _ = _eval_pieces(f._cols[1], *f._cols)
+        area = to_hi[0::2] + to_hi[1::2]  # knot pair i gives pieces 2i, 2i+1
+        worst_area = max(worst_area, np.abs(area - np.diff(y)).max())
         vals, ders, secs = f.eval_many(x)
         worst_interp = max(
             worst_interp,
@@ -181,12 +179,9 @@ def test_criterion_3_interpolation_suite():
         _, gp, gs = f.eval_many(grid)
         assert np.all(np.diff(gp) > 0), "derivative must strictly increase"
         assert np.all(gs > 0), "second derivative must stay positive"
-        for pc in f.pieces:
-            if pc.kind == "sinusoid":
-                a = pc.angle
-                worst_root = max(
-                    worst_root, abs(a / math.tan(a) - f.D / pc.slope())
-                )
+        a = f._cols[4]  # a linear piece has a NaN angle and no root
+        root_err = np.abs(a / np.tan(a) - f.D / _slope(*f._cols[:4]))
+        worst_root = max(worst_root, np.nanmax(root_err))
     elapsed = time.perf_counter() - t0
     ok = (
         worst_area <= 1e-12

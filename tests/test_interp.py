@@ -10,9 +10,9 @@ import pytest
 from convexsums.convexseq import construct_dirichlet_like
 from convexsums.interp import (
     ConvexInterpolant,
-    DerivativePiece,
     InterpolationError,
     _eval_pieces,
+    _slope,
     build_c1,
     knots_from_sequence,
     solve_x_cot_x,
@@ -89,8 +89,8 @@ class TestBuildC1:
     def test_symmetric_pair(self):
         f = build_c1([(0, 0, 0), (1, 0.5, 1)])
         left, right = f.pieces
-        assert left.x_hi == pytest.approx(0.5)  # split node x0
-        assert left.p_hi == pytest.approx(0.5)  # slope there
+        assert left["x_hi"] == pytest.approx(0.5)  # split node x0
+        assert left["p_hi"] == pytest.approx(0.5)  # slope there
         val, der, _ = _at(f, 0.5)
         assert val == pytest.approx(1 / 8)
         assert der == pytest.approx(0.5)
@@ -99,8 +99,8 @@ class TestBuildC1:
         f = build_c1([(0, 0, 0), (1, 1 / 3, 1)])
         left, _ = f.pieces
         # chord 1/3, split ratio 1/2, interior node at 2/3 with slope 1/3
-        assert left.x_hi == pytest.approx(2 / 3)
-        assert left.p_hi == pytest.approx(1 / 3)
+        assert left["x_hi"] == pytest.approx(2 / 3)
+        assert left["p_hi"] == pytest.approx(1 / 3)
 
     def test_interpolates(self):
         knots = quad_knots()
@@ -152,7 +152,7 @@ class TestUpgradeC2:
     def test_curvature_floor(self):
         f1 = build_c1(quad_knots(n=6))
         f2 = upgrade_c2(f1)
-        assert f2.D == pytest.approx((math.pi / 4) * min(pc.slope() for pc in f1.pieces))
+        assert f2.D == pytest.approx((math.pi / 4) * _slope(*f1._cols[:4]).min())
         x = np.linspace(f2.x_min(), f2.x_max(), 5000)
         _, _, fpp = f2.eval_many(x)
         assert np.all(fpp >= f2.D - 1e-10)
@@ -160,7 +160,7 @@ class TestUpgradeC2:
     def test_second_derivative_matches_at_joints(self):
         f2 = upgrade_c2(build_c1(quad_knots(n=6)))
         for piece in f2.pieces:
-            for x in (piece.x_lo, piece.x_hi):
+            for x in (piece["x_lo"], piece["x_hi"]):
                 _, _, fpp = _at(f2, min(x, f2.x_max() - 1e-13))
                 assert fpp == pytest.approx(f2.D, rel=1e-6)
 
@@ -190,6 +190,15 @@ class TestUpgradeC2:
         _, der_joint, sec_joint = _at(g, f2.x_max())
         assert sec_joint == pytest.approx(g.D, rel=1e-6)
         assert der_end == pytest.approx(der_joint + g.D * (3.0 - f2.x_max()))
+
+    def test_padding_twice_equals_padding_once(self):
+        # one padding piece, from the last knot: a second pad replaces the first
+        f2 = upgrade_c2(build_c1([(0, 0, 0), (1, 0.5, 1)]))
+        once, twice = f2.with_padding(3.0), f2.with_padding(2.0).with_padding(3.0)
+        assert twice._cols.tobytes() == once._cols.tobytes()
+        x = np.array([2.0, 2.5, 3.0])
+        assert np.array_equal(twice.eval_many(x)[0], once.eval_many(x)[0])
+        assert np.all(np.diff(twice.eval_many(np.linspace(1.0, 3.0, 201))[0]) > 0)
 
     def test_padding_needs_c2(self):
         with pytest.raises(InterpolationError, match="C2"):
@@ -228,15 +237,16 @@ class TestEval:
 def _reference_piece(pc, x: float) -> tuple[float, float, float]:
     """(integral of f' from x_lo, f', f'') at x: the module docstring's
     formulas for one piece, in scalar math."""
-    u = x - pc.x_lo
-    slope = (pc.p_hi - pc.p_lo) / (pc.x_hi - pc.x_lo)
-    if pc.kind == "linear":
-        return pc.p_lo * u + 0.5 * slope * u * u, pc.p_lo + slope * u, slope
-    a = pc.angle
-    m = 0.5 * (pc.x_lo + pc.x_hi)
-    h = 0.5 * (pc.x_hi - pc.x_lo)
-    amp = (pc.p_hi - pc.p_lo) / (2.0 * math.sin(a))
-    mean = 0.5 * (pc.p_lo + pc.p_hi)
+    x_lo, x_hi, p_lo, p_hi = pc["x_lo"], pc["x_hi"], pc["p_lo"], pc["p_hi"]
+    u = x - x_lo
+    slope = (p_hi - p_lo) / (x_hi - x_lo)
+    if pc["kind"] == "linear":
+        return p_lo * u + 0.5 * slope * u * u, p_lo + slope * u, slope
+    a = pc["angle"]
+    m = 0.5 * (x_lo + x_hi)
+    h = 0.5 * (x_hi - x_lo)
+    amp = (p_hi - p_lo) / (2.0 * math.sin(a))
+    mean = 0.5 * (p_lo + p_hi)
     phase = a * (x - m) / h
     return (
         mean * u - (amp / (a / h)) * (math.cos(phase) - math.cos(-a)),
@@ -253,15 +263,30 @@ def _reference_eval(f: ConvexInterpolant, x: float) -> tuple[float, float, float
     trapezoid areas since the last knot, plus the piece's integral.
     """
     pieces = f.pieces
-    i = max([j for j, pc in enumerate(pieces) if pc.x_lo <= x] or [0])
+    i = max([j for j, pc in enumerate(pieces) if pc["x_lo"] <= x] or [0])
     x_k, y_k, _ = f.knots.T.tolist()
     y_at = dict(zip(x_k, y_k))
     anchor = y_k[0]
     for pc in pieces[:i]:
-        anchor = y_at.get(pc.x_lo, anchor) + 0.5 * (pc.p_lo + pc.p_hi) * (pc.x_hi - pc.x_lo)
-    anchor = y_at.get(pieces[i].x_lo, anchor)
+        trapezoid = 0.5 * (pc["p_lo"] + pc["p_hi"]) * (pc["x_hi"] - pc["x_lo"])
+        anchor = y_at.get(pc["x_lo"], anchor) + trapezoid
+    anchor = y_at.get(pieces[i]["x_lo"], anchor)
     integral, deriv, second = _reference_piece(pieces[i], x)
     return anchor + integral, deriv, second
+
+
+def _reference_json(f: ConvexInterpolant) -> str:
+    """dump_json's text, with each piece built from one column of _cols in scalar math."""
+    pieces = []
+    for i in range(f._cols.shape[1]):
+        x_lo, x_hi, p_lo, p_hi, angle = (float(v) for v in f._cols[:, i])
+        linear = math.isnan(angle)
+        pieces.append({"kind": "linear" if linear else "sinusoid", "x_lo": x_lo,
+                       "x_hi": x_hi, "p_lo": p_lo, "p_hi": p_hi,
+                       "angle": None if linear else angle})
+    knots = [{"x": float(x), "y": float(y), "p": float(p)} for x, y, p in f.knots]
+    doc = {"mode": f.mode, "D": f.D, "pad_end": f.pad_end, "knots": knots, "pieces": pieces}
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 class TestArrayKernel:
@@ -279,7 +304,7 @@ class TestArrayKernel:
             for f in self._interpolants(rng):
                 xs = np.concatenate([
                     np.linspace(f.x_min(), f.x_max(), 41),
-                    [pc.x_lo for pc in f.pieces],
+                    f._cols[0],
                     f.knots[:, 0],
                 ])
                 got = np.column_stack(f.eval_many(xs))
@@ -290,23 +315,20 @@ class TestArrayKernel:
         rng = np.random.default_rng(12)
         for _ in range(10):
             for f in self._interpolants(rng):
-                for pc in f.pieces:
-                    fields = (*pc[1:5], math.nan if pc.angle is None else pc.angle)
-                    x = np.linspace(pc.x_lo, pc.x_hi, 7)
-                    got = np.column_stack(_eval_pieces(x, *fields))
+                for i, pc in enumerate(f.pieces):
+                    x = np.linspace(pc["x_lo"], pc["x_hi"], 7)
+                    got = np.column_stack(_eval_pieces(x, *f._cols[:, i]))
                     want = np.array([_reference_piece(pc, v) for v in x.tolist()])
                     assert np.array_equal(got, want)
-                    assert np.array_equal(pc.integral_from_lo(x), want[:, 0])
-                    assert _eval_pieces(pc.x_hi, *fields)[1] == want[-1, 1]
-                    assert pc.integral_from_lo(pc.x_hi) == want[-1, 0]
+                    assert _eval_pieces(pc["x_hi"], *f._cols[:, i])[1] == want[-1, 1]
 
     def test_mixed_pieces_equal_each_piece_alone(self):
         rng = np.random.default_rng(13)
         f = upgrade_c2(build_c1(_random_knots(rng))).with_padding(12.0)
-        assert {pc.kind for pc in f.pieces} == {"sinusoid", "linear"}
+        assert {pc["kind"] for pc in f.pieces} == {"sinusoid", "linear"}
         xs = np.sort(rng.uniform(f.x_min(), f.x_max(), 500))
         together = f.eval_many(xs)
-        idx = np.searchsorted([pc.x_lo for pc in f.pieces], xs, side="right") - 1
+        idx = np.searchsorted(f._cols[0], xs, side="right") - 1
         for i in np.unique(idx):
             alone = f.eval_many(xs[idx == i])
             for a, b in zip(together, alone):
@@ -323,7 +345,13 @@ class TestArrayKernel:
             f.dump_json(str(path))
             doc = json.loads(path.read_text())
             assert doc == json.loads(json.dumps(f.to_json_dict()))
-            assert [DerivativePiece(**p) for p in doc["pieces"]] == f.pieces
+            # the pieces are the columns of _cols: a null angle is NaN, and
+            # kind is "linear" exactly where the angle is null
+            rows = [[p[k] for k in ("x_lo", "x_hi", "p_lo", "p_hi")]
+                    + [math.nan if p["angle"] is None else p["angle"]] for p in doc["pieces"]]
+            assert np.array(rows).T.tobytes() == f._cols.tobytes()
+            assert all((p["kind"] == "linear") == (p["angle"] is None) for p in doc["pieces"])
+            assert path.read_text() == _reference_json(f)
             assert all(k.keys() == {"x", "y", "p"} for k in doc["knots"])
             assert np.array_equal([[k["x"], k["y"], k["p"]] for k in doc["knots"]], f.knots)
             assert (doc["mode"], doc["D"], doc["pad_end"]) == (mode, f1.D, pad_end)

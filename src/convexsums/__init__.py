@@ -14,7 +14,6 @@ from .interp import (
 from .convexseq import (
     ConstructionError,
     ConvexSequence,
-    ConvexityReport,
     LatticeHit,
     construct_dirichlet_like,
     construct_small_alpha,
@@ -25,8 +24,6 @@ from .convexseq import (
 from .expsum import (
     ExpSumSpec,
     GridSpec,
-    LevelSetReport,
-    NormResult,
     canonical_grid,
     dyadic_level_report,
     eval_grid,
@@ -35,8 +32,6 @@ from .expsum import (
     sup_norm_Lp,
 )
 from .experiments import (
-    ExperimentReport,
-    RegressionResult,
     experiment_A,
     experiment_B,
     experiment_C,
@@ -55,7 +50,6 @@ __all__ = [
     "upgrade_c2",
     "ConstructionError",
     "ConvexSequence",
-    "ConvexityReport",
     "LatticeHit",
     "construct_dirichlet_like",
     "construct_small_alpha",
@@ -64,16 +58,12 @@ __all__ = [
     "validate",
     "ExpSumSpec",
     "GridSpec",
-    "LevelSetReport",
-    "NormResult",
     "canonical_grid",
     "dyadic_level_report",
     "eval_grid",
     "eval_point",
     "level_set_projection",
     "sup_norm_Lp",
-    "ExperimentReport",
-    "RegressionResult",
     "experiment_A",
     "experiment_B",
     "experiment_C",

@@ -173,30 +173,6 @@ class ConvexSequence:
         return cls(N=len(values), values=values, exact_values=exact, hits=hits)
 
 
-@dataclass(frozen=True)
-class ConvexityReport:
-    first_diff_min: float
-    first_diff_max: float
-    second_diff_min: float
-    second_diff_max: float
-    tightest_C: float
-    passed: bool
-    theta: float = 1.0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "first_diff_min": self.first_diff_min,
-            "first_diff_max": self.first_diff_max,
-            "second_diff_min": self.second_diff_min,
-            "second_diff_max": self.second_diff_max,
-            # null when no finite C exists (the sequence is not increasing
-            # and strictly convex)
-            "tightest_C": self.tightest_C if self.tightest_C < math.inf else None,
-            "pass": self.passed,
-            "theta": self.theta,
-        }
-
-
 def _tightest_C(N: int, theta, d1_min, d1_max, d2_min, d2_max):
     """Smallest C with first diffs in [1/(CN), C/N], second in [th/(CN^2), C*th/N^2].
 
@@ -213,12 +189,14 @@ def _tightest_C(N: int, theta, d1_min, d1_max, d2_min, d2_max):
     )
 
 
-def validate(seq: ConvexSequence, theta: float = 1.0) -> ConvexityReport:
+def validate(seq: ConvexSequence, theta: float = 1.0) -> dict:
     """Check the uniform-convexity windows and report the tightest constant.
 
     theta rescales the second-difference window to [theta/(CN^2), C theta/N^2];
     the default 1 is the uniformly convex class.  Exact values are used when
     available, so the pass/fail verdict does not hinge on float rounding.
+    Returns the dict validate prints: the extreme first and second
+    differences, tightest_C, pass (tightest_C <= 4) and theta.
     """
     if seq.N < 3:
         raise ValueError("need N >= 3 for second differences")
@@ -230,12 +208,18 @@ def validate(seq: ConvexSequence, theta: float = 1.0) -> ConvexityReport:
     # Python scalars, so Fractions stay exact and floats overflow to inf quietly
     lims = np.array([d1.min(), d1.max(), d2.min(), d2.max()]).tolist()
     C = _tightest_C(seq.N, Q(theta) if exact else theta, *lims)
-    return ConvexityReport(
-        *map(float, lims),
-        tightest_C=float(C),
-        passed=bool(C <= 4),
-        theta=theta,
-    )
+    d1_min, d1_max, d2_min, d2_max = map(float, lims)
+    return {
+        "first_diff_min": d1_min,
+        "first_diff_max": d1_max,
+        "second_diff_min": d2_min,
+        "second_diff_max": d2_max,
+        # null when no finite C exists (the sequence is not increasing
+        # and strictly convex)
+        "tightest_C": float(C) if C < math.inf else None,
+        "pass": bool(C <= 4),
+        "theta": theta,
+    }
 
 
 def _lattice_step(N: int, alpha: float) -> tuple[Q, bool]:

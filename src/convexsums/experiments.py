@@ -38,7 +38,7 @@ byte-identical JSON regardless of machine speed or thread count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, replace
 from fractions import Fraction as Q
 
 import numpy as np
@@ -54,7 +54,6 @@ from .expsum import (
     DEFAULT_BUDGET,
     ExpSumSpec,
     GridSpec,
-    NormResult,
     canonical_grid,
     check_budget,
     eval_point,
@@ -62,92 +61,30 @@ from .expsum import (
 )
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
-    id: str
-    N: int
-    alpha: float
-    hit_count: int
-    checked_j: list[int]
-    identity_max_rel_err: float
-    exact_identity_pass: bool
-    norm: NormResult
-    swept_nodes: int
-    predicted_exponent: float
-    ratio: float
-    seed: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "N": self.N,
-            "alpha": self.alpha,
-            "hit_count": self.hit_count,
-            "identity": {
-                "checked_j": self.checked_j,
-                "max_rel_err": self.identity_max_rel_err,
-                "pass": self.exact_identity_pass,
-            },
-            "norm": {
-                "p": self.norm.p,
-                "direction": self.norm.sup_direction,
-                "value": self.norm.value,
-                "argmax": {"x": self.norm.argmax_x, "t": self.norm.argmax_t},
-                "grid": self.norm.grid.to_json_dict(),
-                "swept_nodes": self.swept_nodes,
-            },
-            "predicted_exponent": self.predicted_exponent,
-            "ratio": self.ratio,
-            "seed": self.seed,
-        }
-
-
-@dataclass(frozen=True)
-class RegressionResult:
-    points: list[tuple[float, float]]  # (log N, log value)
-    slope: float
-    intercept: float
-    residual: float
-    alpha: float | None = None
-    target: float | None = None
-
-    def to_json_dict(self) -> dict:
-        d = {
-            "points": [list(p) for p in self.points],
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "residual": self.residual,
-        }
-        if self.alpha is not None:
-            d["alpha"] = self.alpha
-        if self.target is not None:
-            d["target"] = self.target
-        return d
-
-
-def regress(points: list[tuple[float, float]]) -> RegressionResult:
+def regress(points: list[tuple[float, float]]) -> dict:
     """Least squares slope of log(value) against log(N).
 
     points are (N, value) pairs in natural units; both must be finite and
     positive, and at least 3 points with at least 2 distinct N are required.
+    Returns the dict regress prints: the [log N, log value] points, slope,
+    intercept and the rms residual.
     """
     if len(points) < 3:
         raise ValueError(f"need >= 3 points, got {len(points)}")
     if not all(0 < n < math.inf and 0 < v < math.inf for n, v in points):
         raise ValueError("points must be finite and positive for a log-log fit")
-    logs = [(math.log(n), math.log(v)) for n, v in points]
+    logs = [[math.log(n), math.log(v)] for n, v in points]
     if len({x for x, _ in logs}) < 2:
         raise ValueError("need >= 2 distinct N values for a slope")
-    xs = np.array([p[0] for p in logs])
-    ys = np.array([p[1] for p in logs])
+    xs, ys = np.array(list(zip(*logs)))
     slope, intercept = np.polyfit(xs, ys, 1)
     resid = ys - (slope * xs + intercept)
-    return RegressionResult(
-        points=logs,
-        slope=float(slope),
-        intercept=float(intercept),
-        residual=float(np.sqrt(np.mean(resid**2))),
-    )
+    return {
+        "points": logs,
+        "slope": float(slope),
+        "intercept": float(intercept),
+        "residual": float(np.sqrt(np.mean(resid**2))),
+    }
 
 
 def _hit_coefficients(seq: ConvexSequence) -> np.ndarray:
@@ -195,8 +132,8 @@ def _cell(spec: ExpSumSpec, grid: GridSpec, direction: str) -> tuple[int, int]:
 
 def _sup_norm_L4(
     spec: ExpSumSpec, grid: GridSpec, direction: str, threads: int | None
-) -> tuple[NormResult, int]:
-    """(L^4 norm of the inner-direction sup on grid, number of nodes swept).
+) -> dict:
+    """L^4 norm of the inner-direction sup on grid, as an experiment prints it.
 
     With the cell (P, m) of _cell and m at most the inner node count, every
     inner line holds all m residues of its period, so the sup over the inner
@@ -206,7 +143,9 @@ def _sup_norm_L4(
     steps; the norm is scaled by (outer nodes / swept outer nodes)^{1/4}, so
     only the summation order of the Riemann sum changes.  The full grid is
     swept when m exceeds the inner node count or a sub-grid step is not the
-    grid's to the bit.  The result reports grid; argmax is the first maximum
+    grid's to the bit.  The result is sup_norm_Lp's dict on the swept cell
+    with the scaled value, grid in place of the cell, no argmax abs_f, and
+    swept_nodes, the number of nodes swept; argmax is the first maximum
     within the cell.
     """
     P, m = _cell(spec, grid, direction)
@@ -221,8 +160,11 @@ def _sup_norm_L4(
             sub = grid
     norm = sup_norm_Lp(spec, sub, direction, 4.0, threads=threads)
     swept_out = sub.Mx if direction == "t" else sub.Mt
-    value = norm.value * (m_out // swept_out) ** 0.25
-    return replace(norm, value=value, grid=grid), sub.Mx * sub.Mt
+    norm["value"] *= (m_out // swept_out) ** 0.25
+    norm["grid"] = asdict(grid)
+    del norm["argmax"]["abs_f"]
+    norm["swept_nodes"] = sub.Mx * sub.Mt
+    return norm
 
 
 def _witness(
@@ -236,32 +178,34 @@ def _witness(
     exponent: float,
     seed: int,
     threads: int | None,
-) -> ExperimentReport:
+) -> dict:
     """The part every experiment shares, once its spec, points and grid exist.
 
     Checks |f| = hit count of seq at each aligned point (relative error <=
     1e-6), takes the L^4 norm of the sup over sup_direction (over one cell
     of f's translation lattice where the grid allows, see _sup_norm_L4), and
-    divides it by the predicted N^exponent ||b||_2.
+    divides it by the predicted N^exponent ||b||_2.  Returns the dict
+    experiment prints.
     """
     count = len(seq.hits)
     xs, ts = np.array(points).T
     worst = max(abs(v - count) / count for v in eval_point(spec, xs, ts))
-    norm, swept = _sup_norm_L4(spec, grid, sup_direction, threads)
-    return ExperimentReport(
-        id=id,
-        N=spec.N,
-        alpha=seq.meta["alpha"],
-        hit_count=count,
-        checked_j=checked_j,
-        identity_max_rel_err=worst,
-        exact_identity_pass=worst <= 1e-6,
-        norm=norm,
-        swept_nodes=swept,
-        predicted_exponent=exponent,
-        ratio=norm.value / (spec.N**exponent * spec.norm_b2()),
-        seed=seed,
-    )
+    norm = _sup_norm_L4(spec, grid, sup_direction, threads)
+    return {
+        "id": id,
+        "N": spec.N,
+        "alpha": seq.meta["alpha"],
+        "hit_count": count,
+        "identity": {
+            "checked_j": checked_j,
+            "max_rel_err": worst,
+            "pass": worst <= 1e-6,
+        },
+        "norm": norm,
+        "predicted_exponent": exponent,
+        "ratio": norm["value"] / (spec.N**exponent * spec.norm_b2()),
+        "seed": seed,
+    }
 
 
 def _hit_sequence(N: int, alpha: float) -> ConvexSequence:
@@ -275,7 +219,7 @@ def experiment_A(
     grid_budget: int = DEFAULT_BUDGET,
     seed: int = 0,
     threads: int | None = None,
-) -> ExperimentReport:
+) -> dict:
     """alpha=1 hits sheared by -n/N^2; identity f(j, jN) = count for ALL j."""
     c = _hit_sequence(N, 1.0)
     grid = canonical_grid(N, grid_budget)
@@ -293,7 +237,7 @@ def experiment_B(
     grid_budget: int = DEFAULT_BUDGET,
     seed: int = 0,
     threads: int | None = None,
-) -> ExperimentReport:
+) -> dict:
     """alpha=1/2 hits; identity f(0, j sqrt(N)) = count at 64 seeded j.
 
     The predicted exponent is 3/4.  The sup over x nearly saturates |f| <=
@@ -320,7 +264,7 @@ def experiment_C(
     grid_budget: int = DEFAULT_BUDGET,
     seed: int = 0,
     threads: int | None = None,
-) -> ExperimentReport:
+) -> dict:
     """Tilted frequencies (n/N - a_n/N, a_n); identity f(jN, j) = count.
 
     The tilt makes the x-frequencies non-canonical, so the norm's rows come
@@ -352,15 +296,14 @@ def experiment_C(
 EXPERIMENTS = {"A": experiment_A, "B": experiment_B, "C": experiment_C}
 
 
-def intersection_scan(
-    N_list: list[int], alpha_list: list[float]
-) -> list[RegressionResult]:
+def intersection_scan(N_list: list[int], alpha_list: list[float]) -> list[dict]:
     """Hit-count scaling per alpha: slope of log(count) vs log(N).
 
     alpha >= 1/2 uses the mediant construction, alpha < 1/2 the lattice
     walk; counts come from intersect_count (which may exceed the certified
     knots when interior samples land on the lattice too).  The comparison
-    target is (alpha+1)/3 for alpha >= 1/2 and alpha below.
+    target is (alpha+1)/3 for alpha >= 1/2 and alpha below.  Each entry is
+    regress's dict with alpha and target.
     """
     results = []
     for alpha in alpha_list:
@@ -369,6 +312,7 @@ def intersection_scan(
             count, _ = intersect_count(construct(N, alpha), alpha)
             pts.append((float(N), float(count)))
         r = regress(pts)
-        target = (alpha + 1) / 3 if alpha >= 0.5 else alpha
-        results.append(replace(r, alpha=alpha, target=target))
+        r["alpha"] = alpha
+        r["target"] = (alpha + 1) / 3 if alpha >= 0.5 else alpha
+        results.append(r)
     return results

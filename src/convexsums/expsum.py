@@ -149,9 +149,6 @@ class GridSpec:
     def dt(self) -> float:
         return (self.t_hi - self.t_lo) / self.Mt
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 def check_budget(budget: int) -> int:
     """budget, once it is known to allow at least one grid node."""
@@ -376,26 +373,6 @@ def eval_grid(
     return f
 
 
-@dataclass(frozen=True)
-class NormResult:
-    value: float
-    p: float
-    sup_direction: str
-    argmax_x: float
-    argmax_t: float
-    max_abs: float
-    grid: GridSpec
-
-    def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "p": self.p,
-            "direction": self.sup_direction,
-            "argmax": {"x": self.argmax_x, "t": self.argmax_t, "abs_f": self.max_abs},
-            "grid": self.grid.to_json_dict(),
-        }
-
-
 def _sweep(
     spec: ExpSumSpec,
     grid: GridSpec,
@@ -461,11 +438,13 @@ def sup_norm_Lp(
     p: float,
     threads: int | None = None,
     with_levels: bool = False,
-) -> NormResult | tuple[NormResult, LevelSetReport]:
+) -> dict | tuple[dict, dict]:
     """L^p Riemann norm over the outer variable of the inner-direction sup.
 
     sup_direction "t": outer variable x, value = (sum_x (max_t |f|)^p dx)^{1/p}.
-    sup_direction "x": outer variable t, likewise with dt.
+    sup_direction "x": outer variable t, likewise with dt.  Returns the dict
+    expsum prints as "norm": value, p, direction, grid, and argmax, the first
+    node (x, t) where |f| reaches its maximum abs_f.
     with_levels: return (norm, dyadic_level_report(spec, grid, sup_direction))
     from the same single pass over the grid, its ladder anchored at
     _dyadic_anchor(spec).  ValueError when the sum of
@@ -487,18 +466,20 @@ def sup_norm_Lp(
             f"(max |f| = {sup.max()})"
         )
     k_star, l_star = (outer, inner) if sup_direction == "t" else (inner, outer)
-    norm = NormResult(
-        value=float(value ** (1.0 / p)),
-        p=p,
-        sup_direction=sup_direction,
-        argmax_x=grid.x_lo + k_star * grid.dx,
-        argmax_t=grid.t_lo + l_star * grid.dt,
-        max_abs=float(sup[outer]),
-        grid=grid,
-    )
+    norm = {
+        "value": float(value ** (1.0 / p)),
+        "p": p,
+        "direction": sup_direction,
+        "argmax": {
+            "x": grid.x_lo + k_star * grid.dx,
+            "t": grid.t_lo + l_star * grid.dt,
+            "abs_f": float(sup[outer]),
+        },
+        "grid": asdict(grid),
+    }
     if not with_levels:
         return norm
-    return norm, _level_report(spec, grid, sup_direction, rungs, anchor, norm.max_abs)
+    return norm, _level_report(spec, grid, sup_direction, rungs, anchor, float(sup[outer]))
 
 
 def level_set_projection(
@@ -533,11 +514,17 @@ def _dyadic_anchor(spec: ExpSumSpec) -> float:
     return math.ldexp(1.0, k_top + 1) if k_top < 1023 else math.inf
 
 
-@dataclass(frozen=True)
-class LevelSetReport:
-    """Dyadic ladder of projected level-set measures with normalized stats.
+def _level_report(
+    spec: ExpSumSpec,
+    grid: GridSpec,
+    direction: str,
+    rungs: np.ndarray,
+    anchor: float,
+    max_abs: float,
+) -> dict:
+    """The dyadic ladder read off the rungs of a _sweep at _dyadic_anchor(spec).
 
-    alphas[i] = 2^{k+1} stands for the band |f| in [2^k, 2^{k+1}); stat[i] =
+    alphas[i] = 2^{k+1} stands for the band |f| in [2^k, 2^{k+1}); stats[i] =
     alpha^4 * measure / (N^{7/3} ||b||^4) for direction "t" (N^{8/3} for
     "x"), with ||b|| the coefficient l2 norm.
 
@@ -547,36 +534,6 @@ class LevelSetReport:
     a statistic off a ladder anchored below the attained maximum (e.g.
     level_set_projection at ||b||_1 2^-j), not off that band.
     """
-
-    direction: str
-    alphas: list[float]
-    measures: list[float]
-    stats: list[float]
-    max_stat: float
-    max_abs: float
-    grid: GridSpec
-
-    def to_json_dict(self) -> dict:
-        return {
-            "direction": self.direction,
-            "alphas": self.alphas,
-            "measures": self.measures,
-            "stats": self.stats,
-            "max_stat": self.max_stat,
-            "max_abs_f": self.max_abs,
-            "grid": self.grid.to_json_dict(),
-        }
-
-
-def _level_report(
-    spec: ExpSumSpec,
-    grid: GridSpec,
-    direction: str,
-    rungs: np.ndarray,
-    anchor: float,
-    max_abs: float,
-) -> LevelSetReport:
-    """The dyadic ladder read off the rungs of a _sweep at _dyadic_anchor(spec)."""
     cell = grid.dx if direction == "t" else grid.dt
     exponent = 7.0 / 3.0 if direction == "t" else 8.0 / 3.0
     try:
@@ -600,15 +557,15 @@ def _level_report(
         alphas.append(alpha)
         measures.append(measure)
         stats.append(alpha_4 * measure / denom)
-    return LevelSetReport(
-        direction=direction,
-        alphas=alphas,
-        measures=measures,
-        stats=stats,
-        max_stat=max(stats) if stats else 0.0,
-        max_abs=max_abs,
-        grid=grid,
-    )
+    return {
+        "direction": direction,
+        "alphas": alphas,
+        "measures": measures,
+        "stats": stats,
+        "max_stat": max(stats) if stats else 0.0,
+        "max_abs_f": max_abs,
+        "grid": asdict(grid),
+    }
 
 
 def dyadic_level_report(
@@ -616,14 +573,15 @@ def dyadic_level_report(
     grid: GridSpec,
     direction: str,
     threads: int | None = None,
-) -> LevelSetReport:
+) -> dict:
     """Level-set projections for all dyadic bands, one pass over the grid.
 
     The same sweep as sup_norm_Lp(..., with_levels=True), without the norm:
     rung j of the ladder at _dyadic_anchor(spec) is the band
     [2^(k_top - j), 2^(k_top + 1 - j)), read from the band of max |f| down
-    through _LEVELS more, at most to rung 62.  See the LevelSetReport caveat
-    on a maximum that is itself a power of two.
+    through _LEVELS more, at most to rung 62.  Returns the dict expsum
+    prints as "levels"; see _level_report for its fields and the caveat on a
+    maximum that is itself a power of two.
     """
     anchor = _dyadic_anchor(spec)
     sup, _, rungs = _sweep(spec, grid, direction, threads, anchor)

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 import convexsums
 from convexsums import cli, experiments, expsum
 from convexsums.cli import main
-from convexsums.convexseq import construct
+from convexsums.convexseq import ConvexSequence, construct, validate
+from convexsums.experiments import intersection_scan, regress
 from convexsums.expsum import (
     DEFAULT_BUDGET,
     ExpSumSpec,
@@ -392,6 +393,12 @@ def _write_json(tmp_path, doc, name="in.json"):
 
 
 class TestBadInput:
+    @pytest.mark.parametrize("which", ["A", "B", "C"])
+    def test_experiment_negative_seed_exit1(self, which, capsys):
+        err = _error_exit(["experiment", which, "--N", "64", "--seed", "-1",
+                           "--grid-budget", "4096"], capsys)
+        assert err == "error: --seed must be >= 0, got -1\n"
+
     @pytest.mark.parametrize("b, extra", [
         ([1e-100, 0.0], []), ([1e-100, 0.0], ["--levels"]), ([1e308, 1e308], []),
         ([1.0, 0.0, 0.0, 0.0], ["--p", "1e308"]), ([1e308, 0.0], ["--p", "1"]),
@@ -680,15 +687,15 @@ class TestExpsumSingleSweep:
         assert grid.Mt == 1100
         norm = sup_norm_Lp(spec, grid, direction, 4.0)
         rep = dyadic_level_report(spec, grid, direction)
-        want = {"norm": norm.to_json_dict(), "levels": rep.to_json_dict()}
+        want = {"norm": norm, "levels": rep}
         assert json.loads(out)["result"] == json.loads(json.dumps(want))
         # the fused reductions against the whole grid and banded passes
         a = np.abs(eval_grid(spec, grid))
-        assert norm.max_abs == rep.max_abs == a.max()
-        l_star = round((norm.argmax_t - grid.t_lo) / grid.dt)
-        k_star = round((norm.argmax_x - grid.x_lo) / grid.dx)
+        assert norm["argmax"]["abs_f"] == rep["max_abs_f"] == a.max()
+        l_star = round((norm["argmax"]["t"] - grid.t_lo) / grid.dt)
+        k_star = round((norm["argmax"]["x"] - grid.x_lo) / grid.dx)
         assert a[l_star, k_star] == a.max()
-        for alpha, measure in zip(rep.alphas[:6], rep.measures[:6]):
+        for alpha, measure in zip(rep["alphas"][:6], rep["measures"][:6]):
             assert measure == level_set_projection(spec, grid, alpha, direction)
             assert measure == band_measure(spec, grid, alpha, direction)
 
@@ -699,7 +706,7 @@ class TestExpsumSingleSweep:
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
         norm = sup_norm_Lp(spec, canonical_grid(SWEEP_N, SWEEP_BUDGET), direction, 4.0)
-        assert json.loads(out)["result"] == json.loads(json.dumps({"norm": norm.to_json_dict()}))
+        assert json.loads(out)["result"] == json.loads(json.dumps({"norm": norm}))
 
     def test_levels_generates_each_block_once(
         self, tmp_path, capsys, monkeypatch, canonical, direction
@@ -737,6 +744,57 @@ class TestExpsumSingleSweep:
             results.append(json.dumps(json.loads(out)["result"], sort_keys=True))
         assert results[0] == results[1]
         assert pools == [3]
+
+
+def _validate_case(tmp_path, seq):
+    path = str(tmp_path / "seq.csv")
+    seq.to_csv(path)
+    return ["validate", path], validate(seq)
+
+
+def _regress_case(tmp_path):
+    pts = [(64, 5.0), (128, 7.5), (256, 11.0)]
+    return ["regress", _write_json(tmp_path, pts)], regress(pts)
+
+
+def _experiment_case(which):
+    fn = experiments.EXPERIMENTS[which]
+    return (["experiment", which, "--N", "64", "--seed", "3", "--grid-budget", "65536"],
+            fn(64, grid_budget=65536, seed=3))
+
+
+def _expsum_case(tmp_path, *extra):
+    path, spec = _sweep_spec(tmp_path, canonical=True)
+    grid = canonical_grid(SWEEP_N, SWEEP_BUDGET)
+    if extra:
+        norm, levels = sup_norm_Lp(spec, grid, "x", 4.0, with_levels=True)
+        want = {"norm": norm, "levels": levels}
+    else:
+        want = {"norm": sup_norm_Lp(spec, grid, "x", 4.0)}
+    return ["expsum", str(path), "--direction", "x", "--grid-budget", str(SWEEP_BUDGET),
+            *extra], want
+
+
+@pytest.mark.parametrize("case, code", [
+    (lambda tmp: _validate_case(tmp, construct(64, 1.0)), 0),
+    (lambda tmp: _validate_case(
+        tmp, ConvexSequence(N=4, values=np.array([0.0, 1.0, 1.5, 1.75]))), 2),
+    (_regress_case, 0),
+    (lambda tmp: (["scan", "--N", "64,128,256", "--alpha", "0.5,1"],
+                  intersection_scan([64, 128, 256], [0.5, 1.0])), 0),
+    (lambda tmp: _experiment_case("A"), 0),
+    (lambda tmp: _experiment_case("B"), 0),
+    (lambda tmp: _experiment_case("C"), 0),
+    (_expsum_case, 0),
+    (lambda tmp: _expsum_case(tmp, "--levels"), 0),
+], ids=["validate-pass", "validate-fail", "regress", "scan", "experiment-A",
+        "experiment-B", "experiment-C", "expsum", "expsum-levels"])
+def test_result_is_the_library_dict(case, code, tmp_path, capsys):
+    """Each command prints the dict its library function returns, as JSON."""
+    argv, want = case(tmp_path)
+    got_code, out, _ = run_cli(argv, capsys)
+    assert got_code == code
+    assert json.loads(out)["result"] == json.loads(json.dumps(want))
 
 
 class TestExperimentDeterminism:

@@ -8,7 +8,6 @@ import pytest
 from convexsums import experiments, expsum
 from convexsums.convexseq import construct_dirichlet_like, shear
 from convexsums.experiments import (
-    RegressionResult,
     _cell,
     _hit_coefficients,
     _sup_norm_L4,
@@ -35,9 +34,9 @@ class TestRegress:
     def test_exact_power_law(self):
         pts = [(float(n), 3.0 * n**0.625) for n in (64, 128, 256, 512)]
         r = regress(pts)
-        assert abs(r.slope - 0.625) < 1e-12
-        assert abs(math.exp(r.intercept) - 3.0) < 1e-12
-        assert r.residual < 1e-13
+        assert abs(r["slope"] - 0.625) < 1e-12
+        assert abs(math.exp(r["intercept"]) - 3.0) < 1e-12
+        assert r["residual"] < 1e-13
 
     def test_noisy_power_law(self):
         rng = np.random.default_rng(7)
@@ -46,7 +45,7 @@ class TestRegress:
             for n in (64, 128, 256, 512, 1024)
         ]
         r = regress(pts)
-        assert abs(r.slope - 0.75) < 0.05
+        assert abs(r["slope"] - 0.75) < 0.05
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
@@ -60,16 +59,15 @@ class TestRegress:
 class TestExperimentA:
     def test_identity_and_report(self):
         rep = experiment_A(64, grid_budget=SMALL_BUDGET)
-        assert rep.exact_identity_pass
-        assert rep.identity_max_rel_err <= 1e-6
-        assert rep.hit_count >= 2
-        assert rep.checked_j == list(range(1, 65))
-        assert rep.norm.value > 0
-        assert rep.ratio > 0
+        assert rep["identity"]["pass"]
+        assert rep["identity"]["max_rel_err"] <= 1e-6
+        assert rep["hit_count"] >= 2
+        assert rep["identity"]["checked_j"] == list(range(1, 65))
+        assert rep["norm"]["value"] > 0
+        assert rep["ratio"] > 0
 
     def test_json_schema(self):
-        rep = experiment_A(64, grid_budget=SMALL_BUDGET)
-        d = rep.to_json_dict()
+        d = experiment_A(64, grid_budget=SMALL_BUDGET)
         assert set(d) == {
             "id",
             "N",
@@ -91,50 +89,48 @@ class TestExperimentA:
     def test_identity_is_exact_not_just_close(self):
         # power-of-two N makes every phase dyadic: the residual is 0.0
         rep = experiment_A(128, grid_budget=SMALL_BUDGET)
-        assert rep.identity_max_rel_err == 0.0
+        assert rep["identity"]["max_rel_err"] == 0.0
 
 
 class TestExperimentB:
     def test_identity(self):
         rep = experiment_B(64, grid_budget=SMALL_BUDGET, seed=3)
-        assert rep.exact_identity_pass
-        assert rep.alpha == 0.5
-        assert len(rep.checked_j) == 64
-        assert all(1 <= j <= 64**1.5 for j in rep.checked_j)
-        assert rep.norm.sup_direction == "x"
+        assert rep["identity"]["pass"]
+        assert rep["alpha"] == 0.5
+        assert len(rep["identity"]["checked_j"]) == 64
+        assert all(1 <= j <= 64**1.5 for j in rep["identity"]["checked_j"])
+        assert rep["norm"]["direction"] == "x"
 
     def test_seed_changes_sample(self):
         a = experiment_B(64, grid_budget=SMALL_BUDGET, seed=0)
         b = experiment_B(64, grid_budget=SMALL_BUDGET, seed=1)
-        assert a.checked_j != b.checked_j
-        assert a.exact_identity_pass and b.exact_identity_pass
+        assert a["identity"]["checked_j"] != b["identity"]["checked_j"]
+        assert a["identity"]["pass"] and b["identity"]["pass"]
 
     @pytest.mark.parametrize("N", [64, 128, 256])
     def test_ratio_near_saturation(self, N):
         # norm ~ ||b||_1 N^{1/2} with K ~ N^{1/2}: norm / (N^{3/4} ||b||_2)
         # stays near (K / N^{1/2})^{1/2}, which is 0.42-0.5 at these N
         rep = experiment_B(N, seed=1)
-        assert rep.predicted_exponent == 0.75
-        assert 0.4 <= rep.ratio <= 0.6
+        assert rep["predicted_exponent"] == 0.75
+        assert 0.4 <= rep["ratio"] <= 0.6
 
     def test_deterministic_json(self):
         a = experiment_B(64, grid_budget=SMALL_BUDGET, seed=5, threads=1)
         b = experiment_B(64, grid_budget=SMALL_BUDGET, seed=5, threads=4)
-        assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
-            b.to_json_dict(), sort_keys=True
-        )
+        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
 class TestExperimentC:
     def test_identity(self):
         rep = experiment_C(64, grid_budget=SMALL_BUDGET, seed=2)
-        assert rep.exact_identity_pass
-        assert all(1 <= j <= 64**2 for j in rep.checked_j)
+        assert rep["identity"]["pass"]
+        assert all(1 <= j <= 64**2 for j in rep["identity"]["checked_j"])
         # tilted frequencies force the naive path on a square grid
         side = int(math.isqrt(SMALL_BUDGET))
-        assert rep.norm.grid.Mx == side
-        assert rep.norm.grid.Mt == side
-        assert rep.norm.grid.x_hi == 64.0**2
+        assert rep["norm"]["grid"]["Mx"] == side
+        assert rep["norm"]["grid"]["Mt"] == side
+        assert rep["norm"]["grid"]["x_hi"] == 64.0**2
 
     def test_rejects_tiny_N(self):
         with pytest.raises(ValueError):
@@ -200,7 +196,7 @@ class TestIdentityBatch:
         monkeypatch.setattr(experiments, "eval_point", counting)
         rep = fn(64, grid_budget=SMALL_BUDGET, seed=1)
         assert len(calls) == 1
-        assert len(calls[0][1]) == len(rep.checked_j)
+        assert len(calls[0][1]) == len(rep["identity"]["checked_j"])
 
 
 def _norm_inputs(fn, N, budget, monkeypatch):
@@ -217,6 +213,20 @@ def _norm_inputs(fn, N, budget, monkeypatch):
     monkeypatch.undo()
     ((spec, grid, direction, _),) = calls
     return spec, grid, direction
+
+
+def _record_sweeps(monkeypatch):
+    """Route experiments' sup_norm_Lp through a spy; returns the list of the
+    (grid, argmax abs_f) of each call, abs_f read before _sup_norm_L4 drops it."""
+    swept = []
+
+    def spy(spec, grid, *args, **kwargs):
+        norm = sup_norm_Lp(spec, grid, *args, **kwargs)
+        swept.append((grid, norm["argmax"]["abs_f"]))
+        return norm
+
+    monkeypatch.setattr(experiments, "sup_norm_Lp", spy)
+    return swept
 
 
 def _brute_cell(w):
@@ -268,41 +278,38 @@ class TestOuterPeriod:
         spec, grid, direction = _norm_inputs(fn, N, SMALL_BUDGET, monkeypatch)
         P, m = _cell(spec, grid, direction)
         m_out, m_in = (grid.Mx, grid.Mt) if direction == "t" else (grid.Mt, grid.Mx)
-        swept = []
-
-        def spy(spec, grid, *args, **kwargs):
-            swept.append(grid)
-            return sup_norm_Lp(spec, grid, *args, **kwargs)
-
-        monkeypatch.setattr(experiments, "sup_norm_Lp", spy)
-        rep = fn(N, grid_budget=SMALL_BUDGET, seed=1)
+        swept = _record_sweeps(monkeypatch)
+        norm = fn(N, grid_budget=SMALL_BUDGET, seed=1)["norm"]
         monkeypatch.undo()
-        (sub,) = swept
-        assert rep.norm.grid == grid
+        ((sub, max_abs),) = swept
+        assert GridSpec(**norm["grid"]) == grid
         if m <= m_in:
-            assert rep.swept_nodes == sub.Mx * sub.Mt == (P if m_out % P == 0 else m_out) * m
+            assert norm["swept_nodes"] == sub.Mx * sub.Mt == (P if m_out % P == 0 else m_out) * m
         else:
             assert sub == grid
         full = sup_norm_Lp(spec, grid, direction, 4.0)
-        assert rep.norm.value == pytest.approx(full.value, rel=1e-12, abs=0)
-        assert rep.norm.max_abs == pytest.approx(full.max_abs, rel=1e-12, abs=0)
-        assert abs(rep.norm.max_abs - full.max_abs) <= 1e-12 * spec.norm_b1()
-        k = (rep.norm.argmax_x - grid.x_lo) / grid.dx
-        l = (rep.norm.argmax_t - grid.t_lo) / grid.dt
+        assert norm["value"] == pytest.approx(full["value"], rel=1e-12, abs=0)
+        full_max = full["argmax"]["abs_f"]
+        assert max_abs == pytest.approx(full_max, rel=1e-12, abs=0)
+        assert abs(max_abs - full_max) <= 1e-12 * spec.norm_b1()
+        x, t = norm["argmax"]["x"], norm["argmax"]["t"]
+        k = (x - grid.x_lo) / grid.dx
+        l = (t - grid.t_lo) / grid.dt
         assert k == int(k) and 0 <= k < grid.Mx
         assert l == int(l) and 0 <= l < grid.Mt
-        got = abs(eval_point(spec, rep.norm.argmax_x, rep.norm.argmax_t))
-        assert abs(got - rep.norm.max_abs) <= 1e-12 * spec.norm_b1()
+        got = abs(eval_point(spec, x, t))
+        assert abs(got - max_abs) <= 1e-12 * spec.norm_b1()
 
     def test_irrational_sqrt_N_128_sweeps_a_cell(self):
-        rep = experiment_B(128, grid_budget=SMALL_BUDGET, seed=1)
-        assert rep.swept_nodes == rep.norm.grid.Mt * 256 < rep.norm.grid.Mx * rep.norm.grid.Mt
+        norm = experiment_B(128, grid_budget=SMALL_BUDGET, seed=1)["norm"]
+        grid = norm["grid"]
+        assert norm["swept_nodes"] == grid["Mt"] * 256 < grid["Mx"] * grid["Mt"]
 
     def test_irrational_sqrt_N_sweeps_full_grid(self):
-        rep = experiment_B(512, grid_budget=SMALL_BUDGET, seed=1)
-        assert rep.swept_nodes == rep.norm.grid.Mx * rep.norm.grid.Mt
+        norm = experiment_B(512, grid_budget=SMALL_BUDGET, seed=1)["norm"]
+        assert norm["swept_nodes"] == norm["grid"]["Mx"] * norm["grid"]["Mt"]
 
-    def test_broken_lattice_vector_sweeps_full_grid(self, sheared_A):
+    def test_broken_lattice_vector_sweeps_full_grid(self, sheared_A, monkeypatch):
         N = 64
         spec = sheared_A(N)
         grid = canonical_grid(N, SMALL_BUDGET)
@@ -311,29 +318,34 @@ class TestOuterPeriod:
         eta[spec.support()[0]] += 2.0**-40
         broken = ExpSumSpec(N=N, xi=spec.xi, eta=eta, b=spec.b)
         assert _cell(broken, grid, "t")[1] > grid.Mt
-        norm, swept = _sup_norm_L4(broken, grid, "t", threads=None)
-        assert swept == grid.Mx * grid.Mt
-        assert norm == sup_norm_Lp(broken, grid, "t", 4.0)
+        swept = _record_sweeps(monkeypatch)
+        norm = _sup_norm_L4(broken, grid, "t", threads=None)
+        assert norm["swept_nodes"] == grid.Mx * grid.Mt
+        full = sup_norm_Lp(broken, grid, "t", 4.0)
+        assert swept == [(grid, full["argmax"].pop("abs_f"))]
+        assert norm == {**full, "swept_nodes": grid.Mx * grid.Mt}
 
     @pytest.mark.parametrize("t_hi, Mt, x_hi, Mx, cell", [
         (3.0, 3, 64.0, 256, (1, 512)),  # the inner period, 512 nodes, exceeds Mt
         (512.0, 128, 0.375, 6, (4, 128)),  # the outer period 4 does not divide Mx
     ], ids=["inner-not-closed", "period-not-dividing"])
-    def test_grid_without_period(self, t_hi, Mt, x_hi, Mx, cell, sheared_A):
+    def test_grid_without_period(self, t_hi, Mt, x_hi, Mx, cell, sheared_A, monkeypatch):
         spec = sheared_A(64)
         grid = GridSpec(x_lo=0.0, x_hi=x_hi, Mx=Mx, t_lo=0.0, t_hi=t_hi, Mt=Mt)
         assert _cell(spec, grid, "t") == cell
-        norm, swept = _sup_norm_L4(spec, grid, "t", threads=None)
-        assert swept == grid.Mx * grid.Mt
+        swept = _record_sweeps(monkeypatch)
+        norm = _sup_norm_L4(spec, grid, "t", threads=None)
+        assert norm["swept_nodes"] == grid.Mx * grid.Mt
         full = sup_norm_Lp(spec, grid, "t", 4.0)
-        assert norm.value == pytest.approx(full.value, rel=1e-12, abs=0)
-        assert norm.max_abs == full.max_abs
+        assert norm["value"] == pytest.approx(full["value"], rel=1e-12, abs=0)
+        ((_, max_abs),) = swept
+        assert max_abs == full["argmax"]["abs_f"]
 
     @pytest.mark.parametrize("fn", [experiment_A, experiment_B, experiment_C],
                              ids=["A", "B", "C"])
     def test_thread_count_invariant(self, fn):
-        a, b = (json.dumps(fn(64, grid_budget=SMALL_BUDGET, seed=4, threads=k)
-                           .to_json_dict(), sort_keys=True) for k in (1, 2))
+        a, b = (json.dumps(fn(64, grid_budget=SMALL_BUDGET, seed=4, threads=k),
+                           sort_keys=True) for k in (1, 2))
         assert a == b
 
 
@@ -348,7 +360,7 @@ def _swept_spec_and_grid(fn, N, monkeypatch):
     monkeypatch.setattr(experiments, "sup_norm_Lp", spy)
     rep = fn(N, grid_budget=SMALL_BUDGET, seed=1)
     monkeypatch.undo()
-    return swept[0], rep.norm.grid
+    return swept[0], GridSpec(**rep["norm"]["grid"])
 
 
 class TestClosingGrids:
@@ -379,12 +391,12 @@ def test_levels_A_top_band(N, band, sheared_A):
     """The levels-A ops' top dyadic band, as perfbench/reference.json holds it.
 
     ||b||_1 is a power of two, so the top band holds the nodes where |f|
-    reaches it to the last bit (the LevelSetReport caveat): the measure is set
+    reaches it to the last bit (the caveat of expsum._level_report): the measure is set
     by rounding, and the t-factors' anchor spacing moves it (62.0, 30.0 and
     59.0 at _ANCHOR_ROWS = 128).
     """
     report = dyadic_level_report(sheared_A(N), canonical_grid(N), "t")
-    assert report.measures[0] == band
+    assert report["measures"][0] == band
 
 
 def level_ratio(spec, grid, K):
@@ -422,12 +434,12 @@ class TestLevelSetWitness:
 class TestScan:
     def test_alpha_one_slope(self):
         (r,) = intersection_scan([256, 1024, 4096], [1.0])
-        assert r.alpha == 1.0
-        assert r.target == pytest.approx(2 / 3)
-        assert abs(r.slope - r.target) <= 0.15
+        assert r["alpha"] == 1.0
+        assert r["target"] == pytest.approx(2 / 3)
+        assert abs(r["slope"] - r["target"]) <= 0.15
 
     def test_small_alpha_target(self):
         (r,) = intersection_scan([64, 256, 1024], [0.25])
-        assert r.target == 0.25
-        assert isinstance(r, RegressionResult)
-        assert r.slope > 0
+        assert r["target"] == 0.25
+        assert isinstance(r, dict)
+        assert r["slope"] > 0

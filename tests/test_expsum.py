@@ -15,7 +15,6 @@ from convexsums.expsum import (
     DEFAULT_BUDGET,
     ExpSumSpec,
     GridSpec,
-    LevelSetReport,
     canonical_grid,
     dyadic_level_report,
     eval_grid,
@@ -335,7 +334,7 @@ class TestPeriodRows:
         out = [eval_grid(spec, narrow, threads).tobytes()]
         for d in ("t", "x"):
             norm, levels = sup_norm_Lp(spec, grid, d, 4.0, threads, with_levels=True)
-            out.append(json.dumps([norm.to_json_dict(), levels.to_json_dict()]))
+            out.append(json.dumps([norm, levels]))
             out.append(repr(level_set_projection(spec, grid, spec.norm_b1() / 2, d, threads)))
         return out
 
@@ -422,7 +421,7 @@ class TestBlocks:
             out = [eval_grid(spec, grid, threads).tobytes()]
             for d in ("t", "x"):
                 norm, levels = sup_norm_Lp(spec, grid, d, 4.0, threads, with_levels=True)
-                out.append(json.dumps([norm.to_json_dict(), levels.to_json_dict()]))
+                out.append(json.dumps([norm, levels]))
                 out.append(repr([level_set_projection(spec, grid, a, d, threads)
                                  for a in (2.0, 16.0)]))
             return out
@@ -474,8 +473,7 @@ class TestThreads:
                  GridSpec(0.0, 32.0, 128, 0.0, 1024.0, 1100))]
 
         def sweeps(spec, grid, repeats):
-            return [json.dumps([r.to_json_dict() for r in
-                                sup_norm_Lp(spec, grid, d, 4.0, 2, with_levels=True)])
+            return [json.dumps(sup_norm_Lp(spec, grid, d, 4.0, 2, with_levels=True))
                     for _ in range(repeats) for d in ("t", "x")]
 
         want = [sweeps(spec, grid, 4) for spec, grid in jobs]
@@ -489,15 +487,15 @@ class TestSupNorm:
         spec = constant_spec(2.0)
         grid = GridSpec(0.0, 16.0, 64, 0.0, 256.0, 32)
         res = sup_norm_Lp(spec, grid, "t", 4.0)
-        assert res.value == pytest.approx(2.0 * 16**0.25, rel=1e-12)
-        assert res.max_abs == pytest.approx(2.0)
+        assert res["value"] == pytest.approx(2.0 * 16**0.25, rel=1e-12)
+        assert res["argmax"]["abs_f"] == pytest.approx(2.0)
 
     def test_homogeneity(self):
         spec = random_spec(N=32, seed=19)
         doubled = ExpSumSpec(N=32, xi=spec.xi, eta=spec.eta, b=2 * spec.b)
         grid = GridSpec(0.0, 32.0, 64, 0.0, 1024.0, 64)
-        a = sup_norm_Lp(spec, grid, "t", 4.0).value
-        b = sup_norm_Lp(doubled, grid, "t", 4.0).value
+        a = sup_norm_Lp(spec, grid, "t", 4.0)["value"]
+        b = sup_norm_Lp(doubled, grid, "t", 4.0)["value"]
         assert b == pytest.approx(2 * a, rel=1e-12)
 
     def test_monotone_under_inner_refinement(self):
@@ -505,7 +503,7 @@ class TestSupNorm:
         values = []
         for Mt in (16, 32, 64, 128):
             grid = GridSpec(0.0, 32.0, 64, 0.0, 1024.0, Mt)
-            values.append(sup_norm_Lp(spec, grid, "t", 4.0).value)
+            values.append(sup_norm_Lp(spec, grid, "t", 4.0)["value"])
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_sup_x_direction(self):
@@ -514,14 +512,14 @@ class TestSupNorm:
         res = sup_norm_Lp(spec, grid, "x", 4.0)
         m = np.abs(eval_grid(spec, grid))
         want = (np.sum(m.max(axis=1) ** 4) * grid.dt) ** 0.25
-        assert res.value == pytest.approx(float(want), rel=1e-12)
+        assert res["value"] == pytest.approx(float(want), rel=1e-12)
 
     def test_argmax_is_consistent(self):
         spec = random_spec(N=32, seed=31)
         grid = GridSpec(0.0, 32.0, 64, 0.0, 1024.0, 32)
         res = sup_norm_Lp(spec, grid, "t", 4.0)
-        v = eval_point(spec, res.argmax_x, res.argmax_t)
-        assert abs(v) == pytest.approx(res.max_abs, rel=1e-9)
+        v = eval_point(spec, res["argmax"]["x"], res["argmax"]["t"])
+        assert abs(v) == pytest.approx(res["argmax"]["abs_f"], rel=1e-9)
 
     @pytest.mark.parametrize("direction", ["t", "x"])
     def test_argmax_ties_take_first_node(self, direction):
@@ -530,12 +528,12 @@ class TestSupNorm:
         spec = ExpSumSpec(N=2, xi=np.array([0.0, 0.5]), eta=np.zeros(2), b=np.ones(2))
         grid = GridSpec(0.5, 8.5, 16, 0.0, 600.0, 600)
         res = sup_norm_Lp(spec, grid, direction, 4.0)
-        assert res.max_abs == 2.0
-        assert (res.argmax_x, res.argmax_t) == (2.0, 0.0)
+        assert res["argmax"]["abs_f"] == 2.0
+        assert (res["argmax"]["x"], res["argmax"]["t"]) == (2.0, 0.0)
 
     @staticmethod
     def first_max(spec, grid, direction):
-        """(argmax_x, argmax_t, max_abs) of the first maximum of |eval_grid|,
+        """(x, t, abs_f) of the first maximum of |eval_grid|,
         outer node first, then inner."""
         a = np.abs(eval_grid(spec, grid, threads=1))
         by_outer = a.T if direction == "t" else a
@@ -558,7 +556,8 @@ class TestSupNorm:
         assert a[:16].max() < a.max()
         res = sup_norm_Lp(spec, grid, direction, 4.0, threads)
         assert pools == [2] * (threads - 1)
-        assert (res.argmax_x, res.argmax_t, res.max_abs) == self.first_max(spec, grid, direction)
+        top = res["argmax"]
+        assert (top["x"], top["t"], top["abs_f"]) == self.first_max(spec, grid, direction)
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("direction", ["t", "x"])
@@ -588,7 +587,8 @@ class TestSupNorm:
         res = sup_norm_Lp(spec, grid, direction, 4.0, threads)
         assert pools == [2] * (threads - 1)
         want = (1.0, 28.0, 5.0) if direction == "t" else (6.0, 10.0, 5.0)
-        assert (res.argmax_x, res.argmax_t, res.max_abs) == want
+        top = res["argmax"]
+        assert (top["x"], top["t"], top["abs_f"]) == want
         assert self.first_max(spec, grid, direction) == want
 
     def test_p_below_one_rejected(self):
@@ -643,14 +643,14 @@ class TestLevelSets:
         for d in ("t", "x"):
             assert level_set_projection(zero_spec(), grid, 2.0**-1021, d) == 0.0
         rep = dyadic_level_report(zero_spec(), grid, "t")
-        assert rep.measures == [0.0] and rep.max_abs == 0.0
+        assert rep["measures"] == [0.0] and rep["max_abs_f"] == 0.0
 
     def test_top_band_just_below_power_of_two(self):
         # |f| = nextafter(64, 0) lies in [32, 64); log2 of it rounds to 6.0
         spec = ExpSumSpec(N=1, xi=[1.0], eta=[0.0], b=[math.nextafter(64.0, 0.0)])
         rep = dyadic_level_report(spec, GridSpec(0.0, 1.0, 4, 0.0, 1.0, 4), "t")
-        assert rep.alphas[:2] == [64.0, 32.0]
-        assert rep.measures[:2] == [1.0, 0.0]
+        assert rep["alphas"][:2] == [64.0, 32.0]
+        assert rep["measures"][:2] == [1.0, 0.0]
 
     def test_measures_bounded_by_domain(self):
         spec = random_spec(N=32, seed=41)
@@ -667,16 +667,16 @@ class TestLevelSets:
         N_domain = 16
         grid = GridSpec(0.0, float(N_domain), 32, 0.0, 256.0, 16)
         rep = dyadic_level_report(spec, grid, "t")
-        assert rep.alphas[0] == pytest.approx(2.0)
-        assert rep.measures[0] == pytest.approx(N_domain)
-        assert rep.max_stat == pytest.approx(2.0**4 * N_domain / 1 ** (7 / 3))
-        assert all(m == 0 for m in rep.measures[1:])
+        assert rep["alphas"][0] == pytest.approx(2.0)
+        assert rep["measures"][0] == pytest.approx(N_domain)
+        assert rep["max_stat"] == pytest.approx(2.0**4 * N_domain / 1 ** (7 / 3))
+        assert all(m == 0 for m in rep["measures"][1:])
 
     def test_dyadic_report_matches_direct_projection(self, band_measure):
         spec = random_spec(N=32, seed=43)
         grid = GridSpec(0.0, 32.0, 64, 0.0, 1024.0, 64)
         rep = dyadic_level_report(spec, grid, "t")
-        for alpha, measure in zip(rep.alphas[:6], rep.measures[:6]):
+        for alpha, measure in zip(rep["alphas"][:6], rep["measures"][:6]):
             assert measure == pytest.approx(
                 level_set_projection(spec, grid, alpha, "t")
             )
@@ -691,16 +691,16 @@ class TestLevelSets:
                           b=np.array([1.0, -1.0, 1e-15, 1e-15]))
         grid = GridSpec(0.0, 4.0, 64, 0.0, 16.0, 4096)
         rep = dyadic_level_report(spec, grid, "t")
-        assert rep.alphas[-1] == 2.0**-59
-        for alpha, measure in zip(rep.alphas, rep.measures):
+        assert rep["alphas"][-1] == 2.0**-59
+        for alpha, measure in zip(rep["alphas"], rep["measures"]):
             assert measure == band_measure(spec, grid, alpha, "t")
 
     def test_ladder_covers_observed_range(self):
         spec = random_spec(N=32, seed=47)
         grid = GridSpec(0.0, 32.0, 64, 0.0, 1024.0, 64)
         rep = dyadic_level_report(spec, grid, "t")
-        assert rep.alphas[0] >= rep.max_abs
-        assert len(rep.alphas) >= 40
+        assert rep["alphas"][0] >= rep["max_abs_f"]
+        assert len(rep["alphas"]) >= 40
 
     def test_zero_coefficients_rejected(self):
         with pytest.raises(ValueError):

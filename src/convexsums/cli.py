@@ -110,7 +110,7 @@ def cmd_construct(args) -> int:
 
 def cmd_validate(args) -> int:
     seq = ConvexSequence.from_csv(args.path, hits_path=args.hits)
-    report = validate(seq, theta=args.theta)
+    report = validate(seq)
     _emit(args, report, args.out)
     return 0 if report["pass"] else 2
 
@@ -231,7 +231,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check convexity windows of a CSV sequence")
     p.add_argument("path")
     p.add_argument("--hits", help="hits JSON to attach")
-    p.add_argument("--theta", type=float, default=1.0)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_validate)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,8 +174,8 @@ class ConvexSequence:
         return cls(N=len(values), values=values, exact_values=exact, hits=hits)
 
 
-def _tightest_C(N: int, theta, d1_min, d1_max, d2_min, d2_max):
-    """Smallest C with first diffs in [1/(CN), C/N], second in [th/(CN^2), C*th/N^2].
+def _tightest_C(N: int, d1_min, d1_max, d2_min, d2_max):
+    """Smallest C with first diffs in [1/(CN), C/N], second in [1/(CN^2), C/N^2].
 
     Stays in exact arithmetic when the inputs are rationals, so the pass
     verdict can be decided without rounding.
@@ -184,30 +185,31 @@ def _tightest_C(N: int, theta, d1_min, d1_max, d2_min, d2_max):
     return max(
         N * d1_max,
         1 / (N * d1_min),
-        N * N * d2_max / theta,
-        theta / (N * N * d2_min),
+        N * N * d2_max,
+        1 / (N * N * d2_min),
     )
 
 
-def validate(seq: ConvexSequence, theta: float = 1.0) -> dict:
+def validate(seq: ConvexSequence) -> dict:
     """Check the uniform-convexity windows and report the tightest constant.
 
-    theta rescales the second-difference window to [theta/(CN^2), C theta/N^2];
-    the default 1 is the uniformly convex class.  Exact values are used when
-    available, so the pass/fail verdict does not hinge on float rounding.
+    Exact values are used when available, so the pass/fail verdict does not
+    hinge on float rounding.  Differences past the float range are refused.
     Returns the dict validate prints: the extreme first and second
-    differences, tightest_C, pass (tightest_C <= 4) and theta.
+    differences, tightest_C (null when none is finite), pass
+    (tightest_C <= 4) and theta, the second-difference scale, always 1.
     """
     if seq.N < 3:
         raise ValueError("need N >= 3 for second differences")
-    if not 0 < theta < math.inf:
-        raise ValueError(f"theta must be finite and > 0, got {theta}")
     exact = seq.exact_values is not None
-    d1 = np.diff(np.array(seq.exact_values, dtype=object) if exact else seq.values)
-    d2 = np.diff(d1)
-    # Python scalars, so Fractions stay exact and floats overflow to inf quietly
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        d1 = np.diff(np.array(seq.exact_values, dtype=object) if exact else seq.values)
+        d2 = np.diff(d1)
+    # Python scalars, so Fractions stay exact and compare exactly with floats
     lims = np.array([d1.min(), d1.max(), d2.min(), d2.max()]).tolist()
-    C = _tightest_C(seq.N, Q(theta) if exact else theta, *lims)
+    if not all(abs(v) <= sys.float_info.max for v in lims):  # NaN included
+        raise ValueError("first or second differences pass the float range")
+    C = _tightest_C(seq.N, *lims)
     d1_min, d1_max, d2_min, d2_max = map(float, lims)
     return {
         "first_diff_min": d1_min,
@@ -215,10 +217,10 @@ def validate(seq: ConvexSequence, theta: float = 1.0) -> dict:
         "second_diff_min": d2_min,
         "second_diff_max": d2_max,
         # null when no finite C exists (the sequence is not increasing
-        # and strictly convex)
-        "tightest_C": float(C) if C < math.inf else None,
+        # and strictly convex, or C is past the float range)
+        "tightest_C": float(C) if C <= sys.float_info.max else None,
         "pass": bool(C <= 4),
-        "theta": theta,
+        "theta": 1.0,
     }
 
 
@@ -264,9 +266,7 @@ def _auto_scale(values: np.ndarray, N: int) -> tuple[int, float]:
     d2 = np.diff(values, 2)
     best_s, best_C = 1, math.inf
     for s in (1, 2, 3, 4):
-        C = float(
-            _tightest_C(N, 1.0, s * d1.min(), s * d1.max(), s * d2.min(), s * d2.max())
-        )
+        C = float(_tightest_C(N, s * d1.min(), s * d1.max(), s * d2.min(), s * d2.max()))
         if C <= 4.0:
             return s, C
         if C < best_C:

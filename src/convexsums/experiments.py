@@ -1,10 +1,11 @@
 """Witness experiments: exact phase identities and norm-scaling regressions.
 
-Each experiment builds a sequence with certified lattice hits, puts unit
-coefficients on the hits, and (1) verifies an identity of the form
-f(point_j) = hit count at phase-aligned points where every term contributes
-e(integer) = 1, then (2) measures a maximal-function norm against its
-predicted power of N:
+Each experiment gives only what sets it apart: a sequence with certified
+lattice hits, frequencies (xi, eta), a grid, a step and the j it checks.
+One driver (_witness) puts unit coefficients on the hits, (1) verifies
+f(j * step) = hit count at these phase-aligned points, where every term
+contributes e(integer) = 1, and (2) measures a maximal-function norm
+against its predicted power of N:
 
   A: eta_n = a_n - n/N^2 (alpha=1 hits), f(j, jN) = count for all j in [1,N];
      norm = || sup_t |f| ||_{L^4(x in [0,N])}, predicted N^{7/12}.
@@ -17,19 +18,20 @@ The identity points are exact in floating point for power-of-two N: every
 phase is a dyadic rational times an integer, the products fit well inside
 the longdouble mantissa, and the fractional parts reduce to exactly zero.
 
-The same alignment is a translation symmetry of f: (1, N) for A, (N, 1)
-for C, (0, sqrt(N)) for B at square N.  The code names none of them.  It
-reads the whole lattice of f's symmetries in grid steps off the evaluated
-floats, exactly (_cell), and sweeps one cell: on each inner line the m
-nodes of one period, and the P outer nodes over which the inner sup
-repeats, where P divides the outer node count (else every outer node).  A
-cell is finer than the named vectors: A at N = 64 repeats on one x-node and
-2048 t-nodes, and B at N = 128, with no named vector, on half of each x-row.
-B at N = 512 sweeps its whole grid: m = 2048 is every x-node, and P = 2^49
-does not divide the 8192 t-nodes.  The norm is scaled by the number of
-outer cells (_sup_norm_L4), so the reported grid, norm and ratio are those
-of the whole grid to the last bits; argmax is the first maximum within
-the cell, and norm.swept_nodes counts the nodes evaluated.
+The step, (1, N) for A, (0, sqrt(N)) for B and (N, 1) for C, is also a
+translation symmetry of f (B's at square N), which the sweep does not
+use.  It reads the whole lattice of f's symmetries in grid steps off the
+evaluated floats, exactly (_cell), and sweeps one cell: on each inner
+line the m nodes of one period, and the P outer nodes over which the
+inner sup repeats, where P divides the outer node count (else every
+outer node).  A cell is finer than the steps: A at N = 64 repeats on one
+x-node and 2048 t-nodes, and B at N = 128, with no symmetric step, on half
+of each x-row.  B at N = 512 sweeps its whole grid: m = 2048 is every
+x-node, and P = 2^49 does not divide the 8192 t-nodes.  The norm is scaled
+by the number of outer cells (_sup_norm_L4), so the reported grid, norm
+and ratio are those of the whole grid to the last bits; argmax is the
+first maximum within the cell, and norm.swept_nodes counts the nodes
+evaluated.
 
 Reports hold no timing fields, so a fixed config and seed gives
 byte-identical JSON regardless of machine speed or thread count.
@@ -170,25 +172,28 @@ def _sup_norm_L4(
 def _witness(
     id: str,
     seq: ConvexSequence,
-    spec: ExpSumSpec,
-    checked_j: list[int],
-    points: list[tuple[float, float]],
+    xi: np.ndarray,
+    eta: np.ndarray,
     grid: GridSpec,
+    step: tuple[float, float],
+    js: list[int],
     sup_direction: str,
     exponent: float,
     seed: int,
     threads: int | None,
 ) -> dict:
-    """The part every experiment shares, once its spec, points and grid exist.
+    """The steps every experiment shares, given what sets it apart.
 
-    Checks |f| = hit count of seq at each aligned point (relative error <=
-    1e-6), takes the L^4 norm of the sup over sup_direction (over one cell
-    of f's translation lattice where the grid allows, see _sup_norm_L4), and
-    divides it by the predicted N^exponent ||b||_2.  Returns the dict
-    experiment prints.
+    Puts unit coefficients on the hits of seq at frequencies (xi, eta),
+    checks |f| = hit count at each aligned point j * step, j in js
+    (relative error <= 1e-6), takes the L^4 norm of the sup over
+    sup_direction on grid (over one cell of f's translation lattice where
+    the grid allows, see _sup_norm_L4), and divides it by the predicted
+    N^exponent ||b||_2.  Returns the dict experiment prints.
     """
+    spec = ExpSumSpec(N=seq.N, xi=xi, eta=eta, b=_hit_coefficients(seq))
     count = len(seq.hits)
-    xs, ts = np.array(points).T
+    xs, ts = np.outer(np.array(step, dtype=float), js)
     worst = max(abs(v - count) / count for v in eval_point(spec, xs, ts))
     norm = _sup_norm_L4(spec, grid, sup_direction, threads)
     return {
@@ -196,11 +201,7 @@ def _witness(
         "N": spec.N,
         "alpha": seq.meta["alpha"],
         "hit_count": count,
-        "identity": {
-            "checked_j": checked_j,
-            "max_rel_err": worst,
-            "pass": worst <= 1e-6,
-        },
+        "identity": {"checked_j": js, "max_rel_err": worst, "pass": worst <= 1e-6},
         "norm": norm,
         "predicted_exponent": exponent,
         "ratio": norm["value"] / (spec.N**exponent * spec.norm_b2()),
@@ -214,6 +215,12 @@ def _hit_sequence(N: int, alpha: float) -> ConvexSequence:
     return construct_dirichlet_like(N, alpha)
 
 
+def _seeded_js(seed: int, hi: int) -> list[int]:
+    """64 j drawn from [1, hi] by NumPy's generator at seed, sorted."""
+    rng = np.random.default_rng(seed)
+    return sorted(int(j) for j in rng.integers(1, hi + 1, size=64))
+
+
 def experiment_A(
     N: int,
     grid_budget: int = DEFAULT_BUDGET,
@@ -221,15 +228,10 @@ def experiment_A(
     threads: int | None = None,
 ) -> dict:
     """alpha=1 hits sheared by -n/N^2; identity f(j, jN) = count for ALL j."""
-    c = _hit_sequence(N, 1.0)
-    grid = canonical_grid(N, grid_budget)
-    a = shear(c, -1.0 / N**2)
-    spec = ExpSumSpec(
-        N=N, xi=np.arange(1, N + 1) / N, eta=a.values, b=_hit_coefficients(c)
-    )
-    js = list(range(1, N + 1))
-    points = [(float(j), float(j) * N) for j in js]
-    return _witness("A", c, spec, js, points, grid, "t", 7 / 12, seed, threads)
+    seq = _hit_sequence(N, 1.0)
+    eta = shear(seq, -1.0 / N**2).values
+    return _witness("A", seq, np.arange(1, N + 1) / N, eta, canonical_grid(N, grid_budget),
+                    (1, N), list(range(1, N + 1)), "t", 7 / 12, seed, threads)
 
 
 def experiment_B(
@@ -248,15 +250,9 @@ def experiment_B(
     (L = N^2, K ~ N^{2/3}).
     """
     seq = _hit_sequence(N, 0.5)
-    grid = canonical_grid(N, grid_budget)
-    spec = ExpSumSpec(
-        N=N, xi=np.arange(1, N + 1) / N, eta=seq.values, b=_hit_coefficients(seq)
-    )
-    rng = np.random.default_rng(seed)
-    js = sorted(int(j) for j in rng.integers(1, int(N**1.5) + 1, size=64))
-    root = math.sqrt(N)
-    points = [(0.0, j * root) for j in js]
-    return _witness("B", seq, spec, js, points, grid, "x", 3 / 4, seed, threads)
+    return _witness("B", seq, np.arange(1, N + 1) / N, seq.values,
+                    canonical_grid(N, grid_budget), (0, math.sqrt(N)),
+                    _seeded_js(seed, int(N**1.5)), "x", 3 / 4, seed, threads)
 
 
 def experiment_C(
@@ -280,17 +276,8 @@ def experiment_C(
     grid = GridSpec(
         x_lo=0.0, x_hi=float(N * N), Mx=side, t_lo=0.0, t_hi=float(N * N), Mt=side
     )
-    n = np.arange(1, N + 1)
-    spec = ExpSumSpec(
-        N=N,
-        xi=n / N - seq.values / N,
-        eta=seq.values,
-        b=_hit_coefficients(seq),
-    )
-    rng = np.random.default_rng(seed)
-    js = sorted(int(j) for j in rng.integers(1, N * N + 1, size=64))
-    points = [(float(j) * N, float(j)) for j in js]
-    return _witness("C", seq, spec, js, points, grid, "x", 5 / 6, seed, threads)
+    return _witness("C", seq, np.arange(1, N + 1) / N - seq.values / N, seq.values,
+                    grid, (N, 1), _seeded_js(seed, N * N), "x", 5 / 6, seed, threads)
 
 
 EXPERIMENTS = {"A": experiment_A, "B": experiment_B, "C": experiment_C}

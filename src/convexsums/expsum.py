@@ -171,6 +171,8 @@ def canonical_grid(N: int, budget: int = DEFAULT_BUDGET) -> GridSpec:
     translation lattice on these same grids, which gives the same numbers,
     so this note describes their reported norms too.
     """
+    if N < 1:
+        raise ValueError(f"need N >= 1, got {N}")
     Mx = 4 * N
     Mt = min(4 * N * N, max(1, check_budget(budget) // Mx))
     return GridSpec(x_lo=0.0, x_hi=float(N), Mx=Mx, t_lo=0.0, t_hi=float(N * N), Mt=Mt)

@@ -289,17 +289,20 @@ def knots_from_sequence(a) -> np.ndarray:
     second difference exactly 1/N^2, which keeps the chord/slope hypotheses
     valid at the ends: the prescribed slope at i is the average of the two
     adjacent chord slopes, and convexity makes chords strictly increasing.
+    An extension, difference or slope past the float range is refused.
     """
     a = np.asarray(a, dtype=float)
     N = len(a)
     if N < 3:
         raise ValueError("need N >= 3")
     step = 1.0 / (N * N)
-    a0 = 2.0 * a[0] - a[1] + step
-    a_next = 2.0 * a[-1] - a[-2] + step
-    ext = np.concatenate([[a0], a, [a_next]])
-    if np.any(np.diff(ext, 2) <= 0.0):
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        ext = np.concatenate([[2.0 * a[0] - a[1] + step], a, [2.0 * a[-1] - a[-2] + step]])
+        d2 = np.diff(ext, 2)
+        p = 0.5 * N * (ext[2:] - ext[:-2])
+    if not np.isfinite([d2, p]).all():
+        raise InterpolationError("the extended sequence passes the float range")
+    if np.any(d2 <= 0.0):
         raise InterpolationError("sequence is not strictly convex after extension")
     x = np.arange(1, N + 1) / N
-    p = 0.5 * N * (ext[2:] - ext[:-2])
     return np.column_stack([x, ext[1:-1], p])

@@ -431,13 +431,6 @@ class TestBadInput:
                            "--count-only"], capsys)
         assert "JSON" in err
 
-    @pytest.mark.parametrize("theta", ["0", "-1", "nan"])
-    def test_validate_theta_exit1(self, theta, tmp_path, capsys):
-        path = str(_quadratic_csv(tmp_path))
-        assert run_cli(["validate", path], capsys)[0] == 0
-        err = _error_exit(["validate", path, f"--theta={theta}"], capsys)
-        assert "theta" in err
-
     @pytest.mark.parametrize("p", ["nan", "inf"])
     def test_expsum_non_finite_p_exit1(self, p, tmp_path, capsys):
         spec = {"N": 4, "xi": [0.25, 0.5, 0.75, 1.0], "eta": [0.0, 0.5, 1.5, 3.0],

@@ -1,8 +1,8 @@
 """The CLI contract, probed over a few hundred argvs in-process.
 
 Edge values of N, alpha, budgets, seeds and --threads; hostile spec files;
-Farey windows with NaN and infinities; malformed scan lists and validate
---theta values.  Whatever the input, main must
+Farey windows with NaN and infinities; malformed scan lists; sequence CSVs
+at the edge of the float range.  Whatever the input, main must
 
 - exit 0, 1 or 2 (a SystemExit counts as its code);
 - on exit 1, write exactly one stderr line, starting `error: `;
@@ -16,10 +16,11 @@ goes to the test's temporary directory.
 
 import itertools
 import json
+from fractions import Fraction
 
 from convexsums import expsum
 from convexsums.cli import main
-from convexsums.convexseq import construct
+from convexsums.convexseq import ConvexSequence, construct
 from test_cli import strict_json
 
 NS = ["-1", "0", "1", "2", "3", "10", "257", "4096", "1.5", "x"]
@@ -30,6 +31,12 @@ SEEDS = ["-1", "0", "2", str(2**64), "x"]
 THREADS = ["-1", "0", "1", "2", str(10**6), "x"]
 FLOATS = ["nan", "inf", "-inf", "-1", "0", "0.5", "1", "1e300", "5e-324", "x"]
 BUDGET = ["--grid-budget", "4096"]
+EDGE_CSVS = {  # sequences at the float range's edge; integers are written exact
+    "exact-overflow": [int(1.7e308), -int(1.7e308), int(1.7e308)],  # differences overflow
+    "exact-huge-C": [0, 1, 3, 10**308],  # finite differences, C past the range
+    "float-overflow": [1.7e308, -1.7e308, 1.7e308],
+    "near-max": [0.0, 1e308, 1.7e308, 1.79e308],  # interp's end extension overflows
+}
 
 
 class _SerialPool:
@@ -51,6 +58,11 @@ def _files(tmp_path):
     seq.to_csv(str(tmp_path / "seq.csv"))
     seq.hits_to_json(str(tmp_path / "seq.hits.json"))
     files = {"csv": tmp_path / "seq.csv", "hits": tmp_path / "seq.hits.json"}
+    for name, values in EDGE_CSVS.items():
+        exact = [Fraction(v) for v in values] if type(values[0]) is int else None
+        files[name] = tmp_path / f"{name}.csv"
+        ConvexSequence(N=len(values), values=[float(v) for v in values],
+                       exact_values=exact).to_csv(str(files[name]))
     n = 8
     ok = {"N": n, "xi": [(i + 1) / n for i in range(n)],
           "eta": [i * i / n for i in range(n)], "b": [1.0] * n}
@@ -92,11 +104,9 @@ def _argvs(tmp_path):
         yield ["construct", "--N", N, "--alpha", alpha, "--out", out]
         yield ["interp", "--N", N, "--alpha", alpha, "--out", out + ".json"]
     yield ["construct", "--N", "64", "--alpha", "1"]  # the default base, seq
-    yield ["interp", files["csv"]]
-    for theta in FLOATS:
-        yield ["validate", files["csv"], "--theta", theta]
-        yield ["validate", files["csv"], "--hits", files["hits"], "--theta", theta]
-    for path in (files["ok"], files["broken"], str(tmp_path / "missing.csv")):
+    yield ["validate", files["csv"], "--hits", files["hits"]]
+    for path in (files["csv"], *(files[name] for name in EDGE_CSVS), files["ok"],
+                 files["broken"], str(tmp_path / "missing.csv")):
         yield ["validate", path]
         yield ["interp", path]
     for lo, hi in itertools.product(FLOATS[:-1], repeat=2):

@@ -59,6 +59,22 @@ class TestValidate:
         rep = validate(ConvexSequence(N=4, values=np.array([0.0, 1.0, 3.0, 1e308])))
         assert not rep["pass"] and rep["tightest_C"] is None
 
+    def test_exact_C_past_float_range_reads_null(self):
+        # the differences are floats, but C = 4 * 10^308 is not
+        values = [0, 1, 3, 10**308]
+        rep = validate(ConvexSequence(N=4, values=[float(v) for v in values],
+                                      exact_values=[Q(v) for v in values]))
+        assert not rep["pass"] and rep["tightest_C"] is None
+        assert rep["first_diff_max"] == float(10**308 - 3)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_differences_past_float_range_refused(self, exact):
+        values = [int(1.7e308), -int(1.7e308), int(1.7e308)]
+        seq = ConvexSequence(N=3, values=[float(v) for v in values],
+                             exact_values=[Q(v) for v in values] if exact else None)
+        with pytest.raises(ValueError, match="^first or second differences pass"):
+            validate(seq)
+
     def test_pure_square_fails(self):
         N = 100
         n = np.arange(1, N + 1)

@@ -764,6 +764,12 @@ class TestGridSpec:
         g = canonical_grid(256)
         assert g.Mx == 1024 and g.Mt == DEFAULT_BUDGET // 1024
 
+    @pytest.mark.parametrize("N", [0, -1])
+    def test_canonical_grid_needs_N_positive(self, N):
+        # N = 0 would divide the budget by Mx = 0
+        with pytest.raises(ValueError, match=f"^need N >= 1, got {N}$"):
+            canonical_grid(N)
+
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):
             GridSpec(0.0, 0.0, 4, 0.0, 1.0, 4)

@@ -387,6 +387,15 @@ class TestKnotsFromSequence:
         _, _, fpp = f.eval_many(x)
         assert np.all(fpp > 0)
 
+    @pytest.mark.parametrize("a", [[0.0, 1e308, 1.7e308, 1.79e308], [0.0, 1e308, 0.0],
+                                   0.8e308 * (np.arange(1, 11) / 10) ** 3],
+                             ids=["end-extension", "second-difference", "slope"])
+    def test_rejects_values_past_float_range(self, a):
+        # each overflows at the named step and no earlier; a RuntimeWarning
+        # (an error here) would mean the overflow went unchecked
+        with pytest.raises(InterpolationError, match="passes the float range"):
+            knots_from_sequence(a)
+
     def test_rejects_concave(self):
         N = 5
         a = np.sqrt(np.arange(1, N + 1) / N)

@@ -1,11 +1,12 @@
 """Command line front end.
 
 Every subcommand prints a JSON envelope {"config": ..., "version": ...,
-"result": ...} with sorted keys, so a fixed invocation (config + seed)
-produces identical bytes no matter the thread count or machine.  config
-is read off the parsed arguments: the command and the six settings N,
-alpha, grid_budget, seed, out and threads, each as given or at its
-default.  Bulk sequence data goes to CSV; everything else is JSON.
+"result": ...} with sorted keys to stdout, so a fixed invocation (config
++ seed) produces identical bytes no matter the thread count or machine.
+config is read off the parsed arguments: the command and the six settings
+N, alpha, grid_budget, seed, out and threads, each as given or at its
+default.  --out names only a file a command makes besides its envelope:
+the base path of construct's CSV and hits files, or interp's interpolant.
 
 Exit codes: 0 success, 2 validation failure (a report that says "no"),
 1 runtime or usage error.
@@ -37,7 +38,7 @@ from .interp import build_c1, knots_from_sequence, upgrade_c2
 from .rational import count_fractions, enumerate_fractions
 
 
-def _emit(args: argparse.Namespace, result, out: str | None) -> None:
+def _emit(args: argparse.Namespace, result) -> None:
     # config: the command, with experiment's A, B or C, and six settings,
     # each as parsed or at its default where the command has no such option
     given = vars(args)
@@ -50,12 +51,7 @@ def _emit(args: argparse.Namespace, result, out: str | None) -> None:
     config["command"] = " ".join(filter(None, (args.command, given.get("which"))))
     doc = {"config": config, "version": __version__, "result": result}
     # a non-finite float is no JSON: it fails here as one `error:` line
-    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _int_list(s: str) -> list[int]:
@@ -104,14 +100,14 @@ def cmd_construct(args) -> int:
         "meta": seq.meta,
         "validation": report,
     }
-    _emit(args, result, None)
+    _emit(args, result)
     return 0 if report["pass"] else 2
 
 
 def cmd_validate(args) -> int:
     seq = ConvexSequence.from_csv(args.path, hits_path=args.hits)
     report = validate(seq)
-    _emit(args, report, args.out)
+    _emit(args, report)
     return 0 if report["pass"] else 2
 
 
@@ -140,7 +136,7 @@ def cmd_interp(args) -> int:
     if args.out:
         f.dump_json(args.out)
         result["interpolant"] = args.out
-    _emit(args, result, None)
+    _emit(args, result)
     return 0 if ok else 2
 
 
@@ -150,7 +146,7 @@ def cmd_farey(args) -> int:
     else:
         fracs = enumerate_fractions(args.lo, args.hi, args.qmax)
         result = {"count": len(fracs), "fractions": fracs}  # pairs print as lists
-    _emit(args, result, args.out)
+    _emit(args, result)
     return 0
 
 
@@ -164,7 +160,7 @@ def cmd_expsum(args) -> int:
     else:
         result = {"norm": sup_norm_Lp(spec, grid, args.direction, args.p,
                                       threads=args.threads)}
-    _emit(args, result, args.out)
+    _emit(args, result)
     return 0
 
 
@@ -173,12 +169,12 @@ def cmd_experiment(args) -> int:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     fn = EXPERIMENTS[args.which]
     rep = fn(args.N, grid_budget=args.grid_budget, seed=args.seed, threads=args.threads)
-    _emit(args, rep, args.out)
+    _emit(args, rep)
     return 0 if rep["identity"]["pass"] else 2
 
 
 def cmd_scan(args) -> int:
-    _emit(args, intersection_scan(args.N, args.alpha), args.out)
+    _emit(args, intersection_scan(args.N, args.alpha))
     return 0
 
 
@@ -199,7 +195,7 @@ def cmd_regress(args) -> int:
             pts.append((float(entry[0]), float(entry[1])))
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"{args.points}: entry {len(pts) + 1}: {exc}") from None
-    _emit(args, regress(pts), args.out)
+    _emit(args, regress(pts))
     return 0
 
 
@@ -231,7 +227,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check convexity windows of a CSV sequence")
     p.add_argument("path")
     p.add_argument("--hits", help="hits JSON to attach")
-    p.add_argument("--out")
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("interp", help="interpolate a sequence, run the invariant suite")
@@ -246,7 +241,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--hi", type=float, required=True)
     p.add_argument("--qmax", type=int, required=True)
     p.add_argument("--count-only", action="store_true")
-    p.add_argument("--out")
     p.set_defaults(fn=cmd_farey)
 
     p = sub.add_parser("expsum", help="norms / level sets for a spec JSON file")
@@ -256,7 +250,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", action="store_true")
     p.add_argument("--grid-budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--out")
     p.set_defaults(fn=cmd_expsum)
 
     p = sub.add_parser("experiment", help="run witness experiment A, B, or C")
@@ -265,18 +258,15 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid-budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--out")
     p.set_defaults(fn=cmd_experiment)
 
     p = sub.add_parser("scan", help="hit-count scaling over N and alpha lists")
     p.add_argument("--N", type=_int_list, required=True, help="comma separated")
     p.add_argument("--alpha", type=_float_list, required=True, help="comma separated")
-    p.add_argument("--out")
     p.set_defaults(fn=cmd_scan)
 
     p = sub.add_parser("regress", help="log-log slope of (N, value) pairs")
     p.add_argument("points", help="JSON file: [[N, value], ...]")
-    p.add_argument("--out")
     p.set_defaults(fn=cmd_regress)
 
     return ap

@@ -212,10 +212,10 @@ def eval_point(
 
 
 def _fft_applies(spec: ExpSumSpec, grid: GridSpec) -> bool:
-    """FFT rows need x over [0, N) and the canonical xi_n = n/N."""
-    N = spec.N
-    return (grid.x_lo == 0.0 and grid.x_hi == float(N)
-            and np.array_equal(spec.xi, np.arange(1, N + 1) / N))
+    """FFT rows need x over [0, N) and the canonical xi_n = n/N wherever b_n != 0."""
+    idx = spec.support()
+    return (grid.x_lo == 0.0 and grid.x_hi == float(spec.N)
+            and np.array_equal(spec.xi[idx], (idx + 1) / spec.N))
 
 
 def _e(eta: np.ndarray, t: np.ndarray) -> np.ndarray:  # e(t_i eta_n), t longdouble, by _frac

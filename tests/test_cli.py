@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -177,17 +178,6 @@ class TestOtherCommands:
         assert [[k["x"], k["y"], k["p"]] for k in doc["knots"]] == knots.tolist()
         assert set(doc) == {"mode", "D", "pad_end", "knots", "pieces"}
         assert (len(doc["knots"]), doc["D"]) == (r["knots"], r["D"])
-
-    def test_out_file_holds_the_envelope(self, tmp_path, capsys):
-        path = str(tmp_path / "farey.json")
-        argv = ["farey", "--lo", "0.2", "--hi", "0.8", "--qmax", "5"]
-        code, out, _ = run_cli([*argv, "--out", path], capsys)
-        assert code == 0 and out == ""
-        code, out, _ = run_cli(argv, capsys)
-        doc = json.loads(out)
-        doc["config"]["out"] = path
-        want = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-        assert Path(path).read_text() == want
 
     def test_scan(self, capsys):
         code, out, _ = run_cli(
@@ -543,6 +533,24 @@ class TestBadInput:
         path = _write_json(tmp_path, hits, "bad.hits.json")
         err = _error_exit(["validate", csv_path, "--hits", path], capsys)
         assert path in err and "hit 1" in err and f"a_{hits[0]['n']} =" in err
+
+    @pytest.mark.parametrize("last, code", [(Fraction(1), 0), (1 + Fraction(1, 10**20), 1)],
+                             ids=["on-lattice", "off-by-1e-20"])
+    def test_exact_hit_checked_exactly(self, last, code, tmp_path, capsys):
+        # a_n = n/20 + n^2/200 at N = 10 with exact columns: the hit a_10 = 10 * 10^-1
+        # is checked on the rationals, so 1 + 10^-20, whose float is 1.0, fails it
+        exact = [Fraction(10 * n + n * n, 200) for n in range(1, 10)] + [last]
+        rows = ["n,a_n,exact_num,exact_den"] + [
+            f"{n},{float(q)!r},{q.numerator},{q.denominator}" for n, q in enumerate(exact, 1)]
+        csv_path = tmp_path / "exact.csv"
+        csv_path.write_text("\n".join(rows) + "\n")
+        path = _write_json(tmp_path, [{"n": 10, "alpha": 1, "num": 10}], "hits.json")
+        argv = ["validate", str(csv_path), "--hits", path]
+        if code:
+            err = _error_exit(argv, capsys)
+            assert path in err and "hit 1" in err and "a_10 = 1.0" in err
+        else:
+            assert run_cli(argv, capsys)[0] == 0
 
     @pytest.mark.parametrize("points, where", [
         ([[16, 4.0], [64], [1024, 32.0]], "entry 2"),

@@ -168,6 +168,26 @@ def _breach(code, out, err):
     return None
 
 
+def test_out_refused_where_the_envelope_is_the_only_output(tmp_path, capsys):
+    # the envelope goes to stdout; --out names only files construct and interp make
+    files, _ = _files(tmp_path)
+    argvs = {  # each succeeds without --out
+        "validate": ["validate", files["csv"], "--hits", files["hits"]],
+        "farey": ["farey", "--lo", "0", "--hi", "1", "--qmax", "10"],
+        "expsum": ["expsum", files["ok"], *BUDGET],
+        "experiment": ["experiment", "A", "--N", "64", *BUDGET],
+        "scan": ["scan", "--N", "64,128,256", "--alpha", "1"],
+        "regress": ["regress", files["points-ok"]],
+    }
+    for cmd, argv in argvs.items():
+        assert _run(argv, capsys)[0] == 0, cmd
+        target = tmp_path / f"{cmd}.out.json"
+        code, out, err = _run([*argv, "--out", str(target)], capsys)
+        assert (code, out) == (1, ""), cmd
+        assert err.startswith("error: ") and err.count("\n") == 1, cmd
+        assert not target.exists(), cmd
+
+
 def test_every_argv_keeps_the_contract(tmp_path, monkeypatch, capsys):
     # as on 64 CPUs, so that --threads above 1 asks for a pool on any host
     monkeypatch.setattr(expsum.os, "sched_getaffinity", lambda pid: set(range(64)),

@@ -97,6 +97,15 @@ class TestValidate:
         with pytest.raises(ValueError, match=f"^{message}$"):
             ConvexSequence(N=4, values=np.array(values))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"values": [0.0, 1.0, 3.0]}, "expected 4 values, got 3"),
+        ({"values": [0.0, 1.0, 3.0, 6.0], "exact_values": [Q(0), Q(1)]},
+         "exact_values length mismatch"),
+    ], ids=["values", "exact-values"])
+    def test_lengths_must_match_N(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ConvexSequence(N=4, **kwargs)
+
     def test_caller_values_stay_writable(self):
         values = np.array([0.1, 0.3, 0.6])
         seq = ConvexSequence(N=3, values=values)
@@ -130,6 +139,10 @@ class TestIntersectCount:
         )
         count, _ = intersect_count(seq, 0.0)
         assert count == 0
+
+    def test_alpha_outside_0_2_rejected(self):
+        with pytest.raises(ValueError, match=r"\[0, 2\]"):
+            intersect_count(quadratic_example(10), 2.5)
 
     def test_exact_needs_exact_values(self):
         # a float-only copy takes the float rule, which finds the same hit

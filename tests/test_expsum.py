@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexsums import expsum
+from convexsums.cli import main
 from convexsums.expsum import (
     DEFAULT_BUDGET,
     ExpSumSpec,
@@ -254,6 +255,24 @@ class TestEvalGrid:
         for l, t in enumerate(ts):
             for k, x in enumerate(xs):
                 assert abs(m[l, k] - eval_point(spec, x, t)) <= 1e-9 * spec.norm_b1()
+
+    def test_zero_coefficient_xi_keeps_fft_rows(self, tmp_path, monkeypatch, capsys):
+        # a term with b_n = 0 never reaches f, so its xi_n cannot move the
+        # sweep off the FFT rows nor change a bit of what expsum prints
+        rng = np.random.default_rng(5)
+        N = 64
+        doc = {"N": N, "xi": [(n + 1) / N for n in range(N)],
+               "eta": (np.sort(rng.uniform(0, 1, N)) * N).tolist(),
+               "b": [0.0, *rng.normal(size=N - 1).tolist()]}
+        prints = []
+        for xi_1 in (doc["xi"][0], 0.3):
+            path = tmp_path / f"spec-{xi_1}.json"
+            path.write_text(json.dumps(doc | {"xi": [xi_1, *doc["xi"][1:]]}))
+            with monkeypatch.context() as m:
+                forbid_rows(m, "_rows_naive")
+                assert main(["expsum", str(path), "--levels", "--threads", "1"]) == 0
+            prints.append(json.loads(capsys.readouterr().out)["result"])
+        assert json.dumps(prints[0]) == json.dumps(prints[1])
 
     def test_grid_parseval(self):
         spec = random_spec(N=64, seed=13)

@@ -121,6 +121,11 @@ class TestBuildC1:
         with pytest.raises(InterpolationError):
             build_c1([(0, 0, 1), (1, 1, 2)])
 
+    def test_rejects_split_ratio_out_of_range(self):
+        # the chord slope 1e-7 lies between p1 = 0 and p2 = 1, but hugs p1
+        with pytest.raises(InterpolationError, match="split ratio"):
+            build_c1([(0, 0, 0), (1, 1e-7, 1)])
+
     def test_rejects_nonincreasing(self):
         with pytest.raises(InterpolationError):
             build_c1([(0, 0, 1), (1, 1, 1)])
@@ -199,6 +204,11 @@ class TestUpgradeC2:
         x = np.array([2.0, 2.5, 3.0])
         assert np.array_equal(twice.eval_many(x)[0], once.eval_many(x)[0])
         assert np.all(np.diff(twice.eval_many(np.linspace(1.0, 3.0, 201))[0]) > 0)
+
+    def test_padding_inside_domain_is_a_no_op(self):
+        f2 = upgrade_c2(build_c1(quad_knots()))
+        for x_end in (f2.x_max(), 1.5):
+            assert f2.with_padding(x_end) is f2
 
     def test_padding_needs_c2(self):
         with pytest.raises(InterpolationError, match="C2"):
@@ -395,6 +405,10 @@ class TestKnotsFromSequence:
         # (an error here) would mean the overflow went unchecked
         with pytest.raises(InterpolationError, match="passes the float range"):
             knots_from_sequence(a)
+
+    def test_needs_three_terms(self):
+        with pytest.raises(ValueError, match="need N >= 3"):
+            knots_from_sequence([0.0, 1.0])
 
     def test_rejects_concave(self):
         N = 5

@@ -157,6 +157,16 @@ class TestPower:
                 m = got
                 assert m**q <= base**p < (m + 1) ** q
 
+    @pytest.mark.parametrize("fn, args, message", [
+        (iroot, (-1, 2), "n >= 0"), (power_exact, (0, Q(1, 2)), "positive integer"),
+    ], ids=["iroot-negative", "power-exact-zero-base"])
+    def test_rejects_bad_arguments(self, fn, args, message):
+        with pytest.raises(ValueError, match=message):
+            fn(*args)
+
+    def test_power_floor_negative_irrational_exponent(self):
+        assert power_floor(2, Q(-1, 2)) == 0  # 2^{-1/2} = 0.707...
+
     def test_power_exact(self):
         assert power_exact(64, Q(2, 3)) == 16
         assert power_exact(64, Q(-1, 2)) == Q(1, 8)

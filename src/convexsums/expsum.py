@@ -32,13 +32,13 @@ round trip and may differ by an ulp.  Otherwise each term splits as
 e(x xi_n) e(t eta_n), and a block of rows is one matrix product of the
 t-factors and the x-factors, restricted to the nonzero coefficients.
 
-A sweep streams the t-rows in blocks of at most _BLOCK_NODES nodes, so that
-a block's arrays stay cache-sized.  A separable block of K terms holds at
-most max(2, (2^16 - 1) // (K Mx)) rows: OpenBLAS hands a complex product of
-m n k >= 2^16 to a helper thread, which spins on after the call; a product
-with K Mx >= 2^15 reaches that size at 2 rows and is left to it.  The
-arrays of the spec (support, frequencies, folds, x-factors, anchors and
-offsets) are built once per sweep.
+A sweep streams the t-rows in blocks of at most _BLOCK_NODES // max(Mx, K)
+rows, so that a block's |f| and t-factors stay cache-sized.  OpenBLAS hands a
+complex gemm of m n k >= 2^16, and a gemv (Mx = 1) of m n >= 2^12, to a helper
+thread that spins on after the call, so a separable block holds at most
+max(2, (2^16 - 1) // (K Mx)) rows, or max(2, (2^12 - 1) // K) at Mx = 1.  The
+spec's arrays (support, frequencies, folds, x-factors, anchors and offsets)
+are built once per sweep.
 
 One sweep over the grid serves both the sup-then-L^p norm and the level
 sets: each block of rows is reduced once, from one |f| matrix, to its
@@ -64,8 +64,7 @@ from typing import Callable
 import numpy as np
 
 DEFAULT_BUDGET = 2**24  # max total grid nodes Mx * Mt
-_BLOCK_NODES = 2**17  # grid nodes per row block: a block's arrays stay cache-sized
-_BLOCK_ROWS = 256  # row cap at small Mx; OpenBLAS threads by m n k, see _block_rows
+_BLOCK_NODES = 2**17  # nodes or t-factors per row block: a block's arrays stay cache-sized
 _ANCHOR_ROWS = 64  # t-rows per anchor exponential; 128 moves levels-A's top dyadic band
 _LEVELS = 40  # rungs below the top one in a level report
 
@@ -249,17 +248,18 @@ def _t_factors(
     Columns run over the support.  Row l = q H + j, H = _ANCHOR_ROWS, is the
     product of anchors[q] = b_n e(t_{qH} eta_n), from _anchors, and the offset
     e(j dt eta_n), from a table built once; anchors sit at fixed multiples of
-    H, so a row's bits do not depend on the rows asked for with it.
+    H, so a row's bits do not depend on the rows asked for with it.  A block
+    is one product, over whole groups sliced to its rows if it spans several.
     """
     idx, H = spec.support(), _ANCHOR_ROWS
     offsets = _e(spec.eta[idx], np.arange(min(H, grid.Mt)) * np.longdouble(grid.dt))
 
     def factors(s: int, r: int) -> np.ndarray:
-        out = np.empty((r, len(idx)), dtype=complex)
-        for q in range(s // H, (s + r - 1) // H + 1):
-            lo, hi = max(s, q * H), min(s + r, q * H + H)
-            np.multiply(anchors[q], offsets[lo - q * H:hi - q * H], out=out[lo - s:hi - s])
-        return out
+        q, j = divmod(s, H)
+        if j + r <= H:
+            return anchors[q] * offsets[j:j + r]
+        groups = anchors[q:(s + r - 1) // H + 1, None] * offsets
+        return groups.reshape(-1, len(idx))[j:j + r]
 
     return factors
 
@@ -316,11 +316,11 @@ def _rows_naive(spec: ExpSumSpec, grid: GridSpec, anchors: np.ndarray) -> _Rows:
     return rows
 
 
-def _block_rows(Mx: int, K: int | None = None) -> int:
-    """Rows per block: at most _BLOCK_NODES nodes and _BLOCK_ROWS rows, and for a
-    separable product over K terms at most max(2, (2^16 - 1) // (K Mx)) rows."""
-    h = min(_BLOCK_ROWS, max(1, _BLOCK_NODES // Mx))
-    return h if K is None else min(h, max(2, (2**16 - 1) // (K * Mx)))
+def _block_rows(Mx: int, K: int, fft: bool) -> int:
+    """Rows per block over K terms: at most _BLOCK_NODES // max(Mx, K), and for a
+    separable product the most OpenBLAS keeps on one thread (see the module)."""
+    h = max(1, _BLOCK_NODES // max(Mx, K))
+    return h if fft else min(h, max(2, (2**12 - 1 if Mx == 1 else 2**16 - 1) // (K * Mx)))
 
 
 def _map_blocks(
@@ -332,9 +332,9 @@ def _map_blocks(
     """block(rows, s, r) for each block of t-rows, in a pool; results in block order.
 
     The blocks cover rows [0, R), R = _period_rows of the anchor column, with
-    h = _block_rows(Mx, K) rows each (K only for separable rows), the last one
-    fewer: a partition fixed by the spec and grid, never by the thread count,
-    so any order-sensitive combination downstream stays deterministic.
+    h = _block_rows(Mx, K, fft) rows each, the last one fewer: a partition fixed
+    by the spec and grid, never by the thread count, so any order-sensitive
+    combination downstream stays deterministic.
     block reduces the r rows from row s; rows(s, out), built once per call,
     writes those rows into the (r x Mx) complex array out and returns it.
 
@@ -345,7 +345,7 @@ def _map_blocks(
     anchors = _anchors(spec, grid)
     rows = (_rows_fast if fft else _rows_naive)(spec, grid, anchors)
     R = _period_rows(anchors, grid.Mt)
-    h = min(R, _block_rows(grid.Mx, None if fft else len(spec.support())))
+    h = min(R, _block_rows(grid.Mx, len(spec.support()), fft))
 
     def run(s: int):
         return block(rows, s, min(h, R - s))

@@ -652,11 +652,11 @@ class TestTracingContract:
         assert [s.attrs["points"] for s in evals[-2:]] == [64, 2000]
 
 
-# N = 32 specs on a grid of Mx = 128 by Mt = 1100 t-rows: five row blocks,
-# the last one partial; 140,800 nodes, past expsum._BLOCK_NODES, so that
-# more than one thread starts a pool
+# N = 32 specs on a grid of Mx = 128 by Mt = 2100 t-rows: three FFT row
+# blocks, the last one partial; 268,800 nodes, past expsum._BLOCK_NODES, so
+# that more than one thread starts a pool
 SWEEP_N = 32
-SWEEP_BUDGET = 128 * 1100
+SWEEP_BUDGET = 128 * 2100
 
 
 def _sweep_spec(tmp_path, canonical):
@@ -685,7 +685,7 @@ class TestExpsumSingleSweep:
         code, out, _ = run_cli(_levels_argv(path, direction), capsys)
         assert code == 0
         grid = canonical_grid(SWEEP_N, SWEEP_BUDGET)
-        assert grid.Mt == 1100
+        assert grid.Mt == 2100
         norm = sup_norm_Lp(spec, grid, direction, 4.0)
         rep = dyadic_level_report(spec, grid, direction)
         want = {"norm": norm, "levels": rep}
@@ -728,10 +728,11 @@ class TestExpsumSingleSweep:
         monkeypatch.setattr(expsum, name, counting)
         code, _, _ = run_cli(_levels_argv(path, direction, "--threads", "1"), capsys)
         assert code == 0
-        # a separable block holds at most (2^16 - 1) // (K Mx) = 15 rows (K = 32,
-        # Mx = 128), so that OpenBLAS keeps the product on the calling thread
-        h = 256 if canonical else 15
-        assert blocks == [(s, min(h, 1100 - s)) for s in range(0, 1100, h)]
+        # an FFT block holds 2^17 // Mx = 1024 rows; a separable block at most
+        # (2^16 - 1) // (K Mx) = 15 rows (K = 32, Mx = 128), so that OpenBLAS
+        # keeps the product on the calling thread
+        h = 1024 if canonical else 15
+        assert blocks == [(s, min(h, 2100 - s)) for s in range(0, 2100, h)]
 
     def test_levels_thread_count_invariant(
         self, tmp_path, capsys, pools, canonical, direction

@@ -91,6 +91,13 @@ class TestExperimentA:
         rep = experiment_A(128, grid_budget=SMALL_BUDGET)
         assert rep["identity"]["max_rel_err"] == 0.0
 
+    def test_narrow_cell_pool_gives_the_same_bits(self, pools):
+        # a 4 x 131,072 cell (K = 4): 33 separable blocks of at most 4,095
+        # rows, past _BLOCK_NODES, so two threads start a pool
+        reps = [json.dumps(experiment_A(256, grid_budget=2**28, threads=t)) for t in (1, 2)]
+        assert reps[0] == reps[1]
+        assert pools == [2]
+
 
 class TestExperimentB:
     def test_identity(self):

@@ -283,8 +283,9 @@ class TestEvalGrid:
             assert np.mean(np.abs(row) ** 2) == pytest.approx(b2sq, rel=1e-9)
 
     def test_determinism_across_thread_counts(self, pools):
+        # 4 FFT blocks of 2^17 // Mx = 512 rows
         spec = random_spec(N=64, seed=17, support=[3, 10, 40])
-        grid = canonical_grid(64, budget=2**18)
+        grid = canonical_grid(64, budget=2**19)
         a = eval_grid(spec, grid, threads=1)
         b = eval_grid(spec, grid, threads=4)
         assert np.array_equal(a, b)
@@ -316,10 +317,21 @@ class TestTFactors:
         assert np.max(np.abs(f - eval_grid(spec, grid))) <= 2 * np.spacing(spec.norm_b1())
 
     def test_rows_do_not_depend_on_the_block(self):
-        factors = t_factors(self.SPEC, self.GRID)
-        whole = factors(0, self.GRID.Mt)
-        for s, r in [(0, 1), (63, 2), (64, 64), (100, 200), (511, 1)]:
-            assert np.array_equal(factors(s, r), whole[s:s + r])
+        for Mt, blocks in [
+            # inside one group, partial groups at both ends, several whole groups
+            (512, [(0, 1), (70, 10), (64, 64), (63, 2), (100, 200), (64, 192), (0, 512),
+                   (511, 1)]),
+            # the last group partial: Mt = 7 H + 52
+            (500, [(448, 52), (400, 100), (130, 370), (499, 1)]),
+            # Mt < H: one group, a short offset table
+            (40, [(0, 40), (5, 30), (39, 1)]),
+        ]:
+            grid = GridSpec(0.0, 256.0, 1024, 0.0, Mt * 128.0, Mt)
+            factors = t_factors(self.SPEC, grid)
+            whole = factors(0, Mt)
+            assert np.array_equal(whole, np.concatenate([factors(l, 1) for l in range(Mt)]))
+            for s, r in blocks:
+                assert np.array_equal(factors(s, r), whole[s:s + r])
 
     def test_phases_reduced_per_anchor_not_per_row(self, monkeypatch):
         # 48-row blocks straddle the 64-row anchors; the sweep reduces the
@@ -403,14 +415,17 @@ class TestPeriodRows:
 
 class TestBlocks:
     def test_block_rows(self):
-        heights = [expsum._block_rows(Mx) for Mx in (4, 512, 1024, 4096, 2**17, 2**18)]
-        assert heights == [256, 256, 128, 32, 1, 1]
+        # FFT blocks hold 2^17 nodes or 2^17 t-factors, whichever binds first
+        heights = [expsum._block_rows(Mx, 8, True) for Mx in (4, 512, 1024, 4096, 2**17, 2**18)]
+        assert heights == [16384, 256, 128, 32, 1, 1]
+        assert [expsum._block_rows(Mx, K, True)
+                for Mx, K in [(1, 64), (4, 4096), (1024, 2048), (1, 2**18)]] == [2048, 32, 64, 1]
 
     def test_separable_products_stay_off_blas_threads(self, monkeypatch):
-        # OpenBLAS threads a complex product of m n k >= 2^16: at K = 2 and
-        # Mx = 256 a separable block holds 127 rows, not 256
+        # OpenBLAS threads a complex gemm of m n k >= 2^16: at K = 2 and
+        # Mx = 256 a separable block holds 127 rows, not 512; at Mx = 1 numpy
+        # takes the product to gemv, threaded from m n >= 2^12: 2047 rows
         spec = random_spec(N=64, seed=5, canonical=False, support=[3, 40])
-        grid = GridSpec(0.0, 64.0, 256, 0.0, 4096.0, 1000)
         sizes, matmul = [], np.matmul
 
         def spy(a, b, *args, **kwargs):
@@ -418,23 +433,46 @@ class TestBlocks:
             return matmul(a, b, *args, **kwargs)
 
         monkeypatch.setattr(np, "matmul", spy)
-        for d in ("t", "x"):
-            sup_norm_Lp(spec, grid, d, 4.0, threads=2, with_levels=True)
-        assert max(sizes) == 127 * 2 * 256 < 2**16
-        assert [expsum._block_rows(Mx, K) for Mx, K in [(256, 2), (4, 8), (128, 32), (4096, 8),
-                                                         (2**18, 2)]] == [127, 256, 15, 2, 1]
+        for Mx, Mt, largest in [(256, 1000, 127 * 2 * 256), (1, 5000, 2047 * 2)]:
+            sizes.clear()
+            for d in ("t", "x"):
+                sup_norm_Lp(spec, GridSpec(0.0, 64.0, Mx, 0.0, 4096.0, Mt), d, 4.0,
+                            threads=2, with_levels=True)
+            assert max(sizes) == largest < (2**16 if Mx > 1 else 2**12)
+        assert [expsum._block_rows(Mx, K, False)
+                for Mx, K in [(256, 2), (4, 8), (128, 32), (4096, 8), (2**18, 2), (1, 2),
+                              (1, 32), (1, 4096)]] == [127, 2047, 15, 2, 1, 2047, 127, 2]
+
+    def test_t_factors_stay_within_block_nodes(self, monkeypatch):
+        # FFT rows at K = 64 > Mx = 1: a block's t-factors, not its nodes,
+        # bound it to 2^17 // K = 2048 rows
+        spec = random_spec(N=64, seed=5)
+        grid = GridSpec(0.0, 64.0, 1, 0.0, 4096.0, 5000)
+        real, blocks = expsum._t_factors, []
+
+        def spy(spec, grid, anchors):
+            factors = real(spec, grid, anchors)
+            return lambda s, r: blocks.append(r) or factors(s, r)
+
+        monkeypatch.setattr(expsum, "_t_factors", spy)
+        forbid_rows(monkeypatch, "_rows_naive")
+        sup_norm_Lp(spec, grid, "t", 4.0, threads=1)
+        assert blocks == [2048, 2048, 904]
+        assert max(blocks) * len(spec.support()) <= expsum._BLOCK_NODES
 
     @pytest.mark.parametrize("canonical", [True, False], ids=["fft", "separable"])
     def test_partition_does_not_change_results(self, monkeypatch, pools, canonical):
-        # _BLOCK_NODES = 2**10, 2**17, 2**24 make FFT blocks of 8, 256, 256
-        # rows at Mx = 128 (Mt = 1030: the last block 6 rows) and of 1, 109,
-        # 110 rows at Mx = 1200 (Mt = 110: the last block 1 row at 2**17);
-        # separable blocks (K = 32) hold 8, 15, 15 and 1, 2, 2 rows; both
-        # grids hold more than 2**17 nodes, so two threads start a pool
-        # unless _BLOCK_NODES is 2**24
+        # _BLOCK_NODES = 2**10, 2**17, 2**24 make FFT blocks of 8, 1024, 1030
+        # rows at Mx = 128 (Mt = 1030: the last block 6 rows), of 1, 109,
+        # 110 rows at Mx = 1200 (Mt = 110: the last block 1 row at 2**17) and
+        # of 32, 4096, 5000 rows at Mx = 1 (K = 32 > Mx); separable blocks
+        # (K = 32) hold 8, 15, 15, then 1, 2, 2, then 32, 127, 127 rows, whose
+        # products are gemv; two threads start a pool when the grid holds more
+        # than _BLOCK_NODES nodes
         spec = random_spec(N=32, seed=43, canonical=canonical)
         grids = [GridSpec(0.0, 32.0, 128, 0.0, 1024.0, 1030),
-                 GridSpec(0.0, 32.0, 1200, 5.0, 1029.0, 110)]
+                 GridSpec(0.0, 32.0, 1200, 5.0, 1029.0, 110),
+                 GridSpec(0.0, 32.0, 1, 3.0, 1027.0, 5000)]
 
         def results(grid, threads):
             out = [eval_grid(spec, grid, threads).tobytes()]
@@ -452,13 +490,14 @@ class TestBlocks:
                 for threads in (1, 2):
                     started = len(pools)
                     assert results(grid, threads) == want
-                    assert (len(pools) > started) == (threads == 2 and nodes < 2**24)
+                    assert (len(pools) > started) == (threads == 2
+                                                      and grid.Mx * grid.Mt > nodes)
 
     def test_at_most_one_worker_per_block(self, monkeypatch, pools):
-        # 4 blocks of 256 rows: a huge thread count starts 4 workers on 64
+        # 4 blocks of 512 rows: a huge thread count starts 4 workers on 64
         # CPUs (the pools fixture), and 2 on 2 CPUs
         spec = random_spec(N=64, seed=17, support=[3, 10, 40])
-        grid = canonical_grid(64, budget=2**18)
+        grid = canonical_grid(64, budget=2**19)
         want = eval_grid(spec, grid, 1)
         assert np.array_equal(eval_grid(spec, grid, threads=10**6), want)
         assert pools == [4]
@@ -617,8 +656,9 @@ class TestSupNorm:
             sup_norm_Lp(spec, grid, "t", 0.5)
 
     def test_determinism_across_thread_counts(self, pools):
+        # 4 FFT blocks of 512 rows
         spec = random_spec(N=64, seed=37)
-        grid = canonical_grid(64, budget=2**18)
+        grid = canonical_grid(64, budget=2**19)
         a = sup_norm_Lp(spec, grid, "t", 4.0, threads=1)
         b = sup_norm_Lp(spec, grid, "t", 4.0, threads=3)
         assert a == b
